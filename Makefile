@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecoder -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzTextReader -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzTextRoundTrip -fuzztime=30s ./internal/trace
+	$(GO) test -fuzz=FuzzTraceEventEncoding -fuzztime=30s ./internal/timeline
 
 # Differential verification: graph traversal vs the DES oracle,
 # metamorphic properties, trace/graph linter (doc/VERIFY.md).

@@ -1,12 +1,13 @@
 package timeline
 
 import (
-	"bufio"
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"mpgraph/internal/core"
 	"mpgraph/internal/obsv"
@@ -22,6 +23,15 @@ import (
 // across the streaming, compiled, batched, and wavefront-slab parallel
 // engines (the parallel engine's replay_slabs/replay_finalize phase
 // spans ride the same generic engine-span process).
+//
+// Events are encoded without reflection: eventWriter appends each one,
+// field by field, to a reused buffer that it hands to the destination
+// in chunks of about 64 KiB. The bytes are exactly what encoding/json
+// would write for the same event — its float format, its HTML-safe
+// string escaping, its omitempty rules — and the differential tests
+// compare the two on single events, on fuzzed events and on a large
+// export. Unlike encoding/json, a NaN or infinite number fails with an
+// error that names the event and its track; JSON cannot carry it.
 //
 // Timestamps on the simulated-rank process (pid 1) are in simulated
 // cycles, not microseconds; viewers render them fine, the unit label is
@@ -61,65 +71,305 @@ type ExportOptions struct {
 	Spans []obsv.Span
 }
 
-// traceEvent is one trace-event JSON object. Field order is fixed by
-// the struct, keeping the export byte-stable.
+// traceEvent is one trace-event JSON object. appendEvent writes its
+// fields in declaration order and omits Name, Cat, ID, BP and Args
+// when they are zero.
 type traceEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   int64          `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string
+	Cat  string
+	Ph   string
+	Ts   float64
+	Pid  int
+	Tid  int
+	ID   int64
+	BP   string
+	Args eventArgs
 }
 
+// eventArgs is an event's "args" object, in the shapes the export
+// writes: a metadata name, a sort index, or a counter sample.
+type eventArgs struct {
+	kind  argsKind
+	name  string  // argsName: the name; argsNumbered: the text before n
+	n     int     // argsNumbered: the number ending the name; argsSortIndex: the index
+	value float64 // argsValue
+}
+
+type argsKind uint8
+
+const (
+	argsNone      argsKind = iota
+	argsName               // {"name":name}
+	argsNumbered           // {"name":name+decimal n}, e.g. "rank 3"
+	argsSortIndex          // {"sort_index":n}
+	argsValue              // {"value":value}
+)
+
+func nameArgs(name string) eventArgs { return eventArgs{kind: argsName, name: name} }
+
+func numberedArgs(prefix string, n int) eventArgs {
+	return eventArgs{kind: argsNumbered, name: prefix, n: n}
+}
+
+func sortIndexArgs(n int) eventArgs { return eventArgs{kind: argsSortIndex, n: n} }
+
+func valueArgs(v float64) eventArgs { return eventArgs{kind: argsValue, value: v} }
+
+// nonFinite returns the name and value of e's first number that JSON
+// cannot carry, or "" when every number is finite.
+func (e *traceEvent) nonFinite() (string, float64) {
+	if math.IsNaN(e.Ts) || math.IsInf(e.Ts, 0) {
+		return "ts", e.Ts
+	}
+	if v := e.Args.value; e.Args.kind == argsValue && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return "args.value", v
+	}
+	return "", 0
+}
+
+// appendEvent appends e as one JSON object. Every number in e must be
+// finite (see nonFinite).
+func appendEvent(b []byte, e *traceEvent) []byte {
+	b = append(b, '{')
+	if e.Name != "" {
+		b = append(b, `"name":`...)
+		b = appendString(b, e.Name)
+		b = append(b, ',')
+	}
+	if e.Cat != "" {
+		b = append(b, `"cat":`...)
+		b = appendString(b, e.Cat)
+		b = append(b, ',')
+	}
+	b = append(b, `"ph":`...)
+	b = appendString(b, e.Ph)
+	b = append(b, `,"ts":`...)
+	b = appendFloat(b, e.Ts)
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(e.Pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(e.Tid), 10)
+	if e.ID != 0 {
+		b = append(b, `,"id":`...)
+		b = strconv.AppendInt(b, e.ID, 10)
+	}
+	if e.BP != "" {
+		b = append(b, `,"bp":`...)
+		b = appendString(b, e.BP)
+	}
+	switch a := &e.Args; a.kind {
+	case argsName:
+		b = append(b, `,"args":{"name":`...)
+		b = appendString(b, a.name)
+		b = append(b, '}')
+	case argsNumbered:
+		b = append(b, `,"args":{"name":"`...)
+		b = appendEscaped(b, a.name)
+		b = strconv.AppendInt(b, int64(a.n), 10)
+		b = append(b, `"}`...)
+	case argsSortIndex:
+		b = append(b, `,"args":{"sort_index":`...)
+		b = strconv.AppendInt(b, int64(a.n), 10)
+		b = append(b, '}')
+	case argsValue:
+		b = append(b, `,"args":{"value":`...)
+		b = appendFloat(b, a.value)
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendFloat appends a finite f as encoding/json writes a float64:
+// the shortest 'f' form, the 'e' form below 1e-6 and from 1e21 on, and
+// a negative exponent without its leading zero (e-07 becomes e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendString appends s as a quoted JSON string (see appendEscaped).
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	b = appendEscaped(b, s)
+	return append(b, '"')
+}
+
+// htmlSafe marks the ASCII bytes encoding/json writes unescaped when
+// it escapes HTML, as json.Marshal does: everything but control
+// characters, '"', '\\', '<', '>' and '&'.
+var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		safe[c] = true
+	}
+	for _, c := range `"\<>&` {
+		safe[c] = false
+	}
+	return safe
+}()
+
+// appendEscaped appends s's JSON string body with encoding/json's
+// escaping: short escapes for '"', '\\', \b, \f, \n, \r and \t; a
+// six-byte hex escape for the other control characters, for <, > and
+// &, and for U+2028 and U+2029 (line terminators to JavaScript); and
+// the escaped U+FFFD for each byte of invalid UTF-8.
+func appendEscaped(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if htmlSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
+		case r == 0x2028 || r == 0x2029:
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(b, s[start:]...)
+}
+
+// flushSize is the chunk size in which eventWriter hands the document
+// to its destination.
+const flushSize = 64 << 10
+
+// eventWriter encodes a trace-event document into one reused buffer,
+// passing it to w whenever it holds flushSize bytes. The first error —
+// a failed write or a number JSON cannot carry — stops the document.
 type eventWriter struct {
-	w     *bufio.Writer
+	w     io.Writer
+	buf   []byte
 	first bool
+	open  string // name of the latest "B" event, which the next "E" closes
 	err   error
 }
 
+func newEventWriter(w io.Writer) *eventWriter {
+	ew := &eventWriter{w: w, first: true, buf: make([]byte, 0, flushSize+flushSize/4)}
+	ew.buf = append(ew.buf, "{\"traceEvents\":[\n"...)
+	return ew
+}
+
+// emit appends e to the document, or records why it cannot be written.
 func (ew *eventWriter) emit(e traceEvent) {
 	if ew.err != nil {
 		return
 	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		ew.err = err
+	if e.Ph == "B" {
+		ew.open = e.Name
+	}
+	if field, v := e.nonFinite(); field != "" {
+		name := e.Name
+		if e.Ph == "E" {
+			name = ew.open
+		}
+		ew.err = fmt.Errorf("timeline: cannot export %s=%v of %q event %q on track pid %d tid %d: JSON has no non-finite numbers",
+			field, v, e.Ph, name, e.Pid, e.Tid)
 		return
 	}
 	if ew.first {
 		ew.first = false
 	} else {
-		ew.w.WriteString(",\n") //nolint:errcheck
+		ew.buf = append(ew.buf, ",\n"...)
 	}
-	_, ew.err = ew.w.Write(b)
+	ew.buf = appendEvent(ew.buf, &e)
+	if len(ew.buf) >= flushSize {
+		ew.flush()
+	}
+}
+
+func (ew *eventWriter) flush() {
+	if ew.err == nil {
+		_, ew.err = ew.w.Write(ew.buf)
+	}
+	ew.buf = ew.buf[:0]
+}
+
+// close ends the document and writes what is left of it.
+func (ew *eventWriter) close() error {
+	if ew.err != nil {
+		return ew.err
+	}
+	ew.buf = append(ew.buf, "\n]}\n"...)
+	ew.flush()
+	return ew.err
+}
+
+// waitNames are the wait-slice names of the defined wait states.
+var waitNames = func() (names [core.WaitCollective + 1]string) {
+	for s := range names {
+		names[s] = "wait:" + core.WaitState(s).String()
+	}
+	return names
+}()
+
+func waitName(s core.WaitState) string {
+	if int(s) < len(waitNames) {
+		return waitNames[s]
+	}
+	return "wait:" + s.String()
 }
 
 // WriteJSON exports the timeline as Chrome trace-event JSON. See the
 // package comment for layout and doc/TIMELINE.md for how to open it.
 func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	ew := &eventWriter{w: bw, first: true}
+	ew := newEventWriter(w)
 
 	sel := opts.Ranks
-	exported := make(map[int]bool)
-	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidRanks, Args: map[string]any{"name": "simulated ranks"}})
+	exported := make([]bool, len(t.Ranks))
+	isExported := func(r int) bool { return r >= 0 && r < len(exported) && exported[r] }
+	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidRanks, Args: nameArgs("simulated ranks")})
 	for r, evs := range t.Ranks {
-		if sel != nil && !containsInt(sel, r) {
+		if sel != nil && !slices.Contains(sel, r) {
 			continue
 		}
 		if len(evs) == 0 {
 			continue
 		}
 		exported[r] = true
-		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidRanks, Tid: r, Args: map[string]any{"name": fmt.Sprintf("rank %d", r)}})
-		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidRanks, Tid: r, Args: map[string]any{"sort_index": r}})
+		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidRanks, Tid: r, Args: numberedArgs("rank ", r)})
+		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidRanks, Tid: r, Args: sortIndexArgs(r)})
 	}
 
 	// Per-rank slices: compute gap, execution, wait — balanced B/E
@@ -141,7 +391,7 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 				ew.emit(traceEvent{Ph: "E", Ts: e.WaitStart, Pid: pidRanks, Tid: r})
 			}
 			if e.End > e.WaitStart {
-				ew.emit(traceEvent{Name: "wait:" + e.State.String(), Cat: catWait, Ph: "B", Ts: e.WaitStart, Pid: pidRanks, Tid: r})
+				ew.emit(traceEvent{Name: waitName(e.State), Cat: catWait, Ph: "B", Ts: e.WaitStart, Pid: pidRanks, Tid: r})
 				ew.emit(traceEvent{Ph: "E", Ts: e.End, Pid: pidRanks, Tid: r})
 			}
 			prevEnd = e.End
@@ -151,16 +401,16 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 
 	// Message flows, sorted by destination (unique per completion) so
 	// the order does not depend on cross-rank arrival interleaving.
-	flows := append([]Flow(nil), t.Flows...)
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].DstRank != flows[j].DstRank {
-			return flows[i].DstRank < flows[j].DstRank
+	flows := slices.Clone(t.Flows)
+	slices.SortFunc(flows, func(a, b Flow) int {
+		if c := cmp.Compare(a.DstRank, b.DstRank); c != 0 {
+			return c
 		}
-		return flows[i].DstEvent < flows[j].DstEvent
+		return cmp.Compare(a.DstEvent, b.DstEvent)
 	})
 	var id int64
 	for _, f := range flows {
-		if !exported[f.SrcRank] || !exported[f.DstRank] {
+		if !isExported(f.SrcRank) || !isExported(f.DstRank) {
 			continue
 		}
 		src := &t.Ranks[f.SrcRank][f.SrcEvent]
@@ -178,7 +428,7 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 			if a.Node.Rank == b.Node.Rank {
 				continue
 			}
-			if !exported[a.Node.Rank] || !exported[b.Node.Rank] {
+			if !isExported(a.Node.Rank) || !isExported(b.Node.Rank) {
 				continue
 			}
 			if !t.hasEvent(a.Node.Rank, a.Node.Event) || !t.hasEvent(b.Node.Rank, b.Node.Event) {
@@ -208,22 +458,15 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 	}
 	for i, m := range wins {
 		ts := w0 + float64(i)*wsize
-		ew.emit(traceEvent{Name: "parallel_efficiency", Ph: "C", Ts: ts, Pid: pidRanks, Args: map[string]any{"value": m.ParallelEfficiency}})
-		ew.emit(traceEvent{Name: "comm_fraction", Ph: "C", Ts: ts, Pid: pidRanks, Args: map[string]any{"value": m.CommFraction}})
-		ew.emit(traceEvent{Name: "load_balance", Ph: "C", Ts: ts, Pid: pidRanks, Args: map[string]any{"value": m.LoadBalance}})
+		ew.emit(traceEvent{Name: "parallel_efficiency", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.ParallelEfficiency)})
+		ew.emit(traceEvent{Name: "comm_fraction", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.CommFraction)})
+		ew.emit(traceEvent{Name: "load_balance", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.LoadBalance)})
 	}
 
 	if opts.Spans != nil {
 		emitSpans(ew, opts.Spans)
 	}
-
-	if ew.err != nil {
-		return ew.err
-	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return ew.close()
 }
 
 // nodeTime is the track time of a critical-path node: the event's
@@ -337,15 +580,15 @@ type WindowMetric struct {
 // lane free at its start), one thread per lane, timestamps converted
 // from wall-clock nanoseconds to microseconds.
 func emitSpans(ew *eventWriter, spans []obsv.Span) {
-	ordered := append([]obsv.Span(nil), spans...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Start != ordered[j].Start {
-			return ordered[i].Start < ordered[j].Start
+	ordered := slices.Clone(spans)
+	slices.SortFunc(ordered, func(a, b obsv.Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if ordered[i].End != ordered[j].End {
-			return ordered[i].End < ordered[j].End
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c
 		}
-		return ordered[i].Name < ordered[j].Name
+		return cmp.Compare(a.Name, b.Name)
 	})
 	var laneEnd []int64
 	lanes := make([]int, len(ordered))
@@ -364,10 +607,10 @@ func emitSpans(ew *eventWriter, spans []obsv.Span) {
 		laneEnd[lane] = s.End
 		lanes[i] = lane
 	}
-	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidEngine, Args: map[string]any{"name": "engine"}})
+	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidEngine, Args: nameArgs("engine")})
 	for l := range laneEnd {
-		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidEngine, Tid: l, Args: map[string]any{"name": fmt.Sprintf("lane %d", l)}})
-		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidEngine, Tid: l, Args: map[string]any{"sort_index": l}})
+		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidEngine, Tid: l, Args: numberedArgs("lane ", l)})
+		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidEngine, Tid: l, Args: sortIndexArgs(l)})
 	}
 	for i, s := range ordered {
 		start := float64(s.Start) / 1e3
@@ -384,26 +627,7 @@ func emitSpans(ew *eventWriter, spans []obsv.Span) {
 // document — the -selftrace output of CLIs that have no simulated
 // timeline to attach the spans to.
 func WriteSpansJSON(w io.Writer, spans []obsv.Span) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	ew := &eventWriter{w: bw, first: true}
+	ew := newEventWriter(w)
 	emitSpans(ew, spans)
-	if ew.err != nil {
-		return ew.err
-	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return ew.close()
 }
