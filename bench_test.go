@@ -331,6 +331,46 @@ func BenchmarkAnalyzerThroughput(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkAnalyzeStoredTrace is one what-if analysis of a stored
+// trace, as `mpg-analyze -critpath` runs it: the 256-rank × 40-iteration
+// stencil2d trace is written to disk once, and every iteration decodes
+// it with trace.OpenDir and analyzes it with critical-path recording.
+func BenchmarkAnalyzeStoredTrace(b *testing.B) {
+	prog, err := workloads.BuildByName("stencil2d", workloads.Options{Iterations: 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	mcfg := machine.Config{NRanks: 256, Seed: 1, Noise: dist.Exponential{MeanValue: 100}}
+	if _, err := mpi.Run(mpi.Config{Machine: mcfg, TraceDir: dir}, prog); err != nil {
+		b.Fatal(err)
+	}
+	model := &core.Model{
+		Seed:       1,
+		OSNoise:    dist.Exponential{MeanValue: 300},
+		MsgLatency: dist.Exponential{MeanValue: 500},
+		PerByte:    dist.Constant{C: 0.5},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		set, closeFn, err := trace.OpenDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Analyze(set, model, core.Options{RecordCritPath: true})
+		if cerr := closeFn(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = res.Events
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // replayBenchSet is the 64-rank sweep workload behind the
 // compile-once acceptance pair below.
 func replayBenchSet(b *testing.B) *trace.Set {

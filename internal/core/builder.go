@@ -44,8 +44,12 @@ type msgState struct {
 	matched  bool
 
 	// Ranks stalled on this transfer (blocking sender/receiver or
-	// waiters), to be rescheduled when the match resolves.
+	// waiters), to be rescheduled when the match resolves. waiters
+	// starts out on waitBuf, which holds the usual one or two.
 	waiters []int
+	waitBuf [2]int
+
+	next *msgState // the next unmatched post in its matching queue
 
 	// Graph-sink and critical-path bookkeeping.
 	sendStartRef NodeRef
@@ -56,7 +60,18 @@ type msgState struct {
 	recvDoneSet  bool
 	dataEmitted  bool
 	ackEmitted   bool
+
+	tapeIdx int32 // transfer index on the compile tape, once matched
 }
+
+// msgQueue is one matching queue's unmatched posts in FIFO order,
+// linked through msgState.next.
+type msgQueue struct {
+	head, tail *msgState
+}
+
+// msgSlabLen is the number of msgStates allocated together.
+const msgSlabLen = 64
 
 // collKey identifies one collective instance.
 type collKey struct {
@@ -91,6 +106,7 @@ type collState struct {
 	parts    []collParticipant
 	resolved bool
 	lMax     float64 // the propagated max (approx mode), for labels
+	tapeIdx  int32   // collective index on the compile tape, once resolved
 }
 
 // --- per-rank state -----------------------------------------------------
@@ -121,10 +137,12 @@ type rankState struct {
 	myMsg     *msgState
 	myColl    *collState
 
-	stalled bool
-	why     string
-
 	region int32
+	// reg caches the stats bucket of (rank, region) and recRegion the
+	// compile recorder's dense index for it (-1: not yet resolved).
+	// A marker that changes the region drops both.
+	reg       *RegionStats
+	recRegion int32
 
 	// Pending critical-path steps for the current record (valid only
 	// while crit recording is enabled).
@@ -139,7 +157,11 @@ type rankState struct {
 	ivPeerRank  int
 	ivPeerEvent int64
 
-	reqs map[uint64]*reqRef
+	// reqTab holds requests by value while their ids arrive
+	// consecutively, as the mpi runtime issues them: reqTab[i] is
+	// request i+1. Any other id lives in reqs (nil until needed).
+	reqTab []reqRef
+	reqs   map[uint64]*reqRef
 
 	sendReqs    int64
 	waitedSends int64
@@ -153,6 +175,33 @@ type reqRef struct {
 	waited bool
 }
 
+// req returns the posted request with the given id, or nil.
+func (rs *rankState) req(id uint64) *reqRef {
+	if id-1 < uint64(len(rs.reqTab)) { // id 0 wraps past the table
+		return &rs.reqTab[id-1]
+	}
+	return rs.reqs[id]
+}
+
+// addReq registers a posted request, replacing an earlier one with the
+// same id.
+func (rs *rankState) addReq(id uint64, ref reqRef) {
+	switch {
+	case id-1 < uint64(len(rs.reqTab)):
+		rs.reqTab[id-1] = ref
+	case id == uint64(len(rs.reqTab))+1:
+		rs.reqTab = append(rs.reqTab, ref)
+		delete(rs.reqs, id) // the table now shadows any sparse entry
+	default:
+		if rs.reqs == nil {
+			rs.reqs = map[uint64]*reqRef{}
+		}
+		p := new(reqRef) // a fresh copy: &ref would move every call's ref to the heap
+		*p = ref
+		rs.reqs[id] = p
+	}
+}
+
 // --- analyzer -----------------------------------------------------------
 
 type analyzer struct {
@@ -162,18 +211,19 @@ type analyzer struct {
 	smp   *sampler
 	res   *Result
 
-	ranks  []*rankState
-	queues map[msgKey][]*msgState // unmatched posts, FIFO per key
-	colls  map[collKey]*collState
+	ranks   []*rankState
+	queues  map[msgKey]msgQueue // unmatched posts, FIFO per key
+	colls   map[collKey]*collState
+	msgSlab []msgState // unused msgStates, handed out by newMsg
 
 	pendingOps int
 
 	runnable []int
 	queued   []bool
 
-	// crit holds the recorded argmax decisions, one critNode per event
-	// in per-rank record order; nil unless Options.RecordCritPath.
-	crit [][]critNode
+	// crit holds the recorded argmax decisions in its block log; nil
+	// unless Options.RecordCritPath.
+	crit *critLog
 
 	// rec, when non-nil, records the execution schedule as a compiled
 	// instruction tape (see compile.go). The recorder observes; it
@@ -186,6 +236,7 @@ type analyzer struct {
 	collOutD    []float64
 	collOutAttr []Attribution
 	collOutPred []int32
+	collOrder   []*collParticipant
 
 	// Engine counters, flushed to Options.Metrics at the end of the
 	// run. Plain ints: the analyzer is single-goroutine.
@@ -208,19 +259,19 @@ func newAnalyzer(set *trace.Set, model *Model, opts Options) (*analyzer, error) 
 		smp:    newSampler(model, n),
 		res:    &Result{NRanks: n, Ranks: make([]RankResult, n), Regions: map[RegionKey]*RegionStats{}},
 		ranks:  make([]*rankState, n),
-		queues: map[msgKey][]*msgState{},
+		queues: map[msgKey]msgQueue{},
 		colls:  map[collKey]*collState{},
 		queued: make([]bool, n),
 	}
 	if opts.RecordCritPath {
-		a.crit = make([][]critNode, n)
+		a.crit = newCritBlocks(n)
 	}
 	for r := 0; r < n; r++ {
 		a.ranks[r] = &rankState{
-			rank:   r,
-			reader: set.Rank(r),
-			region: -1,
-			reqs:   map[uint64]*reqRef{},
+			rank:      r,
+			reader:    set.Rank(r),
+			region:    -1,
+			recRegion: -1,
 		}
 		a.enqueue(r)
 	}
@@ -247,7 +298,7 @@ func (a *analyzer) run() (*Result, error) {
 	var stuck []string
 	for _, rs := range a.ranks {
 		if rs.ph != phaseEOF {
-			stuck = append(stuck, fmt.Sprintf("rank %d: %s", rs.rank, rs.why))
+			stuck = append(stuck, fmt.Sprintf("rank %d: %s", rs.rank, stallReason(rs)))
 		}
 	}
 	if len(stuck) > 0 {
@@ -265,7 +316,7 @@ func (a *analyzer) run() (*Result, error) {
 	orderViolationWarning(a.res)
 	a.res.finalize()
 	if a.crit != nil {
-		a.res.CritPath = buildCritPath(a.res, a.crit)
+		a.res.CritPath = buildCritPath(a.res, *a.crit)
 	}
 	if m := a.opts.Metrics; m != nil {
 		m.Counter("core_analyses_total").Inc()
@@ -280,6 +331,23 @@ func (a *analyzer) run() (*Result, error) {
 		m.Gauge("core_window_high_water").SetMax(float64(a.res.WindowHighWater))
 	}
 	return a.res, nil
+}
+
+// stallReason names what a stalled rank waits on, for the
+// unresolved-events error. It is built from the rank's current record
+// when the error is, so a collective reports its arrivals at that time.
+func stallReason(rs *rankState) string {
+	rec := rs.cur
+	switch {
+	case rec.Kind == trace.KindSend || rec.Kind == trace.KindRecv:
+		return fmt.Sprintf("%s peer=%d tag=%d", rec.Kind, rec.Peer, rec.Tag)
+	case rec.Kind.IsCompletion():
+		return fmt.Sprintf("%s req=%d", rec.Kind, rec.Req)
+	case rec.Kind.IsCollective() && rs.myColl != nil:
+		return fmt.Sprintf("%s comm=%d seq=%d (%d/%d arrived)",
+			rec.Kind, rec.Comm, rec.Seq, len(rs.myColl.parts), rs.myColl.expect)
+	}
+	return ""
 }
 
 // processBurst advances one rank by up to Burst records, stopping on
@@ -307,7 +375,6 @@ func (a *analyzer) processBurst(rs *rankState) error {
 				return err
 			}
 			if !done {
-				rs.stalled = true
 				return nil // stalled; another rank will re-enqueue us
 			}
 		}
@@ -400,7 +467,11 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 	}
 	switch {
 	case rec.Kind == trace.KindMarker:
-		rs.region = rec.Tag
+		if rec.Tag != rs.region {
+			rs.region = rec.Tag
+			rs.reg = nil
+			rs.recRegion = -1
+		}
 		endD = rs.startD
 		endAttr = rs.startAttr
 
@@ -460,7 +531,7 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	a.nLocalEdges++ // the event-internal start→end edge
 	if a.crit != nil {
 		rs.critEnd.d = endD
-		a.crit[rs.rank] = append(a.crit[rs.rank], critNode{start: rs.critStart, end: rs.critEnd})
+		a.crit.add(rs.rank, rs.eventIdx, critNode{start: rs.critStart, end: rs.critEnd})
 	}
 	if sink := a.opts.Graph; sink != nil {
 		ref := NodeRef{Rank: rs.rank, Event: rs.eventIdx, End: true}
@@ -472,8 +543,6 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	rs.prevEnd = rec.End
 	rs.prevD = endD
 	rs.prevAttr = endAttr
-	rs.stalled = false
-	rs.why = ""
 	rs.eventIdx++
 	rs.ph = phaseFetch
 
@@ -507,12 +576,7 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 		})
 	}
 
-	key := RegionKey{Rank: rs.rank, Region: rs.region}
-	reg := a.res.Regions[key]
-	if reg == nil {
-		reg = &RegionStats{}
-		a.res.Regions[key] = reg
-	}
+	reg := a.region(rs)
 	if !reg.firstSeen {
 		reg.firstSeen = true
 		reg.firstDelay = endD
@@ -548,15 +612,17 @@ func (a *analyzer) combineLocal(rs *rankState, delta float64, w int64) (float64,
 }
 
 // region returns (creating if needed) the stats bucket of the rank's
-// current marker region.
+// current marker region, through the rank's cache.
 func (a *analyzer) region(rs *rankState) *RegionStats {
-	key := RegionKey{Rank: rs.rank, Region: rs.region}
-	reg := a.res.Regions[key]
-	if reg == nil {
-		reg = &RegionStats{}
-		a.res.Regions[key] = reg
+	if rs.reg == nil {
+		key := RegionKey{Rank: rs.rank, Region: rs.region}
+		rs.reg = a.res.Regions[key]
+		if rs.reg == nil {
+			rs.reg = &RegionStats{}
+			a.res.Regions[key] = rs.reg
+		}
 	}
-	return reg
+	return rs.reg
 }
 
 // merge folds one remote contribution into the local one, recording
@@ -579,15 +645,21 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 	q := a.queues[key]
 	var m *msgState
 	// Find the first entry still missing our side (FIFO, non-overtaking).
-	for _, cand := range q {
+	for cand := q.head; cand != nil; cand = cand.next {
 		if isSend && !cand.sendSeen || !isSend && !cand.recvSeen {
 			m = cand
 			break
 		}
 	}
 	if m == nil {
-		m = &msgState{}
-		a.queues[key] = append(q, m)
+		m = a.newMsg()
+		if q.tail == nil {
+			q.head = m
+		} else {
+			q.tail.next = m
+		}
+		q.tail = m
+		a.queues[key] = q
 		a.windowGrow()
 	}
 	if isSend {
@@ -627,20 +699,42 @@ func (a *analyzer) resolveMatch(key msgKey, m *msgState, recvRank int) {
 	}
 	// Drop the matched entry from the front region of its queue.
 	q := a.queues[key]
-	for i, cand := range q {
+	var prev *msgState
+	for cand := q.head; cand != nil; prev, cand = cand, cand.next {
 		if cand == m {
-			a.queues[key] = append(q[:i], q[i+1:]...)
+			if prev == nil {
+				q.head = m.next
+			} else {
+				prev.next = m.next
+			}
+			if q.tail == m {
+				q.tail = prev
+			}
+			m.next = nil
 			break
 		}
 	}
-	if len(a.queues[key]) == 0 {
+	if q.head == nil {
 		delete(a.queues, key)
+	} else {
+		a.queues[key] = q
 	}
 	a.windowShrink()
 	for _, w := range m.waiters {
 		a.enqueue(w)
 	}
-	m.waiters = nil
+	m.waiters = m.waiters[:0]
+}
+
+// newMsg hands out a zeroed msgState from the current slab.
+func (a *analyzer) newMsg() *msgState {
+	if len(a.msgSlab) == 0 {
+		a.msgSlab = make([]msgState, msgSlabLen)
+	}
+	m := &a.msgSlab[0]
+	a.msgSlab = a.msgSlab[1:]
+	m.waiters = m.waitBuf[:0]
+	return m
 }
 
 // completeBlockingP2P resolves a blocking Send or Recv end subevent.
@@ -653,7 +747,6 @@ func (a *analyzer) completeBlockingP2P(rs *rankState, rec trace.Record) (float64
 	m := rs.myMsg
 	if !m.matched {
 		m.waiters = append(m.waiters, rs.rank)
-		rs.why = fmt.Sprintf("%s peer=%d tag=%d", rec.Kind, rec.Peer, rec.Tag)
 		return 0, Attribution{}, false, nil
 	}
 	var d float64
@@ -734,7 +827,7 @@ func (a *analyzer) recvCompletion(rs *rankState, m *msgState, w int64) (float64,
 func (a *analyzer) postNonblocking(rs *rankState, rec trace.Record) {
 	isSend := rec.Kind == trace.KindIsend
 	m := a.postP2P(rs, rec, isSend, rs.startD)
-	rs.reqs[rec.Req] = &reqRef{msg: m, isSend: isSend}
+	rs.addReq(rec.Req, reqRef{msg: m, isSend: isSend})
 	rs.unwaited++
 	if isSend {
 		rs.sendReqs++
@@ -743,14 +836,13 @@ func (a *analyzer) postNonblocking(rs *rankState, rec trace.Record) {
 
 // completeWait resolves a Wait/Waitall record against its request.
 func (a *analyzer) completeWait(rs *rankState, rec trace.Record) (float64, Attribution, bool, error) {
-	ref := rs.reqs[rec.Req]
+	ref := rs.req(rec.Req)
 	if ref == nil {
 		return 0, Attribution{}, false, fmt.Errorf("core: rank %d: wait on unknown request %d", rs.rank, rec.Req)
 	}
 	m := ref.msg
 	if !m.matched {
 		m.waiters = append(m.waiters, rs.rank)
-		rs.why = fmt.Sprintf("%s req=%d", rec.Kind, rec.Req)
 		return 0, Attribution{}, false, nil
 	}
 	if !ref.waited {

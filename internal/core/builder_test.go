@@ -602,3 +602,49 @@ func TestNegativeMessageDeltaSpeedsReceiver(t *testing.T) {
 		}
 	}
 }
+
+// TestUnresolvedTraceErrorText pins the error for a trace that cannot
+// drain. Each stalled rank's reason is built when the error is, from
+// the record it stalls on; a collective reports how many participants
+// had arrived by then.
+func TestUnresolvedTraceErrorText(t *testing.T) {
+	send := rec(trace.KindSend, 100, 200)
+	send.Peer, send.Tag, send.Bytes = 1, 5, 10
+	irecv := rec(trace.KindIrecv, 100, 110)
+	irecv.Peer, irecv.Tag, irecv.Bytes, irecv.Req = 1, 2, 10, 1
+	wait := rec(trace.KindWait, 200, 300)
+	wait.Req = 1
+	barrier := func(begin int64) trace.Record {
+		b := rec(trace.KindBarrier, begin, 500)
+		b.Seq, b.CommSize = 4, 3
+		return b
+	}
+	idle := []trace.Record{rec(trace.KindInit, 0, 10), rec(trace.KindFinalize, 50, 50)}
+	cases := []struct {
+		name    string
+		perRank [][]trace.Record
+		want    string
+	}{
+		{"blocking send without receiver",
+			[][]trace.Record{{rec(trace.KindInit, 0, 10), send}, idle},
+			"core: trace is not self-consistent; unresolved events: [rank 0: send peer=1 tag=5]"},
+		{"wait on a never-matched irecv",
+			[][]trace.Record{{rec(trace.KindInit, 0, 10), irecv, wait}, idle},
+			"core: trace is not self-consistent; unresolved events: [rank 0: wait req=1]"},
+		{"collective missing a participant",
+			[][]trace.Record{
+				{rec(trace.KindInit, 0, 10), barrier(100)},
+				{rec(trace.KindInit, 0, 10), barrier(120)},
+				idle,
+			},
+			"core: trace is not self-consistent; unresolved events: [rank 0: barrier comm=0 seq=4 (2/3 arrived) rank 1: barrier comm=0 seq=4 (2/3 arrived)]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Analyze(mkset(t, tc.perRank...), &Model{}, Options{})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error = %v\nwant    %s", err, tc.want)
+			}
+		})
+	}
+}

@@ -47,8 +47,6 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 		rs.myColl = cs
 	}
 	if len(cs.parts) < cs.expect {
-		rs.why = fmt.Sprintf("%s comm=%d seq=%d (%d/%d arrived)",
-			rec.Kind, rec.Comm, rec.Seq, len(cs.parts), cs.expect)
 		return 0, Attribution{}, false, nil
 	}
 	if !cs.resolved {
@@ -94,10 +92,11 @@ func (a *analyzer) resolveCollective(cs *collState) {
 	a.nCollEdges += int64(2*len(cs.parts) - 1) // Fig. 4 hub in/out edges
 	// Sort participants by rank for deterministic sampling; arrival
 	// order depends on scheduling.
-	ordered := make([]*collParticipant, len(cs.parts))
+	ordered := a.collOrder[:0]
 	for i := range cs.parts {
-		ordered[i] = &cs.parts[i]
+		ordered = append(ordered, &cs.parts[i])
 	}
+	a.collOrder = ordered
 	for i := 1; i < len(ordered); i++ {
 		for j := i; j > 0 && ordered[j-1].rank > ordered[j].rank; j-- {
 			ordered[j-1], ordered[j] = ordered[j], ordered[j-1]

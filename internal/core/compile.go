@@ -159,24 +159,22 @@ func (c *Compiled) Collectives() int { return len(c.colls) }
 // (builder.go/collective.go hooks) and assembles the tape. It never
 // alters control flow; the compile pass runs a zero model, so no
 // sample is drawn and no clamp fires while recording.
+//
+// Transfers and collectives carry their tape index (tapeIdx), and each
+// rank caches its region's dense index (rankState.recRegion), so only
+// a region change consults regionIdx.
 type compileRecorder struct {
 	ops        []op
 	msgs       []compiledMsg
-	msgIdx     map[*msgState]int32
 	colls      []compiledColl
 	parts      []compiledCollPart
-	collIdx    map[*collState]int32
 	maxParts   int
 	regionIdx  map[RegionKey]int32
 	regionKeys []RegionKey
 }
 
 func newCompileRecorder() *compileRecorder {
-	return &compileRecorder{
-		msgIdx:    map[*msgState]int32{},
-		collIdx:   map[*collState]int32{},
-		regionIdx: map[RegionKey]int32{},
-	}
+	return &compileRecorder{regionIdx: map[RegionKey]int32{}}
 }
 
 func (r *compileRecorder) regionIndex(key RegionKey) int32 {
@@ -201,7 +199,7 @@ func (r *compileRecorder) onBegin(rs *rankState, gap int64) {
 
 func (r *compileRecorder) onMatch(m *msgState) {
 	idx := int32(len(r.msgs))
-	r.msgIdx[m] = idx
+	m.tapeIdx = idx
 	r.msgs = append(r.msgs, compiledMsg{
 		sendRank:  int32(m.sendStartRef.Rank),
 		sendEvent: m.sendStartRef.Event,
@@ -214,7 +212,7 @@ func (r *compileRecorder) onMatch(m *msgState) {
 
 func (r *compileRecorder) onCollResolve(cs *collState, ordered []*collParticipant) {
 	idx := int32(len(r.colls))
-	r.collIdx[cs] = idx
+	cs.tapeIdx = idx
 	off := int32(len(r.parts))
 	for _, p := range ordered {
 		r.parts = append(r.parts, compiledCollPart{
@@ -238,10 +236,13 @@ func (r *compileRecorder) onCollResolve(cs *collState, ordered []*collParticipan
 }
 
 func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
+	if rs.recRegion < 0 {
+		rs.recRegion = r.regionIndex(RegionKey{Rank: rs.rank, Region: rs.region})
+	}
 	o := op{
 		kind:    uint8(rec.Kind),
 		rank:    int32(rs.rank),
-		region:  r.regionIndex(RegionKey{Rank: rs.rank, Region: rs.region}),
+		region:  rs.recRegion,
 		event:   rs.eventIdx,
 		aux:     rec.Duration(),
 		origEnd: rec.End,
@@ -252,22 +253,22 @@ func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
 	case rec.Kind == trace.KindInit || rec.Kind == trace.KindFinalize:
 		o.code = opEndLocal
 	case rec.Kind == trace.KindSend:
-		o.code, o.arg = opEndSend, r.msgIdx[rs.myMsg]
+		o.code, o.arg = opEndSend, rs.myMsg.tapeIdx
 	case rec.Kind == trace.KindRecv:
-		o.code, o.arg = opEndRecv, r.msgIdx[rs.myMsg]
+		o.code, o.arg = opEndRecv, rs.myMsg.tapeIdx
 	case rec.Kind == trace.KindIsend || rec.Kind == trace.KindIrecv:
 		o.code = opEndImmediate
 	case rec.Kind.IsCompletion():
-		ref := rs.reqs[rec.Req]
+		ref := rs.req(rec.Req)
 		if ref.isSend {
 			o.code = opEndSend
 		} else {
 			o.code = opEndRecv
 		}
-		o.arg = r.msgIdx[ref.msg]
+		o.arg = ref.msg.tapeIdx
 	case rec.Kind.IsCollective():
 		o.code = opEndColl
-		cc := r.colls[r.collIdx[rs.myColl]]
+		cc := r.colls[rs.myColl.tapeIdx]
 		for j := int32(0); j < cc.partN; j++ {
 			if r.parts[cc.partOff+j].rank == int32(rs.rank) {
 				o.arg = cc.partOff + j

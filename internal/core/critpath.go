@@ -31,6 +31,64 @@ type critNode struct {
 	start, end critStep
 }
 
+// The streaming analyzer's log is made of critBlockLen-node blocks,
+// carved up to critSlabBlocks at a time from shared slabs.
+const (
+	critBlockShift = 6
+	critBlockLen   = 1 << critBlockShift
+	critSlabBlocks = 64
+)
+
+// critLog holds the recorded argmax decisions, one critNode per event
+// in per-rank record order. The replay engines know every rank's event
+// count up front and fill flat, one preallocated slice per rank. The
+// streaming analyzer does not, so it fills blocks: per rank, a list of
+// fixed-size blocks taken from shared slabs. A node is written once
+// and never copied by slice growth.
+type critLog struct {
+	flat   [][]critNode
+	blocks [][][]critNode
+
+	slab       []critNode
+	slabBlocks int
+}
+
+// newCritBlocks returns an empty block log for n ranks. A slab holds
+// one block per rank, up to critSlabBlocks, so small traces stay small.
+func newCritBlocks(n int) *critLog {
+	return &critLog{blocks: make([][][]critNode, n), slabBlocks: min(n, critSlabBlocks)}
+}
+
+// add stores the node of the rank's event-th record; events arrive in
+// record order.
+func (l *critLog) add(rank int, event int64, n critNode) {
+	blocks := l.blocks[rank]
+	b := event >> critBlockShift
+	if b == int64(len(blocks)) {
+		if len(l.slab) == 0 {
+			l.slab = make([]critNode, l.slabBlocks*critBlockLen)
+		}
+		blocks = append(blocks, l.slab[:critBlockLen:critBlockLen])
+		l.slab = l.slab[critBlockLen:]
+		l.blocks[rank] = blocks
+	}
+	blocks[b][event&(critBlockLen-1)] = n
+}
+
+// at looks up the recorded argmax decision for a subevent.
+func (l critLog) at(ref NodeRef) critStep {
+	var n *critNode
+	if l.blocks != nil {
+		n = &l.blocks[ref.Rank][ref.Event>>critBlockShift][ref.Event&(critBlockLen-1)]
+	} else {
+		n = &l.flat[ref.Rank][ref.Event]
+	}
+	if ref.End {
+		return n.end
+	}
+	return n.start
+}
+
 // PathStep is one node of the extracted critical path with the delay
 // its inbound winning edge contributed.
 type PathStep struct {
@@ -74,18 +132,10 @@ type CriticalPath struct {
 	RankBlame []float64
 }
 
-// step looks up the recorded argmax decision for a subevent.
-func critAt(crit [][]critNode, ref NodeRef) critStep {
-	n := crit[ref.Rank][ref.Event]
-	if ref.End {
-		return n.end
-	}
-	return n.start
-}
-
 // buildCritPath walks the recorded argmax chain backward from the
-// makespan sink and aggregates blame.
-func buildCritPath(res *Result, crit [][]critNode) *CriticalPath {
+// makespan sink and aggregates blame. res.Ranks must hold the final
+// per-rank event counts.
+func buildCritPath(res *Result, crit critLog) *CriticalPath {
 	sinkRank := 0
 	best := 0.0
 	var origMax int64
@@ -100,7 +150,7 @@ func buildCritPath(res *Result, crit [][]critNode) *CriticalPath {
 		}
 	}
 	cp := &CriticalPath{
-		Sink:       NodeRef{Rank: sinkRank, Event: int64(len(crit[sinkRank]) - 1), End: true},
+		Sink:       NodeRef{Rank: sinkRank, Event: res.Ranks[sinkRank].Events - 1, End: true},
 		SinkDelay:  res.Ranks[sinkRank].FinalDelay,
 		SinkOffset: float64(res.Ranks[sinkRank].OrigEnd - origMax),
 		RankBlame:  make([]float64, res.NRanks),
@@ -112,7 +162,7 @@ func buildCritPath(res *Result, crit [][]critNode) *CriticalPath {
 	var rev []PathStep
 	cur := cp.Sink
 	for limit := 2*res.Events + 1; limit > 0; limit-- {
-		st := critAt(crit, cur)
+		st := crit.at(cur)
 		if !st.hasPred {
 			rev = append(rev, PathStep{Node: cur, Kind: st.kind, Delta: 0, Delay: st.d})
 			break

@@ -342,3 +342,32 @@ func TestReplayStateResetAllocs(t *testing.T) {
 		t.Errorf("replayState.reset allocates %.1f objects/call; want 0", allocs)
 	}
 }
+
+// TestAnalyzeAllocsPerEvent pins the streaming analyzer's per-record
+// bookkeeping: region stats come from a per-rank cache, requests from
+// a dense table, transfers from slabs, and critical-path nodes from a
+// block log, so allocations grow with slabs and blocks, not with
+// records. Before those changes the analyzer made ~1.4 allocations per
+// event on this trace; the budget is 0.6.
+func TestAnalyzeAllocsPerEvent(t *testing.T) {
+	snap := snapWorkload(t, "stencil2d", 64, workloads.Options{Iterations: 10})
+	model := &Model{
+		Seed:       9,
+		OSNoise:    dist.Exponential{MeanValue: 300},
+		MsgLatency: dist.Exponential{MeanValue: 500},
+		PerByte:    dist.Constant{C: 0.5},
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		set, release := snap.Acquire()
+		_, err := Analyze(set, model, Options{RecordCritPath: true})
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	perEvent := allocs / float64(snap.Events())
+	t.Logf("%.0f allocations per analysis of %d events: %.3f per event", allocs, snap.Events(), perEvent)
+	if perEvent > 0.6 {
+		t.Fatalf("Analyze allocates %.3f objects per event; want <= 0.6", perEvent)
+	}
+}

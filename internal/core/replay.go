@@ -351,7 +351,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 	}
 	if recordCrit {
 		//mpg:lint-ignore hotpathprop once-per-replay path reconstruction after the event loop
-		res.CritPath = buildCritPath(res, st.crit)
+		res.CritPath = buildCritPath(res, critLog{flat: st.crit})
 	}
 	//mpg:lint-ignore hotpathprop,detreach out-of-band metrics boundary: recorded after the event loop, never feeds back into replay results
 	if m := opts.Metrics; m != nil {

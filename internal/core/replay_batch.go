@@ -200,7 +200,7 @@ func ReplayBatch(c *Compiled, models []*Model, opts BatchOptions) ([]*Result, er
 		}
 		if recordCrit {
 			//mpg:lint-ignore hotpathprop once-per-replay path reconstruction after the event loop
-			r.CritPath = buildCritPath(r, st.crit[k*c.nranks:(k+1)*c.nranks])
+			r.CritPath = buildCritPath(r, critLog{flat: st.crit[k*c.nranks : (k+1)*c.nranks]})
 		}
 	}
 

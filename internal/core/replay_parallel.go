@@ -994,7 +994,7 @@ func ReplayParallel(c *Compiled, model *Model, opts Options, workers int) (*Resu
 	}
 	if opts.RecordCritPath {
 		//mpg:lint-ignore hotpathprop once-per-replay path reconstruction after the event loop
-		res.CritPath = buildCritPath(res, st.crit)
+		res.CritPath = buildCritPath(res, critLog{flat: st.crit})
 	}
 	finSpan()
 
