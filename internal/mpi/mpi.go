@@ -1,8 +1,9 @@
 // Package mpi is a deterministic simulated MPI-1 runtime. Programs are
 // ordinary Go functions of a *Rank handle; each rank runs as a
-// goroutine, but the runtime sequences them one at a time in virtual
-// time order, so a run is a sequential, perfectly reproducible
-// discrete simulation whose only "time" is the virtual cycle counter.
+// coroutine (iter.Pull), and the runtime resumes them one at a time in
+// virtual time order, lowest (now, rank) first, so a run is a
+// sequential, perfectly reproducible discrete simulation whose only
+// "time" is the virtual cycle counter.
 //
 // The runtime plays the role of the MPI library plus cluster in the
 // paper's pipeline: it executes workloads on a machine model
@@ -16,6 +17,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 
 	"mpgraph/internal/machine"
@@ -80,7 +82,7 @@ func (r *Result) TraceSet() (*trace.Set, error) {
 	return trace.SetFromMem(r.Traces)
 }
 
-// errAborted unwinds a rank goroutine when the world aborts.
+// errAborted unwinds a rank's coroutine when the world aborts.
 var errAborted = errors.New("mpi: run aborted")
 
 type procState uint8
@@ -94,12 +96,19 @@ const (
 
 // proc is the runtime's per-rank bookkeeping.
 type proc struct {
-	rank   int
-	now    int64 // global virtual time
-	state  procState
-	resume chan struct{}
-	err    error
-	why    string // blocked-on description for deadlock reports
+	rank  int
+	now   int64 // global virtual time
+	state procState
+	err   error
+	on    blockedOn // what a blocked proc waits for, for deadlock reports
+
+	// The rank body runs as a coroutine under iter.Pull: next runs it
+	// until it parks or finishes, park (called on the coroutine) hands
+	// control back and reports false once the run aborts, and stop
+	// unwinds a parked coroutine.
+	next func() (struct{}, bool)
+	park func(struct{}) bool
+	stop func()
 
 	reqSeq uint64
 	tracer *tracer
@@ -107,11 +116,10 @@ type proc struct {
 
 // World is one run in progress.
 type World struct {
-	cfg    Config
-	m      *machine.Machine
-	procs  []*proc
-	parked chan *proc
-	abort  bool
+	cfg   Config
+	m     *machine.Machine
+	procs []*proc
+	ready readyHeap
 
 	queues    map[chanKey]*matchQueue
 	colls     map[collKey]*collSync
@@ -138,7 +146,7 @@ func Run(cfg Config, program Program) (*Result, error) {
 		cfg:        cfg,
 		m:          m,
 		procs:      make([]*proc, n),
-		parked:     make(chan *proc),
+		ready:      make(readyHeap, 0, n),
 		queues:     make(map[chanKey]*matchQueue),
 		colls:      make(map[collKey]*collSync),
 		wildSends:  make(map[wildKey][]*xfer),
@@ -156,6 +164,11 @@ func Run(cfg Config, program Program) (*Result, error) {
 		case cfg.TraceDir != "":
 			fw, closeFn, err := trace.CreateFileWriter(cfg.TraceDir, hdr, cfg.TraceBufferCap)
 			if err != nil {
+				// The set-up error is the one to report; the writers
+				// already opened only need their handles released.
+				for _, closeFn := range closers {
+					_ = closeFn()
+				}
 				return nil, err
 			}
 			sinks[rank] = writerSink{w: fw}
@@ -166,17 +179,14 @@ func Run(cfg Config, program Program) (*Result, error) {
 	}
 
 	for rank := 0; rank < n; rank++ {
-		p := &proc{
-			rank:   rank,
-			state:  stateReady,
-			resume: make(chan struct{}),
-		}
+		p := &proc{rank: rank, state: stateReady}
 		p.tracer = &tracer{world: w, rank: rank, sink: sinks[rank]}
+		p.next, p.stop = iter.Pull(func(park func(struct{}) bool) {
+			p.park = park
+			w.runProc(p, program)
+		})
 		w.procs[rank] = p
-	}
-	for rank := 0; rank < n; rank++ {
-		p := w.procs[rank]
-		go w.runProc(p, program)
+		w.ready.push(p)
 	}
 
 	runErr := w.schedule()
@@ -206,7 +216,7 @@ func Run(cfg Config, program Program) (*Result, error) {
 	return res, nil
 }
 
-// runProc is the rank goroutine body.
+// runProc is the rank coroutine body.
 func (w *World) runProc(p *proc, program Program) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -217,12 +227,7 @@ func (w *World) runProc(p *proc, program Program) {
 			}
 		}
 		p.state = stateDone
-		w.parked <- p
 	}()
-	<-p.resume // wait for the first schedule
-	if w.abort {
-		panic(errAborted)
-	}
 	rank := &Rank{world: w, proc: p}
 	rank.init()
 	if err := program(rank); err != nil {
@@ -233,48 +238,29 @@ func (w *World) runProc(p *proc, program Program) {
 }
 
 // schedule is the deterministic run loop: repeatedly resume the ready
-// proc with the smallest virtual time (ties broken by rank), wait for
-// it to park, and stop when all procs are done or none can run.
+// proc with the smallest virtual time (ties broken by rank) until it
+// parks, and stop when all procs are done or none can run.
 func (w *World) schedule() error {
-	for {
-		next := w.pickReady()
-		if next == nil {
-			if w.allDone() {
-				return w.collectErrors()
-			}
-			// Deadlock or error-induced stall: abort the stragglers.
-			deadlockErr := w.deadlockError()
-			w.abortAll()
-			if err := w.collectErrors(); err != nil {
-				return err
-			}
-			return deadlockErr
-		}
-		next.state = stateRunning
-		next.resume <- struct{}{}
-		p := <-w.parked
-		if p.state == stateRunning {
-			p.state = stateReady
-		}
-		if p.err != nil && !errors.Is(p.err, errAborted) && p.state == stateDone {
+	for len(w.ready) > 0 {
+		p := w.ready.pop()
+		p.state = stateRunning
+		p.next()
+		if p.err != nil {
 			// A rank failed; stop everything.
 			w.abortAll()
 			return w.collectErrors()
 		}
 	}
-}
-
-func (w *World) pickReady() *proc {
-	var best *proc
-	for _, p := range w.procs {
-		if p.state != stateReady {
-			continue
-		}
-		if best == nil || p.now < best.now {
-			best = p
-		}
+	if w.allDone() {
+		return w.collectErrors()
 	}
-	return best
+	// Deadlock: abort the stragglers.
+	deadlockErr := w.deadlockError()
+	w.abortAll()
+	if err := w.collectErrors(); err != nil {
+		return err
+	}
+	return deadlockErr
 }
 
 func (w *World) allDone() bool {
@@ -286,25 +272,13 @@ func (w *World) allDone() bool {
 	return true
 }
 
-// abortAll releases every non-done proc so its goroutine can unwind.
+// abortAll unwinds every unfinished proc: stopping a parked coroutine
+// makes its pending park report false, so the rank panics errAborted
+// and runProc records it. A coroutine that never ran just ends, and
+// stopping a finished one is a no-op.
 func (w *World) abortAll() {
-	w.abort = true
-	for {
-		released := false
-		for _, p := range w.procs {
-			if p.state == stateBlocked || p.state == stateReady {
-				p.state = stateRunning
-				p.resume <- struct{}{}
-				q := <-w.parked
-				if q.state == stateRunning {
-					q.state = stateReady
-				}
-				released = true
-			}
-		}
-		if !released {
-			break
-		}
+	for _, p := range w.procs {
+		p.stop()
 	}
 }
 
@@ -322,29 +296,38 @@ func (w *World) deadlockError() error {
 	var stuck []string
 	for _, p := range w.procs {
 		if p.state == stateBlocked {
-			stuck = append(stuck, fmt.Sprintf("rank %d: %s", p.rank, p.why))
+			stuck = append(stuck, fmt.Sprintf("rank %d: %s", p.rank, p.on))
 		}
 	}
 	sort.Strings(stuck)
 	return fmt.Errorf("mpi: deadlock; blocked ranks: %v", stuck)
 }
 
-// yield parks the calling proc and waits to be rescheduled. The caller
-// must have set p.state (stateReady to stay runnable, stateBlocked to
-// wait for another rank's action).
+// yield ends the calling proc's turn with the proc still runnable. If
+// the proc still precedes every ready proc, the scheduler would resume
+// it at once, so it keeps running without a switch.
 func (w *World) yield(p *proc) {
-	w.parked <- p
-	<-p.resume
-	if w.abort {
-		panic(errAborted)
+	if len(w.ready) == 0 || p.before(w.ready[0]) {
+		return
 	}
+	p.state = stateReady
+	w.ready.push(p)
+	p.suspend()
 }
 
 // block parks the proc until another rank unblocks it.
-func (w *World) block(p *proc, why string) {
+func (w *World) block(p *proc, on blockedOn) {
 	p.state = stateBlocked
-	p.why = why
-	w.yield(p)
+	p.on = on
+	p.suspend()
+}
+
+// suspend hands control back to the scheduler until the proc is
+// resumed, and unwinds the rank if the run aborts meanwhile.
+func (p *proc) suspend() {
+	if !p.park(struct{}{}) {
+		panic(errAborted)
+	}
 }
 
 // unblock marks a blocked proc runnable at global time t.
@@ -356,5 +339,84 @@ func (w *World) unblock(p *proc, t int64) {
 		p.now = t
 	}
 	p.state = stateReady
-	p.why = ""
+	w.ready.push(p)
+}
+
+// before reports whether p runs before q: lower virtual time first,
+// ties to the lower rank.
+func (p *proc) before(q *proc) bool {
+	return p.now < q.now || (p.now == q.now && p.rank < q.rank)
+}
+
+// readyHeap is a binary min-heap of the ready procs in schedule order.
+// A proc's key cannot change while it waits in the heap: only running
+// code moves its own clock, and unblock sets the clock before the push.
+type readyHeap []*proc
+
+func (h *readyHeap) push(p *proc) {
+	s := append(*h, p)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+func (h *readyHeap) pop() *proc {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s[last] = nil
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && s[r].before(s[c]) {
+			c = r
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
+}
+
+// blockedOn records what a blocked proc waits for; it is formatted only
+// when a deadlock is reported. kind names the operation: KindSend and
+// KindRecv for blocking point-to-point calls (peer NoRank is a wildcard
+// receive), KindIsend and KindIrecv for a wait on that kind of request,
+// and the collective's own kind otherwise.
+type blockedOn struct {
+	kind trace.Kind
+	peer int32 // world rank
+	comm int32
+	tag  int64
+	seq  int64
+}
+
+func (b blockedOn) String() string {
+	switch b.kind {
+	case trace.KindSend:
+		return fmt.Sprintf("send(dst=%d tag=%d)", b.peer, b.tag)
+	case trace.KindRecv:
+		if b.peer == trace.NoRank {
+			return fmt.Sprintf("recv(src=ANY tag=%d)", b.tag)
+		}
+		return fmt.Sprintf("recv(src=%d tag=%d)", b.peer, b.tag)
+	case trace.KindIsend:
+		return fmt.Sprintf("wait(send tag=%d peer=%d)", b.tag, b.peer)
+	case trace.KindIrecv:
+		return fmt.Sprintf("wait(recv tag=%d peer=%d)", b.tag, b.peer)
+	}
+	return fmt.Sprintf("%s(comm=%d seq=%d)", b.kind, b.comm, b.seq)
 }

@@ -29,7 +29,6 @@ func (r *Rank) init() {
 	r.proc.now += r.world.m.RecvOverhead() + r.world.m.OpNoise(r.proc.rank)
 	r.record(trace.Record{Kind: trace.KindInit, Begin: t0, End: r.proc.now,
 		Peer: trace.NoRank, Root: trace.NoRank})
-	r.proc.state = stateReady
 	r.world.yield(r.proc)
 }
 
@@ -76,7 +75,6 @@ func (r *Rank) Compute(w int64) {
 	p := r.proc
 	scaled := r.world.m.ScaleCompute(p.rank, w)
 	p.now += scaled + r.world.m.ComputeNoise(p.rank, scaled)
-	p.state = stateReady
 	r.world.yield(p)
 }
 
@@ -161,7 +159,6 @@ func (r *Rank) waitInner(reqs []*Request, kind trace.Kind) {
 	w := r.world
 	t0 := p.now
 	p.now += w.m.RecvOverhead() + w.m.OpNoise(p.rank)
-	p.state = stateReady
 	w.yield(p)
 	for _, req := range reqs {
 		if req == nil {
@@ -178,7 +175,7 @@ func (r *Rank) waitInner(reqs []*Request, kind trace.Kind) {
 		if !ok {
 			// Not yet matched: park until the peer posts.
 			req.x.setWaiter(req.isSend, p)
-			w.block(p, fmt.Sprintf("wait(%s tag=%d peer=%d)", sideName(req.isSend), req.x.tag, req.peerWorld()))
+			w.block(p, req.blockedOn())
 			// Resumed by the matcher with now >= completion.
 		} else if c > p.now {
 			p.now = c
@@ -198,11 +195,13 @@ func (r *Rank) waitInner(reqs []*Request, kind trace.Kind) {
 	}
 }
 
-func sideName(isSend bool) string {
-	if isSend {
-		return "send"
+// blockedOn describes a wait on the request for deadlock reports.
+func (q *Request) blockedOn() blockedOn {
+	kind := trace.KindIrecv
+	if q.isSend {
+		kind = trace.KindIsend
 	}
-	return "recv"
+	return blockedOn{kind: kind, peer: q.peerWorld(), tag: int64(q.x.tag)}
 }
 
 // Request is a nonblocking operation handle returned by Isend/Irecv.
