@@ -427,36 +427,6 @@ func BenchmarkReplayCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayBatch replays the same Monte Carlo trials K lanes at
-// a time: one decode of each tape op fans its delay update across K
-// models, so per-replay cost amortizes the op-dispatch and memory-walk
-// overhead ReplayCompiled pays per trial. Lanes are byte-identical to
-// standalone replays (see TestReplayBatchMatchesSingle); the per-op
-// metric here is ns per *replay*, i.e. batch walk time divided by K.
-func BenchmarkReplayBatch(b *testing.B) {
-	prog, err := core.Compile(replayBenchSet(b), core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, lanes := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			models := make([]*core.Model, lanes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := range models {
-					models[k] = replayBenchModel(i*lanes + k)
-				}
-				if _, err := core.ReplayBatch(prog, models, core.BatchOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			nsPerReplay := float64(b.Elapsed().Nanoseconds()) / float64(b.N*lanes)
-			b.ReportMetric(nsPerReplay, "ns/replay")
-		})
-	}
-}
-
 // memify drains a set into reusable in-memory traces.
 func memify(b *testing.B, set *trace.Set) []*trace.MemTrace {
 	b.Helper()

@@ -15,9 +15,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // under a constant-latency model. Any change to trace generation,
 // graph construction, path extraction, or rendering shows up here.
 // TestGoldenTimeline pins the exact -timeline export bytes for the
-// same deterministic workload, and requires every engine — streaming,
-// compiled, and batched at several lane widths — to reproduce them
-// bit-for-bit. The timeline is a pure function of (trace, model), not
+// same deterministic workload, and requires both engines — streaming
+// and compiled — to reproduce them bit-for-bit. The timeline is a pure function of (trace, model), not
 // of the machinery that replays them.
 func TestGoldenTimeline(t *testing.T) {
 	dir := writeTraces(t)
@@ -28,9 +27,6 @@ func TestGoldenTimeline(t *testing.T) {
 	}{
 		{"streaming", []string{"-engine", "streaming"}},
 		{"compiled", []string{"-engine", "compiled"}},
-		{"batched-1", []string{"-engine", "batched", "-replay-lanes", "1"}},
-		{"batched-4", []string{"-engine", "batched", "-replay-lanes", "4"}},
-		{"batched-default", []string{"-engine", "batched"}},
 	}
 	for i, eng := range engines {
 		out := filepath.Join(t.TempDir(), "run.trace.json")

@@ -53,9 +53,7 @@ func run(args []string) error {
 	tlWindow := fs.Float64("timeline-window", 0, "window width in cycles for the timeline's counter tracks (0 = auto)")
 	tlRanks := fs.String("timeline-ranks", "", "ranks to include in the timeline export, e.g. \"0-3,7\" (empty or \"all\" = every rank)")
 	tlValidate := fs.String("timeline-validate", "", "validate an existing trace-event JSON file against the exporter's contract and exit")
-	engine := fs.String("engine", "streaming", "analysis engine: streaming, compiled, batched, or parallel (all byte-identical)")
-	replayLanes := fs.Int("replay-lanes", 0, "lane width for -engine batched (0 = default)")
-	replayWorkers := fs.Int("replay-workers", 0, "cores for -engine parallel (0 = GOMAXPROCS); results are identical for any value")
+	engine := fs.String("engine", "streaming", "analysis engine: streaming or compiled (byte-identical)")
 	trajectory := fs.String("trajectory", "", "write a per-event delay CSV (rank,event,kind,orig_end,delay,region) to this path")
 	history := fs.String("history", "", "append this run's summary to a JSON-lines history file (§7)")
 	label := fs.String("label", "", "label for the history entry")
@@ -87,9 +85,9 @@ func run(args []string) error {
 		return fmt.Errorf("-traces is required")
 	}
 	switch *engine {
-	case "streaming", "compiled", "batched", "parallel":
+	case "streaming", "compiled":
 	default:
-		return fmt.Errorf("unknown -engine %q (want streaming, compiled, batched, or parallel)", *engine)
+		return fmt.Errorf("unknown -engine %q (want streaming or compiled)", *engine)
 	}
 	if *critpathDOT != "" && *engine != "streaming" {
 		return fmt.Errorf("-critpath-dot needs the graph sink; use -engine streaming")
@@ -173,7 +171,7 @@ func run(args []string) error {
 		}
 	}
 
-	res, err := analyze(set, model, opts, *engine, *replayLanes, *replayWorkers)
+	res, err := analyze(set, model, opts, *engine)
 	if err != nil {
 		return err
 	}
@@ -259,15 +257,11 @@ func run(args []string) error {
 	return of.Flush()
 }
 
-// analyze runs the model through the selected engine. All four
-// engines are pinned byte-identical by the core equivalence suite, so
-// the choice changes performance characteristics, never results: the
-// compiled engine pre-flattens the schedule into an op tape, the
-// parallel engine executes one replay's wavefront slabs across cores,
-// and the batched engine propagates the model as lane 0 of a replay
-// batch whose other lanes carry derived-seed variants (their results
-// are discarded — the lane exists to exercise the SoA walk).
-func analyze(set *trace.Set, model *core.Model, opts core.Options, engine string, lanes, workers int) (*core.Result, error) {
+// analyze runs the model through the selected engine. Both engines
+// are pinned byte-identical by the core equivalence suite, so the
+// choice changes performance characteristics, never results: the
+// compiled engine pre-flattens the schedule into an op tape first.
+func analyze(set *trace.Set, model *core.Model, opts core.Options, engine string) (*core.Result, error) {
 	if engine == "streaming" {
 		return core.Analyze(set, model, opts)
 	}
@@ -275,42 +269,5 @@ func analyze(set *trace.Set, model *core.Model, opts core.Options, engine string
 	if err != nil {
 		return nil, err
 	}
-	if engine == "compiled" {
-		return core.ReplayCompiled(prog, model, opts)
-	}
-	if engine == "parallel" {
-		return core.ReplayParallel(prog, model, opts, workers)
-	}
-	lanes = core.PickReplayLanes(lanes, core.DefaultReplayLanes)
-	models := make([]*core.Model, lanes)
-	models[0] = model
-	for k := 1; k < lanes; k++ {
-		m := model.Clone()
-		m.Seed = m.Seed*31 + uint64(k)*1000003 + 17
-		models[k] = m
-	}
-	bopts := core.BatchOptions{Options: opts}
-	if opts.Interval != nil {
-		iv := opts.Interval
-		bopts.Options.Interval = nil
-		bopts.LaneInterval = func(lane int, p core.IntervalPoint) {
-			if lane == 0 {
-				iv(p)
-			}
-		}
-	}
-	if opts.Trajectory != nil {
-		tj := opts.Trajectory
-		bopts.Options.Trajectory = nil
-		bopts.LaneTrajectory = func(lane int, p core.TrajectoryPoint) {
-			if lane == 0 {
-				tj(p)
-			}
-		}
-	}
-	results, err := core.ReplayBatch(prog, models, bopts)
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
+	return core.ReplayCompiled(prog, model, opts)
 }

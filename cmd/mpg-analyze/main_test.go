@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,6 +140,20 @@ func TestAnalyzeTimelineRankFilter(t *testing.T) {
 	if err := run([]string{"-traces", dir, "-timeline", out,
 		"-timeline-ranks", "0-9"}); err == nil {
 		t.Fatal("out-of-world rank filter accepted")
+	}
+}
+
+// TestAnalyzeRejectsRemovedEngines: the deleted lane-batched and
+// wavefront-slab engines are unknown names now, rejected before any
+// analysis runs.
+func TestAnalyzeRejectsRemovedEngines(t *testing.T) {
+	dir := writeTraces(t)
+	for _, engine := range []string{"batched", "parallel"} {
+		err := run([]string{"-traces", dir, "-engine", engine})
+		want := fmt.Sprintf("unknown -engine %q (want streaming or compiled)", engine)
+		if err == nil || err.Error() != want {
+			t.Errorf("-engine %s: err = %v, want %q", engine, err, want)
+		}
 	}
 }
 

@@ -17,8 +17,7 @@
 //
 // With -sampler it benchmarks the distribution samplers themselves —
 // the ziggurat fast paths against the retained exact reference
-// algorithms, and scalar draws against the lane-vectorized batch
-// draws — behind in-band KS and bit-identity gates, and writes
+// algorithms — behind an in-band KS gate, and writes
 // BENCH_sampler.json:
 //
 //	mpg-bench -sampler -out BENCH_sampler.json
@@ -63,16 +62,13 @@ func run(args []string) error {
 	replay := fs.Bool("replay", false, "benchmark the replay engines instead of probing the platform")
 	lint := fs.Bool("lint", false, "benchmark the static-analysis suite against this repository and write BENCH_lint.json")
 	lintTrials := fs.Int("lint-trials", 3, "analysis runs per lint benchmark")
-	sampler := fs.Bool("sampler", false, "benchmark the distribution samplers (ziggurat vs exact reference, scalar vs lane-batched) and write BENCH_sampler.json")
+	sampler := fs.Bool("sampler", false, "benchmark the distribution samplers (ziggurat vs exact reference) and write BENCH_sampler.json")
 	samplerDraws := fs.Int("sampler-draws", 2_000_000, "draws per sampler benchmark case")
-	replayBatch := fs.Bool("replay-batch", false, "with -replay (implied): also sweep the lane-batched replay engine over K=1,4,16,64, gated on batch-vs-single equivalence")
-	replayParallel := fs.Bool("replay-parallel", false, "with -replay (implied): also sweep the wavefront-slab parallel replay engine over workers=1,2,4,8, gated on parallel-vs-single byte-equality")
 	replayWorkload := fs.String("replay-workload", "stencil1d", "workload for the replay benchmark")
 	replayRanks := fs.Int("replay-ranks", 64, "world size for the replay benchmark")
 	replayIters := fs.Int("replay-iters", 10, "workload iterations for the replay benchmark")
 	replayCollEvery := fs.Int("replay-collevery", 4, "collective cadence for the replay benchmark")
 	replayTrials := fs.Int("replay-trials", 100, "Monte Carlo replays per engine path")
-	replayWorkers := fs.Int("replay-workers", 0, "parallel-path workers (0 = GOMAXPROCS)")
 	replaySeed := fs.Uint64("replay-seed", 1, "trace and model seed for the replay benchmark")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,7 +87,7 @@ func run(args []string) error {
 		}
 		return runSampler(samplerConfig{draws: *samplerDraws, out: path})
 	}
-	if *replay || *replayBatch || *replayParallel {
+	if *replay {
 		path := *out
 		if path == "" {
 			path = "BENCH_replay.json"
@@ -102,11 +98,8 @@ func run(args []string) error {
 			iters:     *replayIters,
 			collEvery: *replayCollEvery,
 			trials:    *replayTrials,
-			workers:   *replayWorkers,
 			seed:      *replaySeed,
 			out:       path,
-			batch:     *replayBatch,
-			par:       *replayParallel,
 		})
 	}
 	if *out == "" {

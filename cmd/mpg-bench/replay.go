@@ -24,26 +24,9 @@ type replayConfig struct {
 	iters     int
 	collEvery int
 	trials    int
-	workers   int
 	seed      uint64
 	out       string
-	// batch adds the lane-width trajectory: the same trials replayed
-	// through core.ReplayBatch at each width in batchLaneWidths, gated
-	// in-band on batch-vs-single equivalence.
-	batch bool
-	// par adds the intra-replay worker trajectory: the same trials
-	// replayed through core.ReplayParallel at each count in
-	// parallelWorkerCounts, gated in-band on parallel-vs-single
-	// byte-equality.
-	par bool
 }
-
-// batchLaneWidths is the lane trajectory -replay-batch sweeps.
-var batchLaneWidths = []int{1, 4, 16, 64}
-
-// parallelWorkerCounts is the worker trajectory -replay-parallel
-// sweeps.
-var parallelWorkerCounts = []int{1, 2, 4, 8}
 
 // pathStats is one engine path's measured replay throughput.
 type pathStats struct {
@@ -52,39 +35,17 @@ type pathStats struct {
 	AllocsPerReplay float64 `json:"allocs_per_replay"`
 }
 
-// batchPoint is one lane width of the batched-replay trajectory.
-type batchPoint struct {
-	Lanes int `json:"lanes"`
-	pathStats
-	// SpeedupVsCompiled is single-lane compiled ns/replay over this
-	// width's ns/replay.
-	SpeedupVsCompiled float64 `json:"speedup_vs_compiled"`
-}
-
-// parallelPoint is one worker count of the intra-replay parallel
-// trajectory.
-type parallelPoint struct {
-	Workers int `json:"workers"`
-	pathStats
-	// SpeedupVsCompiled is serial compiled ns/replay over this worker
-	// count's ns/replay.
-	SpeedupVsCompiled float64 `json:"speedup_vs_compiled"`
-}
-
 // replayReport is the BENCH_replay.json schema: the benchmark's
 // configuration, the one-time compile cost, and per-path throughput
 // for the streaming analyzer (serial and parallel) against the
-// compiled replay engine, plus (with -replay-batch) the lane-batched
-// replay trajectory and (with -replay-parallel) the wavefront-slab
-// intra-replay worker trajectory.
+// compiled replay engine.
 type replayReport struct {
 	Workload   string `json:"workload"`
 	Ranks      int    `json:"ranks"`
 	Iterations int    `json:"iterations"`
 	CollEvery  int    `json:"coll_every"`
 	Trials     int    `json:"trials"`
-	// Workers is the effective parallel-path pool size (GOMAXPROCS
-	// when the flag was left at 0), never the raw flag value.
+	// Workers is the parallel-path pool size (GOMAXPROCS).
 	Workers           int       `json:"workers"`
 	Events            int64     `json:"events"`
 	CompileNs         int64     `json:"compile_ns"`
@@ -93,16 +54,6 @@ type replayReport struct {
 	Compiled          pathStats `json:"compiled"`
 	// Speedup is streaming-serial ns/replay over compiled ns/replay.
 	Speedup float64 `json:"speedup_vs_streaming_serial"`
-	// Batched is the -replay-batch lane trajectory in width order.
-	Batched []batchPoint `json:"batched,omitempty"`
-	// BestBatchSpeedup is the largest Batched speedup vs single-lane
-	// compiled replay.
-	BestBatchSpeedup float64 `json:"best_batch_speedup_vs_compiled,omitempty"`
-	// Parallel is the -replay-parallel worker trajectory in count order.
-	Parallel []parallelPoint `json:"parallel,omitempty"`
-	// BestParallelSpeedup is the largest Parallel speedup vs the serial
-	// compiled replay.
-	BestParallelSpeedup float64 `json:"best_parallel_speedup_vs_compiled,omitempty"`
 }
 
 // replayModel builds the per-trial perturbation model. The model mixes
@@ -145,24 +96,52 @@ func measureOnce(trials int, fn func() error) (pathStats, error) {
 	return measure(1, func(int) error { return fn() })
 }
 
-func runReplay(cfg replayConfig) error {
+// replayGate replays one anchored reference model through the
+// streaming analyzer over snap and through compiled, and fails unless
+// the two Results are deeply equal, critical paths included.
+func replayGate(snap *trace.Snapshot, compiled *core.Compiled, seed uint64) error {
+	model := replayModel(seed, 0)
+	model.Propagation = core.PropagationAnchored
+	set, release := snap.Acquire()
+	want, err := core.Analyze(set, model, core.Options{RecordCritPath: true})
+	release()
+	if err != nil {
+		return err
+	}
+	got, err := core.ReplayCompiled(compiled, model, core.Options{RecordCritPath: true})
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(want, got) {
+		return fmt.Errorf("compiled replay diverged from streaming analyze (makespan %g vs %g)",
+			got.MakespanDelay, want.MakespanDelay)
+	}
+	return nil
+}
+
+// replaySnapshot traces the benchmark workload once and snapshots it.
+func replaySnapshot(cfg replayConfig) (*trace.Snapshot, error) {
 	prog, err := workloads.BuildByName(cfg.workload, workloads.Options{
 		Iterations: cfg.iters, CollEvery: cfg.collEvery,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := mpi.Run(mpi.Config{Machine: machine.Config{
 		NRanks: cfg.ranks, Seed: cfg.seed,
 	}}, prog)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	set, err := res.TraceSet()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	snap, err := trace.NewSnapshot(set)
+	return trace.NewSnapshot(set)
+}
+
+func runReplay(cfg replayConfig) error {
+	snap, err := replaySnapshot(cfg)
 	if err != nil {
 		return err
 	}
@@ -179,21 +158,8 @@ func runReplay(cfg replayConfig) error {
 	// Equivalence gate: before timing anything, both engines must
 	// agree byte for byte on the same model. A divergence here fails
 	// the benchmark (and the CI job running it).
-	gateModel := replayModel(cfg.seed, 0)
-	gateModel.Propagation = core.PropagationAnchored
-	gset, grelease := snap.Acquire()
-	want, err := core.Analyze(gset, gateModel, core.Options{RecordCritPath: true})
-	grelease()
-	if err != nil {
+	if err := replayGate(snap, compiled, cfg.seed); err != nil {
 		return err
-	}
-	got, err := core.ReplayCompiled(compiled, gateModel, core.Options{RecordCritPath: true})
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(want, got) {
-		return fmt.Errorf("compiled replay diverged from streaming analyze (makespan %g vs %g)",
-			got.MakespanDelay, want.MakespanDelay)
 	}
 
 	streamOne := func(trial int) error {
@@ -207,7 +173,7 @@ func runReplay(cfg replayConfig) error {
 		return err
 	}
 	par, err := measureOnce(cfg.trials, func() error {
-		_, err := parallel.Map(cfg.trials, parallel.Options{Workers: cfg.workers},
+		_, err := parallel.Map(cfg.trials, parallel.Options{},
 			func(i int) (struct{}, error) { return struct{}{}, streamOne(i) })
 		return err
 	})
@@ -225,10 +191,7 @@ func runReplay(cfg replayConfig) error {
 		return err
 	}
 
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	rep := replayReport{
 		Workload:          cfg.workload,
 		Ranks:             cfg.ranks,
@@ -242,26 +205,6 @@ func runReplay(cfg replayConfig) error {
 		StreamingParallel: par,
 		Compiled:          comp,
 		Speedup:           serial.NsPerReplay / comp.NsPerReplay,
-	}
-	if cfg.batch {
-		if rep.Batched, err = runBatchTrajectory(compiled, cfg, comp); err != nil {
-			return err
-		}
-		for _, bp := range rep.Batched {
-			if bp.SpeedupVsCompiled > rep.BestBatchSpeedup {
-				rep.BestBatchSpeedup = bp.SpeedupVsCompiled
-			}
-		}
-	}
-	if cfg.par {
-		if rep.Parallel, err = runParallelTrajectory(compiled, cfg, comp); err != nil {
-			return err
-		}
-		for _, pp := range rep.Parallel {
-			if pp.SpeedupVsCompiled > rep.BestParallelSpeedup {
-				rep.BestParallelSpeedup = pp.SpeedupVsCompiled
-			}
-		}
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -280,139 +223,6 @@ func runReplay(cfg replayConfig) error {
 	fmt.Printf("compiled replay:    %.3f ms/replay (%.0f allocs)\n",
 		comp.NsPerReplay/1e6, comp.AllocsPerReplay)
 	fmt.Printf("speedup (compiled vs streaming serial): %.2fx\n", rep.Speedup)
-	for _, bp := range rep.Batched {
-		fmt.Printf("batched lanes=%-3d   %.3f ms/replay (%.0f allocs, %.2fx vs compiled)\n",
-			bp.Lanes, bp.NsPerReplay/1e6, bp.AllocsPerReplay, bp.SpeedupVsCompiled)
-	}
-	if rep.BestBatchSpeedup > 0 {
-		fmt.Printf("best batched speedup vs compiled: %.2fx\n", rep.BestBatchSpeedup)
-	}
-	for _, pp := range rep.Parallel {
-		fmt.Printf("parallel workers=%-2d %.3f ms/replay (%.0f allocs, %.2fx vs compiled)\n",
-			pp.Workers, pp.NsPerReplay/1e6, pp.AllocsPerReplay, pp.SpeedupVsCompiled)
-	}
-	if rep.BestParallelSpeedup > 0 {
-		fmt.Printf("best parallel speedup vs compiled: %.2fx\n", rep.BestParallelSpeedup)
-	}
 	fmt.Printf("report written to %s\n", cfg.out)
 	return nil
-}
-
-// runParallelTrajectory measures the wavefront-slab parallel replay
-// engine at every worker count in parallelWorkerCounts. Before any
-// timing, each count passes an in-band byte-equality gate: the first
-// few trial models — both propagation modes — must reproduce their
-// serial ReplayCompiled results deeply equal, critical paths and all.
-// Each trial then runs as one ReplayParallel call at that worker
-// count, so every point pays the same total replay count as the
-// serial compiled path it is compared to.
-func runParallelTrajectory(compiled *core.Compiled, cfg replayConfig, comp pathStats) ([]parallelPoint, error) {
-	points := make([]parallelPoint, 0, len(parallelWorkerCounts))
-	for _, workers := range parallelWorkerCounts {
-		gateK := 4
-		if gateK > cfg.trials {
-			gateK = cfg.trials
-		}
-		gopts := core.Options{RecordCritPath: true}
-		for k := 0; k < gateK; k++ {
-			m := replayModel(cfg.seed, k)
-			if k%2 == 1 {
-				m.Propagation = core.PropagationAnchored
-			}
-			want, err := core.ReplayCompiled(compiled, m, gopts)
-			if err != nil {
-				return nil, err
-			}
-			got, err := core.ReplayParallel(compiled, m, gopts, workers)
-			if err != nil {
-				return nil, err
-			}
-			if !reflect.DeepEqual(want, got) {
-				return nil, fmt.Errorf("workers=%d: parallel replay diverged from serial compiled replay (makespan %g vs %g)",
-					workers, got.MakespanDelay, want.MakespanDelay)
-			}
-		}
-
-		stats, err := measure(cfg.trials, func(trial int) error {
-			_, err := core.ReplayParallel(compiled, replayModel(cfg.seed, trial), core.Options{}, workers)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, parallelPoint{
-			Workers:           workers,
-			pathStats:         stats,
-			SpeedupVsCompiled: comp.NsPerReplay / stats.NsPerReplay,
-		})
-	}
-	return points, nil
-}
-
-// runBatchTrajectory measures the lane-batched replay engine at every
-// width in batchLaneWidths. Before any timing, each width passes an
-// in-band equivalence gate: a batch of the first K trial models —
-// heterogeneous propagation modes included — must reproduce its K
-// standalone compiled replays deeply equal, critical paths and all.
-// Trials then replay in chunks of K, so each width pays the same total
-// replay count as the single-lane compiled path it is compared to.
-func runBatchTrajectory(compiled *core.Compiled, cfg replayConfig, comp pathStats) ([]batchPoint, error) {
-	points := make([]batchPoint, 0, len(batchLaneWidths))
-	for _, lanes := range batchLaneWidths {
-		gateK := lanes
-		if gateK > cfg.trials {
-			gateK = cfg.trials
-		}
-		gate := make([]*core.Model, gateK)
-		for k := range gate {
-			gate[k] = replayModel(cfg.seed, k)
-			if k%2 == 1 {
-				gate[k].Propagation = core.PropagationAnchored
-			}
-		}
-		gopts := core.Options{RecordCritPath: true}
-		batch, err := core.ReplayBatch(compiled, gate, core.BatchOptions{Options: gopts})
-		if err != nil {
-			return nil, err
-		}
-		for k, m := range gate {
-			want, err := core.ReplayCompiled(compiled, m, gopts)
-			if err != nil {
-				return nil, err
-			}
-			if !reflect.DeepEqual(want, batch[k]) {
-				return nil, fmt.Errorf("lanes=%d: batch lane %d diverged from single compiled replay (makespan %g vs %g)",
-					lanes, k, batch[k].MakespanDelay, want.MakespanDelay)
-			}
-		}
-
-		models := make([]*core.Model, lanes)
-		stats, err := measureOnce(cfg.trials, func() error {
-			for lo := 0; lo < cfg.trials; lo += lanes {
-				n := lanes
-				if cfg.trials-lo < n {
-					n = cfg.trials - lo
-				}
-				for k := 0; k < n; k++ {
-					models[k] = replayModel(cfg.seed, lo+k)
-				}
-				if _, err := core.ReplayBatch(compiled, models[:n], core.BatchOptions{}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		stats.NsPerReplay /= float64(cfg.trials)
-		stats.ReplaysPerSec = 1e9 / stats.NsPerReplay
-		stats.AllocsPerReplay /= float64(cfg.trials)
-		points = append(points, batchPoint{
-			Lanes:             lanes,
-			pathStats:         stats,
-			SpeedupVsCompiled: comp.NsPerReplay / stats.NsPerReplay,
-		})
-	}
-	return points, nil
 }

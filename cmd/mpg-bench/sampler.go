@@ -11,25 +11,19 @@ import (
 
 // Sampler benchmark (-sampler): measures the distribution samplers
 // themselves — the ziggurat fast paths against the retained exact
-// reference algorithms, and the scalar draws against the
-// lane-vectorized SampleInto batch draws — and writes a
-// machine-readable BENCH_sampler.json report.
+// reference algorithms — and writes a machine-readable
+// BENCH_sampler.json report.
 //
-// Before timing anything the run passes two in-band gates, so CI can
-// use it as a sampler-correctness check as well as a benchmark:
-// a two-sample Kolmogorov–Smirnov test between the ziggurat and exact
-// reference streams, and a bit-identity check between batched and
-// scalar draws.
+// Before timing anything the run passes an in-band gate, so CI can use
+// it as a sampler-correctness check as well as a benchmark: a
+// two-sample Kolmogorov–Smirnov test between the ziggurat and exact
+// reference streams.
 
 // samplerConfig parameterizes the sampler benchmark.
 type samplerConfig struct {
 	draws int
 	out   string
 }
-
-// samplerBatchLanes is the lane width the batch-draw trajectory uses —
-// the same K the batched replay engine defaults to.
-const samplerBatchLanes = 16
 
 // samplerPoint is one distribution's measured draw throughput.
 type samplerPoint struct {
@@ -42,14 +36,11 @@ type samplerPoint struct {
 type samplerReport struct {
 	SamplerVersion string `json:"sampler_version"`
 	Draws          int    `json:"draws_per_case"`
-	BatchLanes     int    `json:"batch_lanes"`
 	// Scalar times Distribution.Sample for the hot families; Exact
 	// times the retained pre-ziggurat reference samplers over the same
-	// laws; Batch times the lane-vectorized SampleInto draws (ns per
-	// individual draw, amortized across the lanes).
+	// laws.
 	Scalar []samplerPoint `json:"scalar"`
 	Exact  []samplerPoint `json:"exact_reference"`
-	Batch  []samplerPoint `json:"batch"`
 	// ExpSpeedup / NormSpeedup compare the ziggurat scalar draw against
 	// the exact reference for the two rewritten families.
 	ExpSpeedup  float64 `json:"exponential_speedup_vs_exact"`
@@ -72,31 +63,8 @@ func timeScalar(d dist.Distribution, n int, seed uint64) samplerPoint {
 	return samplerPoint{Dist: d.String(), NsPerDraw: ns, DrawsPerSec: 1e9 / ns}
 }
 
-// timeBatch measures one BatchSampler's per-draw cost through the
-// lane-vectorized path: n total draws in rounds of samplerBatchLanes.
-func timeBatch(b dist.BatchSampler, n int, seed uint64) samplerPoint {
-	rngs := make([]dist.RNG, samplerBatchLanes)
-	for i := range rngs {
-		rngs[i].Reseed(seed + uint64(i)*0x9e3779b97f4a7c15)
-	}
-	dst := make([]float64, samplerBatchLanes)
-	rounds := n / samplerBatchLanes
-	if rounds < 1 {
-		rounds = 1
-	}
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		b.SampleInto(dst, 1, rngs)
-	}
-	total := rounds * samplerBatchLanes
-	ns := float64(time.Since(start).Nanoseconds()) / float64(total)
-	benchSink += dst[0]
-	return samplerPoint{Dist: b.String(), NsPerDraw: ns, DrawsPerSec: 1e9 / ns}
-}
-
-// samplerGates runs the in-band correctness gates: ziggurat-vs-exact
-// two-sample KS for the rewritten families, and batched-vs-scalar
-// bit identity for every BatchSampler. Any failure aborts the
+// samplerGates runs the in-band correctness gate: ziggurat-vs-exact
+// two-sample KS for the rewritten families. Any failure aborts the
 // benchmark (and the CI job running it).
 func samplerGates() error {
 	const n = 40000
@@ -120,31 +88,6 @@ func samplerGates() error {
 				d, exact, stat, crit)
 		}
 	}
-	for _, b := range []dist.BatchSampler{
-		dist.Exponential{MeanValue: 300},
-		dist.Normal{Mu: 0, Sigma: 1},
-		dist.Uniform{Low: 0, High: 1},
-		dist.Constant{C: 7},
-	} {
-		batchRNG := make([]dist.RNG, samplerBatchLanes)
-		scalarRNG := make([]dist.RNG, samplerBatchLanes)
-		for i := range batchRNG {
-			seed := 1000 + uint64(i)*0x9e3779b97f4a7c15
-			batchRNG[i].Reseed(seed)
-			scalarRNG[i].Reseed(seed)
-		}
-		dst := make([]float64, samplerBatchLanes)
-		for round := 0; round < 64; round++ {
-			b.SampleInto(dst, 1, batchRNG)
-			for k := range dst {
-				want := b.Sample(&scalarRNG[k])
-				if dst[k] != want {
-					return fmt.Errorf("sampler gate: %s batch lane %d round %d drew %v, scalar drew %v",
-						b, k, round, dst[k], want)
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -165,26 +108,15 @@ func runSampler(cfg samplerConfig) error {
 		dist.Exact(dist.Normal{Mu: 0, Sigma: 1}),
 		dist.Exact(dist.LogNormal{Mu: 1, Sigma: 0.5}),
 	}
-	batchCases := []dist.BatchSampler{
-		dist.Exponential{MeanValue: 300},
-		dist.Normal{Mu: 0, Sigma: 1},
-		dist.Uniform{Low: 0, High: 1},
-		dist.Constant{C: 7},
-	}
-
 	rep := samplerReport{
 		SamplerVersion: dist.SamplerVersion,
 		Draws:          n,
-		BatchLanes:     samplerBatchLanes,
 	}
 	for i, d := range scalarCases {
 		rep.Scalar = append(rep.Scalar, timeScalar(d, n, uint64(10+i)))
 	}
 	for i, d := range exactCases {
 		rep.Exact = append(rep.Exact, timeScalar(d, n, uint64(20+i)))
-	}
-	for i, b := range batchCases {
-		rep.Batch = append(rep.Batch, timeBatch(b, n, uint64(30+i)))
 	}
 	rep.ExpSpeedup = rep.Exact[0].NsPerDraw / rep.Scalar[0].NsPerDraw
 	rep.NormSpeedup = rep.Exact[1].NsPerDraw / rep.Scalar[1].NsPerDraw
@@ -196,16 +128,12 @@ func runSampler(cfg samplerConfig) error {
 	if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sampler benchmark: %s, %d draws/case, %d-lane batches\n",
-		rep.SamplerVersion, n, samplerBatchLanes)
+	fmt.Printf("sampler benchmark: %s, %d draws/case\n", rep.SamplerVersion, n)
 	for _, p := range rep.Scalar {
 		fmt.Printf("scalar %-28s %6.2f ns/draw\n", p.Dist, p.NsPerDraw)
 	}
 	for _, p := range rep.Exact {
 		fmt.Printf("exact  %-28s %6.2f ns/draw\n", p.Dist, p.NsPerDraw)
-	}
-	for _, p := range rep.Batch {
-		fmt.Printf("batch  %-28s %6.2f ns/draw\n", p.Dist, p.NsPerDraw)
 	}
 	fmt.Printf("exponential speedup vs exact: %.2fx\n", rep.ExpSpeedup)
 	fmt.Printf("normal speedup vs exact:      %.2fx\n", rep.NormSpeedup)

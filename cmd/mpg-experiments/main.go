@@ -32,7 +32,6 @@ func run(args []string, w io.Writer) error {
 	quick := fs.Bool("quick", false, "run reduced problem sizes")
 	seed := fs.Uint64("seed", 2006, "experiment seed")
 	workers := fs.Int("workers", 0, "replay worker pool size (0 = GOMAXPROCS); output is identical for any value")
-	replayWorkers := fs.Int("replay-workers", 1, "cores per grid replay (wavefront-slab parallel engine; splits the -workers budget; output is identical for any value)")
 	only := fs.String("run", "", fmt.Sprintf("run a single experiment (%s)",
 		strings.Join(experiments.IDs(), ", ")))
 	dotOut := fs.String("dot", "", "write fig5's DOT artifact to this path")
@@ -45,7 +44,7 @@ func run(args []string, w io.Writer) error {
 	}
 	of.Start(os.Stderr)
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers,
-		ReplayWorkers: *replayWorkers, Metrics: of.Registry()}
+		Metrics: of.Registry()}
 
 	var list []experiments.Experiment
 	if *only != "" {

@@ -55,9 +55,6 @@ func run(args []string, w, stderr io.Writer) error {
 	step := fs.Float64("step", 100, "sweep increment")
 	workers := fs.Int("workers", 0, "replay worker pool size (0 = GOMAXPROCS); output is identical for any value")
 	trials := fs.Int("trials", 1, "Monte Carlo replays per point, each under a seed derived from (model seed, trial)")
-	streaming := fs.Bool("streaming-trials", false, "force Monte Carlo trials through the streaming analyzer instead of the compiled replay engine (A/B debugging; results are identical)")
-	lanes := fs.Int("replay-lanes", 0, "Monte Carlo trials batched per tape walk (0 = scalar single-replay path, the default; set > 1 to opt into lane batching; results are identical for any value)")
-	replayWorkers := fs.Int("replay-workers", 1, "cores per Monte Carlo trial replay (wavefront-slab parallel engine; the -workers budget is split between trials and slab workers; results are identical for any value)")
 	useBaseline := fs.Bool("baseline", false, "also run the Dimemas-style DES replayer per point")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	progress := fs.Bool("progress", false, "report live replay progress on stderr")
@@ -88,9 +85,6 @@ func run(args []string, w, stderr io.Writer) error {
 		ModelSeed:       1,
 		Workers:         *workers,
 		Trials:          *trials,
-		StreamingTrials: *streaming,
-		ReplayLanes:     *lanes,
-		ReplayWorkers:   *replayWorkers,
 		Metrics:         of.Registry(),
 	}
 	var rep *obsv.Progress

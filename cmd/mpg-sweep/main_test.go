@@ -40,29 +40,24 @@ func TestSweepTrials(t *testing.T) {
 	}
 }
 
-// TestSweepTrialsReplayLanesIdentical pins the -replay-lanes contract
-// at the CLI surface: any lane width (and the streaming escape hatch)
-// emits byte-identical CSV for the same Monte Carlo sweep.
-func TestSweepTrialsReplayLanesIdentical(t *testing.T) {
+// TestSweepTrialsWorkersIdentical pins the -workers contract at the
+// CLI surface: any pool size emits byte-identical CSV for the same
+// Monte Carlo sweep.
+func TestSweepTrialsWorkersIdentical(t *testing.T) {
 	base := []string{"-workload", "stencil1d", "-ranks", "4", "-iters", "2",
 		"-sweep", "noise", "-from", "0", "-to", "100", "-step", "50",
-		"-trials", "5", "-workers", "2", "-csv"}
-	outFor := func(extra ...string) string {
+		"-trials", "5", "-csv"}
+	outFor := func(workers string) string {
 		var buf bytes.Buffer
-		if err := run(append(append([]string{}, base...), extra...), &buf, io.Discard); err != nil {
-			t.Fatalf("%v: %v", extra, err)
+		if err := run(append(append([]string{}, base...), "-workers", workers), &buf, io.Discard); err != nil {
+			t.Fatalf("-workers %s: %v", workers, err)
 		}
 		return buf.String()
 	}
-	want := outFor("-replay-lanes", "1")
-	for _, extra := range [][]string{
-		{},
-		{"-replay-lanes", "3"},
-		{"-replay-lanes", "64"},
-		{"-streaming-trials"},
-	} {
-		if got := outFor(extra...); got != want {
-			t.Errorf("%v output diverges from -replay-lanes 1:\n--- want\n%s--- got\n%s", extra, want, got)
+	want := outFor("1")
+	for _, workers := range []string{"2", "3", "8"} {
+		if got := outFor(workers); got != want {
+			t.Errorf("-workers %s output diverges from -workers 1:\n--- want\n%s--- got\n%s", workers, want, got)
 		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // ConcDisciplineAnalyzer enforces the concurrency discipline of the
-// parallel replay core (internal/parallel and the slab-replay code in
-// internal/core). Four rules, each a well-known way a data race or a
-// deadlock sneaks past `go vet`-level review:
+// packages replays run concurrently in (internal/parallel's worker
+// pool and internal/core's pooled replay state). Four rules, each a
+// well-known way a data race or a deadlock sneaks past `go vet`-level
+// review:
 //
 //  1. Lock-bearing values must not be copied. A struct that contains
 //     (directly or transitively) a sync.Mutex, RWMutex, WaitGroup,
@@ -26,10 +27,10 @@ import (
 //     this is a discipline rule rather than a correctness one: the
 //     explicit argument is the visible ownership transfer.
 //  4. Goroutine closures must not write to captured outer variables
-//     (directly or through an index). Rank-owned output slots — each
-//     goroutine writing only its own index, as Frontier does — are the
-//     sanctioned exception, suppressed in place with the reason
-//     documenting the ownership argument.
+//     (directly or through an index). Owned output slots — each
+//     goroutine writing only its own index — are the sanctioned
+//     exception, suppressed in place with the reason documenting the
+//     ownership argument.
 //
 // A fifth, interprocedural rule rides on the call graph: no channel
 // sends anywhere in the //mpg:hotpath closure. A send blocks on the
@@ -41,12 +42,12 @@ import (
 // type checker transitively.
 var ConcDisciplineAnalyzer = &Analyzer{
 	Name:      "concdiscipline",
-	Doc:       "enforces the parallel-core concurrency rules: no lock copies, no mixed atomic/plain access, no loop-var capture or captured writes in goroutines, no channel sends on the hot path",
+	Doc:       "enforces the concurrency rules of the replay packages: no lock copies, no mixed atomic/plain access, no loop-var capture or captured writes in goroutines, no channel sends on the hot path",
 	RunModule: runConcDiscipline,
 }
 
-// concScopePrefixes limits rules 1–4 to the packages that host the
-// parallel replay machinery (fixture packages nest under them).
+// concScopePrefixes limits rules 1–4 to the packages that run
+// replays concurrently (fixture packages nest under them).
 var concScopePrefixes = []string{
 	"mpgraph/internal/parallel",
 	"mpgraph/internal/core",

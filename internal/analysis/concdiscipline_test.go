@@ -160,7 +160,7 @@ func race() int {
 
 // TestConcGoroutineIndexedWriteSuppressible: writes through a captured
 // slice get the rank-ownership phrasing, and the documented ownership
-// argument suppresses them in place (the Frontier pattern).
+// argument suppresses them in place (the owned-slot pattern).
 func TestConcGoroutineIndexedWriteSuppressible(t *testing.T) {
 	res := runFixture(t, ConcDisciplineAnalyzer, concScope, "internal/parallel/fixture/owned.go", `package fixture
 
@@ -196,7 +196,8 @@ func emit(ch chan int, v int) { ch <- v }
 }
 
 // TestConcScopeExcludesOtherPackages: rules 1–4 apply only to the
-// parallel replay machinery; the same copy elsewhere is out of scope.
+// packages that run replays concurrently; the same copy elsewhere is
+// out of scope.
 func TestConcScopeExcludesOtherPackages(t *testing.T) {
 	res := runFixture(t, ConcDisciplineAnalyzer, "mpgraph/internal/obsv/fixture", "internal/obsv/fixture/copy.go", `package fixture
 

@@ -14,8 +14,7 @@ import (
 // out of that scope while staying firmly on the replay path. detreach
 // closes the gap by walking the call graph from the replay roots:
 //
-//   - core.ReplayCompiled / core.ReplayBatch / core.ReplayParallel
-//     (the three replay engines),
+//   - core.ReplayCompiled (the compiled replay engine),
 //   - every function declared in internal/core/compute.go (the shared
 //     propagation kernels),
 //   - baseline.Replay / baseline.ReplayRetimed (the DES oracle the
@@ -53,8 +52,6 @@ var DetReachAnalyzer = &Analyzer{
 // stay deterministic, as (import path, function name) pairs.
 var detReachRoots = []struct{ pkg, name string }{
 	{"mpgraph/internal/core", "ReplayCompiled"},
-	{"mpgraph/internal/core", "ReplayBatch"},
-	{"mpgraph/internal/core", "ReplayParallel"},
 	{"mpgraph/internal/baseline", "Replay"},
 	{"mpgraph/internal/baseline", "ReplayRetimed"},
 }

@@ -29,17 +29,17 @@ func TestDetReachGlobalRand(t *testing.T) {
 
 import "math/rand"
 
-func ReplayBatch() float64 { return jitter() }
+func ReplayCompiled() float64 { return jitter() }
 
 func jitter() float64 { return rand.Float64() }
 `)
-	wantOutstanding(t, res, "core.ReplayBatch → core.jitter: math/rand.Float64 on a replay-reachable path; randomness must flow through seeded mpgraph/internal/dist generators")
+	wantOutstanding(t, res, "core.ReplayCompiled → core.jitter: math/rand.Float64 on a replay-reachable path; randomness must flow through seeded mpgraph/internal/dist generators")
 }
 
 func TestDetReachMapRange(t *testing.T) {
 	res := runFixture(t, DetReachAnalyzer, "mpgraph/internal/core", "internal/core/det_fixture.go", `package core
 
-func ReplayParallel(m map[int]float64) float64 {
+func ReplayCompiled(m map[int]float64) float64 {
 	return total(m)
 }
 
@@ -51,7 +51,7 @@ func total(m map[int]float64) float64 {
 	return sum
 }
 `)
-	wantOutstanding(t, res, "core.ReplayParallel → core.total: map iteration order is nondeterministic on a replay-reachable path")
+	wantOutstanding(t, res, "core.ReplayCompiled → core.total: map iteration order is nondeterministic on a replay-reachable path")
 }
 
 func TestDetReachPackageLevelWrite(t *testing.T) {

@@ -154,7 +154,7 @@ func applyCollOut(ordered []*collParticipant, outD []float64, outAttr []Attribut
 // delay plus l_δ feeds a max that is propagated back to everyone.
 func (a *analyzer) resolveApprox(cs *collState, ordered []*collParticipant) {
 	in, outD, outAttr, outPred := a.collBufs(ordered)
-	cs.lMax = resolveApproxKernel(a.smp, cs.kind, cs.bytes, in, outD, outAttr, outPred, 1)
+	cs.lMax = resolveApproxKernel(a.smp, cs.kind, cs.bytes, in, outD, outAttr, outPred)
 	applyCollOut(ordered, outD, outAttr, outPred)
 }
 
@@ -164,7 +164,7 @@ func (a *analyzer) resolveApprox(cs *collState, ordered []*collParticipant) {
 // linear exchanges for Gather/Scatter.
 func (a *analyzer) resolveExplicit(cs *collState, ordered []*collParticipant) {
 	in, outD, outAttr, outPred := a.collBufs(ordered)
-	cs.lMax = resolveExplicitKernel(a.smp, cs.kind, cs.bytes, cs.root, in, &a.csc, outD, outAttr, outPred, 1)
+	cs.lMax = resolveExplicitKernel(a.smp, cs.kind, cs.bytes, cs.root, in, &a.csc, outD, outAttr, outPred)
 	applyCollOut(ordered, outD, outAttr, outPred)
 }
 

@@ -128,19 +128,7 @@ type Compiled struct {
 	nLocalEdges, nMsgEdges, nCollEdges int64
 	nMatches, nColls                   int64
 
-	pool      sync.Pool // of *replayState
-	batchPool sync.Pool // of *batchState (lane-strided ReplayBatch memory)
-	parPool   sync.Pool // of *parState (ReplayParallel working memory)
-
-	// Wavefront-slab plan cache (ReplayParallel). The structural plan
-	// depends only on the tape; the draw plans additionally depend on
-	// the model's collective shape (mode + CollectiveBytes), the only
-	// model fields that change which sampler calls the replay makes.
-	// Both are immutable once built and shared by every replay.
-	parPlanOnce sync.Once
-	parPlanVal  *parPlan
-	drawPlanMu  sync.Mutex
-	drawPlans   map[drawPlanKey]*drawPlan
+	pool sync.Pool // of *replayState
 }
 
 // NRanks returns the world size of the compiled trace.

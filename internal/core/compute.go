@@ -175,21 +175,12 @@ type collIn struct {
 // inbound delay plus l_δ (ceil(log2 p) samples of noise+latency for
 // the symmetric collectives; a single sample for the rooted ones, the
 // paper's Reduce simplification) feeds a max that is propagated back
-// to all participants. outPred[i*stride] is the index (into in) of the
+// to all participants. outPred[i] is the index (into in) of the
 // participant whose start subevent anchors the winning path. The
 // returned value is the propagated max.
 //
-// stride spaces the output writes: participant i lands at index
-// i*stride of each out array. The streaming engine and the single
-// replayer pass 1 (dense outputs); the batched replayer passes its
-// lane count K, interleaving the K lanes of one participant so each
-// lane writes its own column of the shared lane-strided buffers.
-// stride only relocates writes — the FP operation sequence is
-// identical for every stride, which is what keeps batch lanes
-// byte-identical to standalone replays.
-//
 //mpg:hotpath
-func resolveApproxKernel(smp *sampler, kind trace.Kind, bytes int64, in []collIn, outD []float64, outAttr []Attribution, outPred []int32, stride int) float64 {
+func resolveApproxKernel(smp *sampler, kind trace.Kind, bytes int64, in []collIn, outD []float64, outAttr []Attribution, outPred []int32) float64 {
 	p := len(in)
 	rounds := ceilLog2(p)
 	if kind.IsRooted() {
@@ -215,12 +206,12 @@ func resolveApproxKernel(smp *sampler, kind trace.Kind, bytes int64, in []collIn
 	}
 	winAttr := in[winIdx].startAttr.addOwn(winnerNoise).addMsg(winnerMsg)
 	for i := range in {
-		outD[i*stride] = lMax
-		outPred[i*stride] = int32(winIdx)
+		outD[i] = lMax
+		outPred[i] = int32(winIdx)
 		if i == winIdx {
-			outAttr[i*stride] = winAttr
+			outAttr[i] = winAttr
 		} else {
-			outAttr[i*stride] = winAttr.asRemote()
+			outAttr[i] = winAttr.asRemote()
 		}
 	}
 	return lMax
@@ -252,15 +243,13 @@ func (s *collScratch) ensure(p int) {
 // resolveExplicitKernel builds the collective's actual communication
 // pattern in delay space: dissemination rounds for the symmetric
 // collectives, binomial trees for Bcast/Reduce, linear exchanges for
-// Gather/Scatter, the prefix chain for Scan. outPred[i*stride] is the
-// index (into in) of the participant whose start subevent anchors
-// member i's winning adopt chain. The returned value is the largest
-// outbound delay (for graph labels). stride spaces the output writes
-// exactly as in resolveApproxKernel: 1 for dense outputs, the lane
-// count K for the batched replayer's lane-strided buffers.
+// Gather/Scatter, the prefix chain for Scan. outPred[i] is the index
+// (into in) of the participant whose start subevent anchors member i's
+// winning adopt chain. The returned value is the largest outbound
+// delay (for graph labels).
 //
 //mpg:hotpath
-func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int32, in []collIn, sc *collScratch, outD []float64, outAttr []Attribution, outPred []int32, stride int) float64 {
+func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int32, in []collIn, sc *collScratch, outD []float64, outAttr []Attribution, outPred []int32) float64 {
 	p := len(in)
 	//mpg:lint-ignore hotpathprop lazy scratch growth: the collective working arrays grow monotonically with participant count and are reused across events
 	sc.ensure(p)
@@ -371,9 +360,9 @@ func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int3
 	}
 	lMax := 0.0
 	for i := range in {
-		outD[i*stride] = D[i]
-		outAttr[i*stride] = A[i]
-		outPred[i*stride] = int32(org[i])
+		outD[i] = D[i]
+		outAttr[i] = A[i]
+		outPred[i] = int32(org[i])
 		if D[i] > lMax {
 			lMax = D[i]
 		}

@@ -47,11 +47,11 @@ func TestResolveExplicitKernelAllocs(t *testing.T) {
 		trace.KindScan, trace.KindCommSplit,
 	}
 	// Warm the scratch arrays once.
-	resolveExplicitKernel(smp, trace.KindAllreduce, 1024, 0, in, sc, outD, outAttr, outPred, 1)
+	resolveExplicitKernel(smp, trace.KindAllreduce, 1024, 0, in, sc, outD, outAttr, outPred)
 	for _, kind := range kinds {
 		kind := kind
 		allocs := testing.AllocsPerRun(20, func() {
-			resolveExplicitKernel(smp, kind, 1024, 0, in, sc, outD, outAttr, outPred, 1)
+			resolveExplicitKernel(smp, kind, 1024, 0, in, sc, outD, outAttr, outPred)
 		})
 		if allocs != 0 {
 			t.Errorf("resolveExplicitKernel(%v) allocates %.1f objects/call; want 0", kind, allocs)
@@ -72,7 +72,7 @@ func TestResolveApproxKernelAllocs(t *testing.T) {
 	for _, kind := range []trace.Kind{trace.KindAllreduce, trace.KindReduce} {
 		kind := kind
 		allocs := testing.AllocsPerRun(20, func() {
-			resolveApproxKernel(smp, kind, 2048, in, outD, outAttr, outPred, 1)
+			resolveApproxKernel(smp, kind, 2048, in, outD, outAttr, outPred)
 		})
 		if allocs != 0 {
 			t.Errorf("resolveApproxKernel(%v) allocates %.1f objects/call; want 0", kind, allocs)
@@ -108,138 +108,6 @@ func TestCompletionKernelAllocs(t *testing.T) {
 	}
 }
 
-// TestStridedKernelAllocs re-runs the collective kernels with the
-// batch replayer's lane stride: a stride-K write pattern must stay as
-// allocation-free as the dense stride-1 one.
-func TestStridedKernelAllocs(t *testing.T) {
-	const p, stride = 8, 4
-	smp := kernelSampler(p)
-	in := make([]collIn, p)
-	for i := range in {
-		in[i] = collIn{rank: i, startD: float64(i * 10), startAttr: Attribution{OwnNoise: float64(i)}}
-	}
-	sc := &collScratch{}
-	outD := make([]float64, p*stride)
-	outAttr := make([]Attribution, p*stride)
-	outPred := make([]int32, p*stride)
-	resolveExplicitKernel(smp, trace.KindAllreduce, 1024, 0, in, sc, outD, outAttr, outPred, stride)
-	for _, kind := range []trace.Kind{trace.KindAllreduce, trace.KindBcast, trace.KindScan} {
-		kind := kind
-		allocs := testing.AllocsPerRun(20, func() {
-			resolveApproxKernel(smp, kind, 2048, in, outD, outAttr, outPred, stride)
-			resolveExplicitKernel(smp, kind, 1024, 0, in, sc, outD, outAttr, outPred, stride)
-		})
-		if allocs != 0 {
-			t.Errorf("stride-%d collective kernels (%v) allocate %.1f objects/call; want 0", stride, kind, allocs)
-		}
-	}
-}
-
-// drawTestBatchState hand-builds a minimal K-lane batch state over n
-// ranks (stream-major rng layout, seeded, plan built) without needing
-// a Compiled program, so the draw kernels can be pinned in isolation.
-func drawTestBatchState(t *testing.T, models []*Model, n int) *batchState {
-	t.Helper()
-	K := len(models)
-	st := &batchState{
-		K:          K,
-		smps:       make([]sampler, K),
-		rng:        make([]dist.RNG, K*(n+1)),
-		forkLabels: replayForkLabels(n),
-		noiseB:     make([]dist.BatchSampler, n),
-		noiseZero:  make([]bool, n),
-		laneBuf:    make([]float64, 4*K),
-	}
-	for k := 0; k < K; k++ {
-		st.smps[k].model = models[k]
-		st.smps[k].msgRNG = &st.rng[k]
-		st.smps[k].rankRNG = make([]*dist.RNG, n)
-		for r := 0; r < n; r++ {
-			st.smps[k].rankRNG[r] = &st.rng[(1+r)*K+k]
-		}
-		dist.ForkHierarchyIntoStride(models[k].Seed, st.forkLabels, st.rng[k:], K)
-	}
-	st.planDraws(models)
-	return st
-}
-
-// TestMatchLanesAllocs pins the batched opMatch fan-out at zero: K
-// lanes of posts, column-wise draws, and completion resolution must
-// touch only the preallocated lane-strided buffers — on both the
-// vectorized path (all lanes share one batchable distribution) and the
-// scalar fallback (heterogeneous models).
-func TestMatchLanesAllocs(t *testing.T) {
-	const K = 8
-	shared := make([]*Model, K)
-	mixed := make([]*Model, K)
-	for k := 0; k < K; k++ {
-		shared[k] = &Model{
-			Seed:       uint64(100 + k),
-			OSNoise:    dist.Exponential{MeanValue: 40},
-			MsgLatency: dist.Exponential{MeanValue: 150},
-			PerByte:    dist.Constant{C: 0.02},
-		}
-		// Per-lane latency means defeat the shared-value plan, forcing
-		// the per-lane scalar draw path.
-		mixed[k] = &Model{
-			Seed:       uint64(200 + k),
-			OSNoise:    dist.Exponential{MeanValue: 40},
-			MsgLatency: dist.Exponential{MeanValue: float64(150 + k)},
-			PerByte:    dist.Constant{C: 0.02},
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		models []*Model
-	}{{"vectorized", shared}, {"scalar-fallback", mixed}} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			st := drawTestBatchState(t, tc.models, 2)
-			ms := make([]xfer, K)
-			sendD := make([]float64, K)
-			sendA := make([]Attribution, K)
-			recvD := make([]float64, K)
-			recvA := make([]Attribution, K)
-			for k := range sendD {
-				sendD[k] = float64(k * 7)
-				recvD[k] = float64(k * 11)
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				st.matchLanes(ms, sendD, sendA, recvD, recvA, 4096, 1)
-			})
-			if allocs != 0 {
-				t.Errorf("matchLanes allocates %.1f objects/call; want 0", allocs)
-			}
-		})
-	}
-}
-
-// TestBatchDrawLanesAllocs pins each column-wise draw kernel at zero
-// allocations, including the interface-to-interface plan dispatch.
-func TestBatchDrawLanesAllocs(t *testing.T) {
-	const K = 8
-	models := make([]*Model, K)
-	for k := 0; k < K; k++ {
-		models[k] = &Model{
-			Seed:       uint64(300 + k),
-			OSNoise:    dist.Normal{Mu: 50, Sigma: 20},
-			MsgLatency: dist.Exponential{MeanValue: 150},
-			PerByte:    dist.Uniform{Low: 0.01, High: 0.03},
-		}
-	}
-	st := drawTestBatchState(t, models, 2)
-	dst := make([]float64, K)
-	allocs := testing.AllocsPerRun(100, func() {
-		st.drawNoiseLanes(1, dst)
-		st.drawComputeNoiseLanes(0, 512, dst)
-		st.drawLatencyLanes(dst)
-		st.drawPerByteLanes(4096, dst)
-	})
-	if allocs != 0 {
-		t.Errorf("batch draw kernels allocate %.1f objects/iteration; want 0", allocs)
-	}
-}
-
 // TestSampleFastAllocs pins the devirtualized scalar draw helper: the
 // type switch must not box, and the ziggurat draws must stay on the
 // stack for every devirtualized family.
@@ -262,65 +130,6 @@ func TestSampleFastAllocs(t *testing.T) {
 		t.Errorf("sampleFast allocates %.1f objects/iteration; want 0", allocs)
 	}
 	_ = sink
-}
-
-// TestBatchStateResetAllocs pins the pooled batch state's re-seed
-// path at zero: K sampler hierarchies re-seed in place via
-// ForkHierarchyInto, no generator is constructed.
-func TestBatchStateResetAllocs(t *testing.T) {
-	snap := snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 2})
-	set, release := snap.Acquire()
-	c, err := Compile(set, Options{})
-	release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const K = 8
-	models := make([]*Model, K)
-	for k := range models {
-		models[k] = &Model{Seed: uint64(50 + k), OSNoise: dist.Exponential{MeanValue: 30}}
-	}
-	st := newBatchState(c, K)
-	st.reset(models)
-	allocs := testing.AllocsPerRun(50, func() { st.reset(models) })
-	if allocs != 0 {
-		t.Errorf("batchState.reset allocates %.1f objects/call; want 0", allocs)
-	}
-}
-
-// TestReplayBatchAllocs pins the warm batched replay at the same
-// per-lane budget as ReplayCompiled: the only allocations are the K
-// returned Results (and their rank/region backing), never per-event
-// or per-lane-per-event work.
-func TestReplayBatchAllocs(t *testing.T) {
-	snap := snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 8})
-	set, release := snap.Acquire()
-	c, err := Compile(set, Options{})
-	release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const K = 8
-	models := make([]*Model, K)
-	for k := range models {
-		models[k] = &Model{
-			Seed:       uint64(5 + k),
-			OSNoise:    dist.Exponential{MeanValue: 50},
-			MsgLatency: dist.Exponential{MeanValue: 200},
-		}
-	}
-	// Warm the batch pool.
-	if _, err := ReplayBatch(c, models, BatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ReplayBatch(c, models, BatchOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 16*K {
-		t.Fatalf("warm ReplayBatch(K=%d) allocates %.1f objects/batch; want <= %d", K, allocs, 16*K)
-	}
 }
 
 // TestReplayStateResetAllocs pins the pooled replay state's re-seed

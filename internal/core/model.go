@@ -310,26 +310,6 @@ type sampler struct {
 	// belongs to one single-goroutine analysis, so the counts go
 	// through the shared registry only once, at the end of the run.
 	nNoise, nMsg int64
-
-	// pre, when non-nil, switches osNoise/latency/perByte into
-	// prefetch replay: each call pops the next precomputed value
-	// instead of touching any RNG. The parallel replayer runs the
-	// collective kernels through this mode — the values were produced
-	// earlier by the *same* sampler methods walking each RNG stream in
-	// tape order, so a popped value is bit-identical to what a live
-	// draw at this call site would have returned (including clamping
-	// and the no-draw zero cases), and the kernel's FP sequence is
-	// unchanged.
-	pre    []float64
-	preCur int
-	// rec, when non-nil, switches osNoise/latency/perByte into site
-	// recording: each call registers (stream, kind, args) with the
-	// recorder and returns 0 without consuming RNG. The parallel
-	// planner runs the collective kernels through this mode to learn
-	// their exact draw-call sequence instead of hand-mirroring it —
-	// kernel control flow is value-independent, so the recorded
-	// sequence is the sequence every replay performs.
-	rec *drawRecorder
 }
 
 func newSampler(m *Model, nranks int) *sampler {
@@ -350,9 +330,9 @@ func newSampler(m *Model, nranks int) *sampler {
 // direct (inlinable) calls into the ziggurat fast path for the
 // families that dominate perturbation models, instead of an interface
 // dispatch per draw. Behavior is identical to d.Sample(r) for every
-// type — this is purely a call-overhead optimization, so streaming,
-// compiled, and batched engines all draw the same values whether or
-// not their call site went through the switch.
+// type — this is purely a call-overhead optimization, so the streaming
+// and compiled engines draw the same values whether or not their call
+// site went through the switch.
 //
 //mpg:hotpath
 func sampleFast(d dist.Distribution, r *dist.RNG) float64 {
@@ -396,16 +376,6 @@ func (s *sampler) noiseDist(rank int) dist.Distribution {
 //
 //mpg:hotpath
 func (s *sampler) osNoise(rank int) float64 {
-	if s.pre != nil {
-		v := s.pre[s.preCur]
-		s.preCur++
-		return v
-	}
-	//mpg:lint-ignore hotpathprop draw-plan recording runs once at plan capture, not during compiled replay
-	if s.rec != nil {
-		s.rec.noise(rank)
-		return 0
-	}
 	d := s.noiseDist(rank)
 	if d == nil {
 		return 0
@@ -456,16 +426,6 @@ func (s *sampler) computeNoise(rank int, w int64) float64 {
 //
 //mpg:hotpath
 func (s *sampler) latency() float64 {
-	if s.pre != nil {
-		v := s.pre[s.preCur]
-		s.preCur++
-		return v
-	}
-	//mpg:lint-ignore hotpathprop draw-plan recording runs once at plan capture, not during compiled replay
-	if s.rec != nil {
-		s.rec.msg(drawLatency, 0)
-		return 0
-	}
 	if s.model.MsgLatency == nil {
 		return 0
 	}
@@ -480,16 +440,6 @@ func (s *sampler) latency() float64 {
 //
 //mpg:hotpath
 func (s *sampler) perByte(bytes int64) float64 {
-	if s.pre != nil {
-		v := s.pre[s.preCur]
-		s.preCur++
-		return v
-	}
-	//mpg:lint-ignore hotpathprop draw-plan recording runs once at plan capture, not during compiled replay
-	if s.rec != nil {
-		s.rec.msg(drawPerByte, bytes)
-		return 0
-	}
 	if s.model.PerByte == nil || bytes <= 0 {
 		return 0
 	}

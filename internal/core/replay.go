@@ -452,9 +452,9 @@ func newReplayState(c *Compiled) *replayState {
 
 // replayForkLabels precomputes the sampler hierarchy's fork labels in
 // fork order: the shared message stream, then the per-rank streams
-// ascending. Both the single and the batched replay states seed their
-// generators by running dist.ForkHierarchyInto over this slice, which
-// is what pins their streams to newSampler's.
+// ascending. The replay state seeds its generators by running
+// dist.ForkHierarchyInto over this slice, which is what pins their
+// streams to newSampler's.
 func replayForkLabels(n int) []string {
 	labels := make([]string, n+1)
 	labels[0] = "messages"
@@ -527,14 +527,14 @@ func (st *replayState) resolveColl(c *Compiled, idx int32, model *Model) {
 	if cc.kind == trace.KindScan {
 		// Scan always uses the explicit prefix chain (see
 		// resolveCollective).
-		resolveExplicitKernel(&st.smp, cc.kind, cc.bytes, cc.root, in, &st.csc, outD, outAttr, outPred, 1)
+		resolveExplicitKernel(&st.smp, cc.kind, cc.bytes, cc.root, in, &st.csc, outD, outAttr, outPred)
 		return
 	}
 	switch model.Collectives {
 	case CollectiveApprox:
-		resolveApproxKernel(&st.smp, cc.kind, cc.bytes, in, outD, outAttr, outPred, 1)
+		resolveApproxKernel(&st.smp, cc.kind, cc.bytes, in, outD, outAttr, outPred)
 	case CollectiveExplicit:
-		resolveExplicitKernel(&st.smp, cc.kind, cc.bytes, cc.root, in, &st.csc, outD, outAttr, outPred, 1)
+		resolveExplicitKernel(&st.smp, cc.kind, cc.bytes, cc.root, in, &st.csc, outD, outAttr, outPred)
 	default:
 		// Unknown mode: the streaming engine resolves nothing; clear the
 		// reused buffers so stale values from a prior replay can't leak.

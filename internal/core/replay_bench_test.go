@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"mpgraph/internal/dist"
@@ -59,94 +58,6 @@ func BenchmarkReplayCompiled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReplayCompiled(compiled, benchModel(i), Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReplayParallel(b *testing.B) {
-	compiled := benchCompiled(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ReplayParallel(compiled, benchModel(i), Options{}, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkReplayParallelPhases isolates the three phases of the
-// wavefront-slab engine at one worker — the serial-overhead
-// decomposition DESIGN.md §8.3 cites: "prefetch" walks every RNG
-// stream's site list into the value array, "slabs" executes the full
-// slab schedule over pre-filled values, and the whole-engine number
-// minus the two is finalize + scheduling.
-func BenchmarkReplayParallelPhases(b *testing.B) {
-	compiled := benchCompiled(b)
-	model := benchModel(0)
-	plan := compiled.parPlanOf()
-	draws := compiled.drawPlanOf(model)
-	st := newParState(compiled)
-	res := &Result{
-		NRanks:  compiled.nranks,
-		Ranks:   make([]RankResult, compiled.nranks),
-		Regions: map[RegionKey]*RegionStats{},
-	}
-	reset := func() {
-		for i := range res.Ranks {
-			res.Ranks[i] = RankResult{}
-		}
-		st.reset(compiled, model, plan, draws, res, false, 1)
-	}
-	b.Run("prefetch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reset()
-			for s := 0; s <= compiled.nranks; s++ {
-				st.prefetch(&st.workers[0], s)
-			}
-		}
-	})
-	b.Run("slabs", func(b *testing.B) {
-		reset()
-		for s := 0; s <= compiled.nranks; s++ {
-			st.prefetch(&st.workers[0], s)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := range res.Ranks {
-				res.Ranks[r] = RankResult{}
-			}
-			for r := range st.prevD {
-				st.prevD[r] = 0
-				st.prevAttr[r] = Attribution{}
-				st.ordViol[r] = 0
-				st.cursors[r] = parCursor{}
-			}
-			for j := range st.regions {
-				st.regions[j] = RegionStats{}
-			}
-			st.frontier.Reset(compiled.nranks)
-			if err := st.frontier.Run(1, plan.targets, nil, func(me, rank int) int64 {
-				return st.advance(&st.workers[me], rank)
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkReplayBatch16(b *testing.B) {
-	compiled := benchCompiled(b)
-	const lanes = 16
-	models := make([]*Model, lanes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
-		for k := 0; k < lanes; k++ {
-			models[k] = benchModel(i + k)
-		}
-		if _, err := ReplayBatch(compiled, models, BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

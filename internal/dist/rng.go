@@ -152,29 +152,15 @@ func (r *RNG) ForkNamedInto(label string, dst *RNG) {
 // labels[1]), ... would produce — fork order matters, because every
 // fork advances the root stream — but without allocating. It exists
 // for pooled replay state that re-seeds a fixed generator hierarchy
-// (one per rank plus shared streams) once per replay, and for the
-// batched replayer, which re-seeds one such hierarchy per lane.
+// (one per rank plus shared streams) once per replay.
 // It panics if len(dst) < len(labels).
 //
 //mpg:hotpath
 func ForkHierarchyInto(seed uint64, labels []string, dst []RNG) {
-	ForkHierarchyIntoStride(seed, labels, dst, 1)
-}
-
-// ForkHierarchyIntoStride is ForkHierarchyInto writing labels[i]'s
-// generator into dst[i*stride] instead of dst[i]. The lane-batched
-// replayer keeps its K lane hierarchies stream-major (one stream's K
-// lane generators contiguous, so batched SampleInto draws walk a
-// contiguous span); each lane seeds its strided column with exactly
-// the states a dense ForkHierarchyInto would produce. It panics if
-// dst cannot hold (len(labels)-1)*stride+1 generators.
-//
-//mpg:hotpath
-func ForkHierarchyIntoStride(seed uint64, labels []string, dst []RNG, stride int) {
 	var root RNG
 	root.Reseed(seed)
 	for i := range labels {
-		root.ForkNamedInto(labels[i], &dst[i*stride])
+		root.ForkNamedInto(labels[i], &dst[i])
 	}
 }
 

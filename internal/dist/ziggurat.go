@@ -5,7 +5,7 @@ import "math"
 // Ziggurat fast sampling (Marsaglia & Tsang 2000) for the two
 // distributions that dominate replay cost: Exponential and Normal.
 //
-// The batch-replay profile (DESIGN.md §8.1) showed ~50% of replay time
+// A replay profile (DESIGN.md §8.1) showed ~50% of replay time
 // inside `-mean * math.Log(u)`. The ziggurat replaces the per-draw
 // logarithm with a 256-layer table lookup: the target density is
 // covered by 256 equal-area horizontal regions; a draw picks a region
@@ -18,7 +18,7 @@ import "math"
 // Determinism contract: all randomness still flows through the caller's
 // *RNG, so a draw is a pure function of the generator's state and two
 // generators with equal seeds produce identical sample streams — across
-// engines, platforms, and lane widths. The *stream itself* differs from
+// engines and platforms. The *stream itself* differs from
 // the pre-ziggurat inverse-CDF/Box–Muller samplers (a fast-path draw
 // consumes exactly one Uint64; wedge retries consume one Uint64 plus
 // one Float64 each; tail draws consume Float64Open pairs), which is why
@@ -188,62 +188,6 @@ func stdNormSlow(r *RNG, u uint64) float64 {
 			}
 			return x
 		}
-	}
-}
-
-// BatchSampler is the lane-vectorized draw interface: one table-lookup
-// loop fills a lane-strided span instead of K interface-dispatched
-// scalar draws. Lane i draws from r[i] alone and lands at dst[i*stride],
-// so dst[i*stride] is bit-identical to what Sample(&r[i]) would have
-// returned and each generator advances exactly as a scalar draw would
-// advance it — batching is invisible to per-lane streams, which is what
-// lets the lane-batched replay engine stay byte-identical per lane.
-type BatchSampler interface {
-	Distribution
-	SampleInto(dst []float64, stride int, r []RNG)
-}
-
-var (
-	_ BatchSampler = Exponential{}
-	_ BatchSampler = Normal{}
-	_ BatchSampler = Uniform{}
-	_ BatchSampler = Constant{}
-)
-
-// SampleInto implements BatchSampler.
-//
-//mpg:hotpath
-func (e Exponential) SampleInto(dst []float64, stride int, r []RNG) {
-	for i := range r {
-		dst[i*stride] = e.MeanValue * stdExp(&r[i])
-	}
-}
-
-// SampleInto implements BatchSampler.
-//
-//mpg:hotpath
-func (n Normal) SampleInto(dst []float64, stride int, r []RNG) {
-	for i := range r {
-		dst[i*stride] = n.Mu + n.Sigma*stdNorm(&r[i])
-	}
-}
-
-// SampleInto implements BatchSampler.
-//
-//mpg:hotpath
-func (u Uniform) SampleInto(dst []float64, stride int, r []RNG) {
-	for i := range r {
-		dst[i*stride] = u.Low + (u.High-u.Low)*r[i].Float64()
-	}
-}
-
-// SampleInto implements BatchSampler. Constant consumes no RNG bits,
-// exactly like its scalar Sample.
-//
-//mpg:hotpath
-func (c Constant) SampleInto(dst []float64, stride int, r []RNG) {
-	for i := range r {
-		dst[i*stride] = c.C
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 // Differential tests for the ziggurat fast path: the fast samplers are
 // compared against the retained pre-ziggurat reference samplers
 // (Exact()) with the two-sample Kolmogorov–Smirnov statistic, the rare
-// slow branches are stress-tested directly, and the lane-vectorized
-// SampleInto draws are pinned bit-identical to scalar draws.
+// slow branches are stress-tested directly.
 
 const (
 	zigTestN     = 40000
@@ -192,57 +191,6 @@ func TestZigguratDeterminism(t *testing.T) {
 	}
 	if frac := float64(fastPath) / 4096; frac < 0.97 {
 		t.Errorf("fast-path rate %.3f; ziggurat should accept ≥ ~98.9%% in one compare", frac)
-	}
-}
-
-// TestSampleIntoMatchesScalar pins the lane-vectorized draws
-// bit-identical to scalar draws: for every BatchSampler, SampleInto
-// over K lanes must produce exactly Sample(&r[i]) per lane and leave
-// each lane generator in exactly the post-scalar-draw state —
-// including through a non-unit stride.
-func TestSampleIntoMatchesScalar(t *testing.T) {
-	batchers := []BatchSampler{
-		Exponential{MeanValue: 250},
-		Normal{Mu: 3, Sigma: 1.5},
-		Uniform{Low: 2, High: 9},
-		Constant{C: 42},
-	}
-	const lanes = 8
-	for _, d := range batchers {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			for _, stride := range []int{1, 3} {
-				batchRNG := make([]RNG, lanes)
-				scalarRNG := make([]RNG, lanes)
-				for i := range batchRNG {
-					seed := statSeed(d.String()) + uint64(i)*0x9e3779b97f4a7c15
-					batchRNG[i].Reseed(seed)
-					scalarRNG[i].Reseed(seed)
-				}
-				dst := make([]float64, (lanes-1)*stride+1)
-				for i := range dst {
-					dst[i] = math.NaN() // canary: strided gaps must stay untouched
-				}
-				d.SampleInto(dst, stride, batchRNG)
-				for i := 0; i < lanes; i++ {
-					want := d.Sample(&scalarRNG[i])
-					if got := dst[i*stride]; got != want {
-						t.Fatalf("stride %d lane %d: batch draw %v != scalar draw %v",
-							stride, i, got, want)
-					}
-					if batchRNG[i] != scalarRNG[i] {
-						t.Fatalf("stride %d lane %d: generator state diverged after draw", stride, i)
-					}
-				}
-				if stride > 1 {
-					for i := range dst {
-						if i%stride != 0 && !math.IsNaN(dst[i]) {
-							t.Fatalf("stride %d: gap slot %d overwritten", stride, i)
-						}
-					}
-				}
-			}
-		})
 	}
 }
 

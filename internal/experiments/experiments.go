@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"mpgraph/internal/baseline"
@@ -40,14 +39,6 @@ type Config struct {
 	// seeded from Config.Seed and the grid point alone, and rows are
 	// assembled in grid order after collection.
 	Workers int
-	// ReplayWorkers, when > 1, runs the batch-replayed model grids
-	// through the wavefront-slab parallel engine instead
-	// (core.ReplayParallel at ReplayWorkers cores per model, models
-	// fanned out over max(1, Workers/ReplayWorkers) outer tasks so the
-	// total budget stays ~Workers). Byte-identical for every setting —
-	// the engines are pinned equivalent — it only moves the
-	// parallelism between the grid and the single replay.
-	ReplayWorkers int
 	// Metrics, when non-nil, receives pool observability from every
 	// grid fan-out (out-of-band; tables and verdicts are unchanged).
 	Metrics *obsv.Registry
@@ -65,30 +56,18 @@ func (c Config) pool() parallel.Options {
 	return parallel.Options{Workers: c.Workers, Metrics: c.Metrics}
 }
 
-// replayGrid propagates a grid of models over one compiled program.
-// The default engine is the lane-batched walk (one task, K models per
-// tape pass); with ReplayWorkers > 1 each model instead runs through
-// the wavefront-slab parallel engine, with the Workers budget split
-// between outer model fan-out and intra-replay slab workers. Both
-// paths are byte-identical — the equivalence suites pin it — so the
-// switch changes scheduling only.
+// replayGrid propagates a grid of models over one compiled program,
+// one compiled replay per model fanned out over the grid pool. Every
+// replay derives its randomness from its own model, so the rows are
+// identical for any pool size.
 func (c Config) replayGrid(prog *core.Compiled, models []*core.Model) ([]*core.Result, error) {
-	if c.ReplayWorkers <= 1 {
-		return core.ReplayBatch(prog, models, core.BatchOptions{
-			Options: core.Options{Metrics: c.Metrics},
-		})
-	}
-	outer := c.Workers
-	if outer <= 0 {
-		outer = runtime.GOMAXPROCS(0)
-	}
-	if outer = outer / c.ReplayWorkers; outer < 1 {
-		outer = 1
-	}
-	popts := parallel.Options{Workers: outer, Metrics: c.Metrics}
-	return parallel.Map(len(models), popts, func(i int) (*core.Result, error) {
-		return core.ReplayParallel(prog, models[i], core.Options{Metrics: c.Metrics}, c.ReplayWorkers)
+	results, err := parallel.Map(len(models), c.pool(), func(i int) (*core.Result, error) {
+		return core.ReplayCompiled(prog, models[i], core.Options{Metrics: c.Metrics})
 	})
+	if err != nil {
+		return nil, unwrapTask(err)
+	}
+	return results, nil
 }
 
 // Outcome is one experiment's result.
@@ -371,9 +350,8 @@ func runSec61(cfg Config) (*Outcome, error) {
 		xs = append(xs, c)
 	}
 	// The whole grid analyzes the same deterministic trace under
-	// different models: trace and compile once, then propagate every
-	// point as one lane of a single batched tape walk (each lane is
-	// byte-identical to a standalone per-point replay).
+	// different models: trace and compile once, then replay the
+	// compiled program once per point.
 	set, err := traceWorkload("tokenring", ranks, workloads.Options{Iterations: traversals}, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -538,9 +516,8 @@ func runAblD(cfg Config) (*Outcome, error) {
 	deltas := []float64{10, 100, 1000, 10000}
 	modes := []core.PropagationMode{core.PropagationAdditive, core.PropagationAnchored}
 	// One deterministic trace serves the whole (delta × mode) grid:
-	// compile once, then propagate every cell as one lane of a single
-	// batched tape walk (the batch engine supports heterogeneous lane
-	// models, so the additive and anchored cells share the walk).
+	// compile once, then replay the compiled program once per cell,
+	// additive and anchored alike.
 	set, err := traceWorkload("tokenring", n, workloads.Options{Iterations: iters}, cfg.Seed)
 	if err != nil {
 		return nil, err

@@ -127,13 +127,12 @@ func TestSweepTrialsDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepTrialsDeterminismAcrossLanes proves lane batching is pure
-// packing: for every lane width — auto, forced single-replay, odd,
-// wider than the trial count — and for the streaming engine, the
-// Monte Carlo sweep fingerprints bit-identically. Trial seeds derive
-// from the flattened (point × trial) index alone, so how trials are
-// grouped into tape walks can never show through.
-func TestSweepTrialsDeterminismAcrossLanes(t *testing.T) {
+// TestSweepTrialsDeterminismAcrossEngines proves the engine choice is
+// invisible: for every pool size the compiled Monte Carlo sweep
+// fingerprints bit-identically to the streaming one. Trial seeds
+// derive from the flattened (point × trial) index alone, so neither
+// the engine nor how trials are scheduled can show through.
+func TestSweepTrialsDeterminismAcrossEngines(t *testing.T) {
 	base := Config{
 		Workload:        "stencil1d",
 		WorkloadOptions: workloads.Options{Iterations: 3, CollEvery: 2},
@@ -143,35 +142,26 @@ func TestSweepTrialsDeterminismAcrossLanes(t *testing.T) {
 		NoiseMean: 180,
 		ModelSeed: 13,
 		Trials:    5,
-		Workers:   4,
+		Workers:   1,
 	}
 	ref := base
-	ref.ReplayLanes = 1
+	ref.StreamingTrials = true
 	want, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantFP := sweepFingerprint(want)
-	for _, lanes := range []int{0, 2, 3, 5, 64} {
+	for _, workers := range []int{1, 2, 4, 64} {
 		cfg := base
-		cfg.ReplayLanes = lanes
+		cfg.Workers = workers
 		got, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if fp := sweepFingerprint(got); fp != wantFP {
-			t.Fatalf("lanes=%d diverges from single-replay trials:\n--- lanes=1\n%s\n--- lanes=%d\n%s",
-				lanes, wantFP, lanes, fp)
+			t.Fatalf("compiled trials at workers=%d diverge from streaming trials:\n--- streaming\n%s\n--- compiled\n%s",
+				workers, wantFP, fp)
 		}
-	}
-	cfg := base
-	cfg.StreamingTrials = true
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp := sweepFingerprint(got); fp != wantFP {
-		t.Fatalf("streaming trials diverge from batched trials:\n--- batched\n%s\n--- streaming\n%s", wantFP, fp)
 	}
 }
 

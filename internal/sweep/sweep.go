@@ -13,7 +13,6 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -119,30 +118,6 @@ type Config struct {
 	// analyzer instead of the compiled replayer — an escape hatch for
 	// debugging and for A/B-verifying the two engines.
 	StreamingTrials bool
-	// ReplayLanes sets the lane width of batched compiled trials: each
-	// worker task walks a point's compiled tape once while propagating
-	// up to ReplayLanes trial models simultaneously (core.ReplayBatch).
-	// Zero (the default) runs the pooled single-replay path — since the
-	// draw-specialization work the scalar replay is faster per trial
-	// than the K=16 batch (DESIGN.md §8.1), so batching is opt-in: set
-	// ReplayLanes > 1 explicitly to pack trials per tape walk. Lane
-	// packing never changes any result — every lane is byte-identical
-	// to a standalone replay with the same derived trial seed — it only
-	// changes how trials map onto worker tasks. Streaming trials (and
-	// trials with a Trajectory sink, whose per-replay point streams
-	// must stay un-interleaved) ignore it.
-	ReplayLanes int
-	// ReplayWorkers sets the intra-replay worker count of compiled
-	// Monte Carlo trials: when > 1 each trial runs through the
-	// wavefront-slab parallel engine (core.ReplayParallel) on up to
-	// ReplayWorkers cores, and the outer trial pool is shrunk to
-	// max(1, Workers/ReplayWorkers) so the total concurrency budget
-	// stays ~Workers (inter-replay × intra-replay). Useful when points
-	// × trials is small relative to the core count — few big replays —
-	// otherwise trial fan-out already saturates the machine. Results
-	// are byte-identical for every setting. Streaming trials and
-	// lane-batched trials (ReplayLanes > 1) ignore it.
-	ReplayWorkers int
 	// Metrics, when non-nil, receives sweep observability: tracing
 	// phase timers, point/trial counters, the pool metrics (it is
 	// passed into the worker pool), and — unless Analyze.Metrics is
@@ -361,36 +336,6 @@ func (cfg Config) runTrials(vals []float64, popts parallel.Options) ([]Point, er
 	cfg.Metrics.Counter("sweep_trials_total").Add(int64(len(vals) * trials))
 	if !streaming {
 		cfg.Metrics.Counter("sweep_compiled_points_total").Add(int64(len(vals)))
-		// Batching is opt-in (ReplayLanes > 0): the specialized scalar
-		// replay now outruns the lane batch per trial, so auto means
-		// scalar. See Config.ReplayLanes and DESIGN.md §8.1.
-		lanes := 1
-		if cfg.ReplayLanes > 0 {
-			lanes = core.PickReplayLanes(cfg.ReplayLanes, trials)
-		}
-		if cfg.Analyze.Trajectory != nil {
-			// A trajectory sink observes one replay's points in order;
-			// lane batching would interleave trials within a task.
-			lanes = 1
-		}
-		if lanes > 1 {
-			return cfg.runBatchedTrials(vals, progs, popts, lanes)
-		}
-	}
-	replayWorkers := 1
-	if !streaming && cfg.ReplayWorkers > 1 {
-		// Split the concurrency budget between trial fan-out and
-		// intra-replay slab workers: outer × inner ≈ Workers.
-		replayWorkers = cfg.ReplayWorkers
-		outer := cfg.Workers
-		if outer <= 0 {
-			outer = runtime.GOMAXPROCS(0)
-		}
-		if outer = outer / replayWorkers; outer < 1 {
-			outer = 1
-		}
-		popts.Workers = outer
-		cfg.Metrics.Gauge("sweep_replay_workers").SetMax(float64(replayWorkers))
 	}
 	tick := cfg.progressTick(len(vals) * trials)
 	results, err := parallel.Map(len(vals)*trials, popts, func(t int) (*core.Result, error) {
@@ -422,11 +367,7 @@ func (cfg Config) runTrials(vals []float64, popts parallel.Options) ([]Point, er
 		if err != nil {
 			return nil, err
 		}
-		if replayWorkers > 1 {
-			res, err = core.ReplayParallel(prog, trial, cfg.Analyze, replayWorkers)
-		} else {
-			res, err = core.ReplayCompiled(prog, trial, cfg.Analyze)
-		}
+		res, err = core.ReplayCompiled(prog, trial, cfg.Analyze)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: value %g trial %d: %w", v, t%trials, err)
 		}
@@ -438,65 +379,9 @@ func (cfg Config) runTrials(vals []float64, popts parallel.Options) ([]Point, er
 	return aggregateTrialPoints(vals, results, trials), nil
 }
 
-// runBatchedTrials is the lane-batched compiled path: each worker task
-// owns one chunk of up to `lanes` consecutive trials of one point and
-// propagates them in a single tape walk (core.ReplayBatch). Trial
-// seeds are derived from the same flattened (point × trial) task index
-// the unbatched path uses — parallel.TaskSeed(ModelSeed, p*trials+k) —
-// so every lane width, including 1, produces byte-identical sweeps.
-func (cfg Config) runBatchedTrials(vals []float64, progs []pointProg, popts parallel.Options, lanes int) ([]Point, error) {
-	trials := cfg.Trials
-	chunks := (trials + lanes - 1) / lanes
-	cfg.Metrics.Counter("sweep_replay_batches_total").Add(int64(len(vals) * chunks))
-	cfg.Metrics.Gauge("sweep_replay_lanes").SetMax(float64(lanes))
-	tick := cfg.progressTick(len(vals) * trials)
-	batches, err := parallel.Map(len(vals)*chunks, popts, func(b int) ([]*core.Result, error) {
-		p := b / chunks
-		defer cfg.Metrics.SpanStart("sweep_point")()
-		lo := (b % chunks) * lanes
-		n := lanes
-		if lo+n > trials {
-			n = trials - lo
-		}
-		v := vals[p]
-		model, mcfg, err := cfg.pointModel(v)
-		if err != nil {
-			return nil, err
-		}
-		models := make([]*core.Model, n)
-		for k := 0; k < n; k++ {
-			trial := model.Clone()
-			trial.Seed = parallel.TaskSeed(cfg.ModelSeed, p*trials+lo+k)
-			models[k] = trial
-		}
-		prog, err := progs[p].get(cfg, v, mcfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.ReplayBatch(prog, models, core.BatchOptions{Options: cfg.Analyze})
-		if err != nil {
-			return nil, fmt.Errorf("sweep: value %g trials %d..%d: %w", v, lo, lo+n-1, err)
-		}
-		for range res {
-			tick()
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, unwrapTask(err)
-	}
-	results := make([]*core.Result, len(vals)*trials)
-	for b, rs := range batches {
-		p := b / chunks
-		lo := (b % chunks) * lanes
-		copy(results[p*trials+lo:], rs)
-	}
-	return aggregateTrialPoints(vals, results, trials), nil
-}
-
 // aggregateTrialPoints folds the flattened (point × trial) results
-// into per-point trial statistics, identically for the streaming,
-// single-replay, and batched paths.
+// into per-point trial statistics, identically for the streaming and
+// compiled paths.
 func aggregateTrialPoints(vals []float64, results []*core.Result, trials int) []Point {
 	points := make([]Point, len(vals))
 	maxima := make([]float64, trials)

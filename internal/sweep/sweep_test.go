@@ -141,10 +141,9 @@ func TestMetricsAndProgress(t *testing.T) {
 		Machine:         machine.Config{NRanks: 4, Seed: 5},
 		Param:           ParamLatency,
 		From:            0, To: 200, Step: 100,
-		Trials:      3,
-		Workers:     2,
-		ReplayLanes: 16, // opt in to lane batching; auto is scalar now
-		Metrics:     reg,
+		Trials:  3,
+		Workers: 2,
+		Metrics: reg,
 		Progress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -169,26 +168,21 @@ func TestMetricsAndProgress(t *testing.T) {
 	}
 	mu.Unlock()
 	snap := reg.Snapshot()
-	// Trials ride the lane-batched replay path: each point's 3 trials
-	// pack into one core.ReplayBatch task, so the pool sees 3 tasks
-	// while progress and replay counters still tick once per trial.
+	// Trials ride the compiled replay path: each of the 9 trials is
+	// one pool task replaying its point's compiled program.
 	for name, want := range map[string]int64{
 		"sweep_points_total":          3,
 		"sweep_trials_total":          9,
 		"sweep_compiled_points_total": 3,
-		"sweep_replay_batches_total":  3,
-		"parallel_tasks_total":        3,
+		"parallel_tasks_total":        9,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if lanes := snap.Gauges["sweep_replay_lanes"]; lanes != 3 {
-		t.Errorf("sweep_replay_lanes = %g, want 3", lanes)
-	}
 	// Engine counters flow through Analyze.Metrics defaulting: each
 	// point compiles once (a zero-model streaming pass) and each trial
-	// replays the compiled program (as one lane of the point's batch).
+	// replays the compiled program.
 	if got := snap.Counters["core_compiles_total"]; got != 3 {
 		t.Errorf("core_compiles_total = %d, want 3", got)
 	}
@@ -199,10 +193,10 @@ func TestMetricsAndProgress(t *testing.T) {
 		t.Error("core_events_total is zero")
 	}
 	if ms := snap.PhaseMS(); ms["sweep_run"] <= 0 || ms["sweep_trace"] <= 0 ||
-		ms["core_compile"] <= 0 || ms["core_replay_batch"] <= 0 {
+		ms["core_compile"] <= 0 || ms["core_replay_compiled"] <= 0 {
 		t.Errorf("phase timings not all positive: %v", ms)
 	}
-	if h, ok := snap.Histograms["parallel_task_ms"]; !ok || h.Count != 3 {
+	if h, ok := snap.Histograms["parallel_task_ms"]; !ok || h.Count != 9 {
 		t.Errorf("parallel_task_ms histogram = %+v", snap.Histograms["parallel_task_ms"])
 	}
 	if w := snap.Gauges["parallel_pool_workers"]; w != 2 {

@@ -20,9 +20,7 @@ import (
 // second process group. Events are emitted one per line in a fixed
 // order derived only from the timeline's content, so the same replay
 // always produces byte-identical output — the golden test pins this
-// across the streaming, compiled, batched, and wavefront-slab parallel
-// engines (the parallel engine's replay_slabs/replay_finalize phase
-// spans ride the same generic engine-span process).
+// across the streaming and compiled engines.
 //
 // Events are encoded without reflection: eventWriter appends each one,
 // field by field, to a reused buffer that it hands to the destination

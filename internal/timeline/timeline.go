@@ -5,8 +5,7 @@
 // wait part, and classifies the wait by what the rank was waiting for
 // (late sender, late receiver, collective imbalance). The recorder is
 // a core.Options.Interval hook, so it works identically under the
-// streaming analyzer, the compiled replayer, and (per lane) the
-// batched replayer.
+// streaming analyzer and the compiled replayer.
 //
 // The decomposition is exact, not approximate: interval boundaries are
 // shared bit-for-bit between adjacent segments, a rank's last interval
@@ -77,9 +76,8 @@ type RankWaits struct {
 }
 
 // Timeline accumulates per-rank tracks from IntervalPoints. Record is
-// directly usable as core.Options.Interval (or, with a lane wrapper,
-// BatchOptions.LaneInterval). Not safe for concurrent use; one replay
-// feeds one Timeline.
+// directly usable as core.Options.Interval. Not safe for concurrent
+// use; one replay feeds one Timeline.
 type Timeline struct {
 	Ranks [][]Event
 	Flows []Flow

@@ -390,53 +390,3 @@ func TestStreamingAndCompiledAgree(t *testing.T) {
 		t.Fatalf("engines disagree on the exported timeline (%d vs %d bytes)", a.Len(), b.Len())
 	}
 }
-
-// TestParallelEngineTimelineAgrees extends the engine-independence pin
-// to the wavefront-slab parallel replayer: the interval stream is
-// emitted in the serial finalize pass, so the exported timeline must
-// be byte-identical to the compiled engine's for any worker count.
-func TestParallelEngineTimelineAgrees(t *testing.T) {
-	tl, res := replayTimeline(t, noisyModel())
-
-	dir := t.TempDir()
-	prog, err := workloads.BuildByName("tokenring", workloads.Options{Iterations: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mpi.Run(mpi.Config{
-		Machine:  machine.Config{NRanks: 4, Seed: 1},
-		TraceDir: dir,
-	}, prog); err != nil {
-		t.Fatal(err)
-	}
-	set, closeFn, err := trace.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeFn() //nolint:errcheck
-	c, err := core.Compile(set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptl := New(c.NRanks())
-	pres, err := core.ReplayParallel(c, noisyModel(), core.Options{
-		RecordCritPath: true,
-		Interval:       ptl.Record,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad := ptl.Check(pres); len(bad) > 0 {
-		t.Fatalf("parallel decomposition violated:\n%s", strings.Join(bad, "\n"))
-	}
-	var a, b bytes.Buffer
-	if err := tl.WriteJSON(&a, ExportOptions{CritPath: res.CritPath}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ptl.WriteJSON(&b, ExportOptions{CritPath: pres.CritPath}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("parallel engine disagrees on the exported timeline (%d vs %d bytes)", a.Len(), b.Len())
-	}
-}

@@ -223,20 +223,22 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if nmeta > 1<<20 {
 		return nil, fmt.Errorf("trace: implausible metadata count %d", nmeta)
 	}
+	// The map grows as entries arrive: nmeta is only what the input
+	// declares, so it must not size an allocation up front.
 	var meta map[string]string
-	if nmeta > 0 {
-		meta = make(map[string]string, nmeta)
-		for i := uint64(0); i < nmeta; i++ {
-			k, err := d.readString()
-			if err != nil {
-				return nil, err
-			}
-			v, err := d.readString()
-			if err != nil {
-				return nil, err
-			}
-			meta[k] = v
+	for i := uint64(0); i < nmeta; i++ {
+		k, err := d.readString()
+		var v string
+		if err == nil {
+			v, err = d.readString()
 		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading metadata entry %d of %d: %w", i, nmeta, err)
+		}
+		if meta == nil {
+			meta = map[string]string{}
+		}
+		meta[k] = v
 	}
 	d.header = Header{Rank: int(rank), NRanks: int(nranks), ClockHz: int64(clockhz), Meta: meta}
 	if err := d.header.Validate(); err != nil {
@@ -253,8 +255,10 @@ func (d *Decoder) readString() (string, error) {
 	if n > 1<<24 {
 		return "", fmt.Errorf("trace: implausible string length %d", n)
 	}
+	// Like the metadata count, n is only declared: grow the builder as
+	// bytes arrive rather than by n up front.
 	var sb strings.Builder
-	sb.Grow(int(n))
+	sb.Grow(int(min(n, 4096)))
 	if _, err := io.CopyN(&sb, d.r, int64(n)); err != nil {
 		return "", err
 	}

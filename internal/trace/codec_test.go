@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +106,47 @@ func TestDecoderRejectsBadMagic(t *testing.T) {
 func TestDecoderRejectsShortInput(t *testing.T) {
 	if _, err := NewDecoder(bytes.NewReader([]byte("MP"))); err == nil {
 		t.Fatal("short input accepted")
+	}
+}
+
+// TestDecoderDeclaredSizesDoNotSizeAllocations feeds headers that
+// declare a large count and then end: 2^20 metadata entries (an
+// 11-byte input), and one entry whose key declares 2^24 bytes. The
+// decoder must fail on the missing entry, naming it, without
+// allocating in proportion to what the input declared.
+func TestDecoderDeclaredSizesDoNotSizeAllocations(t *testing.T) {
+	header := func(fields ...uint64) []byte {
+		hdr := []byte(magic)
+		for _, v := range fields {
+			hdr = binary.AppendUvarint(hdr, v)
+		}
+		return hdr
+	}
+	for _, tc := range []struct {
+		name    string
+		input   []byte
+		wantErr string
+	}{
+		// version, rank, nranks, clock, nmeta
+		{"metadata count", header(formatVersion, 0, 1, 1, 1<<20), "reading metadata entry 0 of 1048576"},
+		// ... then one key length
+		{"string length", header(formatVersion, 0, 1, 1, 1, 1<<24), "reading metadata entry 0 of 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewDecoder(bytes.NewReader(tc.input))
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.Is(err, io.EOF) {
+				t.Fatalf("err = %v, want a wrapped EOF containing %q", err, tc.wantErr)
+			}
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, _ = NewDecoder(bytes.NewReader(tc.input))
+				}
+			})
+			if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+				t.Fatalf("decoding the %d-byte header allocates %d B, want < 64 KiB", len(tc.input), got)
+			}
+		})
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 // CheckScenario runs every check the harness has against one
 // scenario: the structural linter over its generated trace, the
 // differential graph-vs-DES comparison, the metamorphic property
-// suite, the compiled-replay and lane-batched-replay equivalence
-// checks, and the timeline wait-state decomposition invariant. The
-// returned strings are check failures; an empty slice means
-// the scenario passes. Infrastructure errors (the scenario cannot even
+// suite, the compiled-replay equivalence check, and the timeline
+// wait-state decomposition invariant. The returned strings are check
+// failures; an empty slice means the scenario passes. Infrastructure errors (the scenario cannot even
 // be traced) are reported as failures too — a generated scenario that
 // crashes an engine is a finding, not an excuse.
 func CheckScenario(sc *Scenario) []string {
@@ -51,22 +50,6 @@ func CheckScenario(sc *Scenario) []string {
 	} else {
 		for _, f := range cf {
 			failures = append(failures, "compiled: "+f)
-		}
-	}
-	bf, err := CompiledBatchEquivalence(sc)
-	if err != nil {
-		failures = append(failures, fmt.Sprintf("compiled-batch: %v", err))
-	} else {
-		for _, f := range bf {
-			failures = append(failures, "compiled-batch: "+f)
-		}
-	}
-	pf, err := CompiledParallelEquivalence(sc)
-	if err != nil {
-		failures = append(failures, fmt.Sprintf("compiled-parallel: %v", err))
-	} else {
-		for _, f := range pf {
-			failures = append(failures, "compiled-parallel: "+f)
 		}
 	}
 	tf, err := TimelineInvariant(sc)

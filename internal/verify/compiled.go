@@ -69,109 +69,12 @@ func CompiledEquivalence(sc *Scenario) ([]string, error) {
 	return failures, nil
 }
 
-// CompiledBatchEquivalence asserts the lane-batched replayer is
-// indistinguishable from the single-lane compiled replayer: the same
-// model grid CompiledEquivalence walks one at a time is packed as the
-// lanes of a single ReplayBatch tape walk — heterogeneous propagation
-// modes, collective modes, and sampler seeds side by side — and every
-// lane's Result must be deeply equal to a standalone ReplayCompiled of
-// that lane's model. Together with CompiledEquivalence this closes the
-// chain streaming ≡ compiled ≡ batched for the scenario.
-func CompiledBatchEquivalence(sc *Scenario) ([]string, error) {
-	traces, err := sc.BuildMemTraces()
-	if err != nil {
-		return nil, err
-	}
-	cset, err := trace.SetFromMem(traces)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := core.Compile(cset, core.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	models, labels := equivalenceGrid(sc)
-	opts := core.Options{RecordCritPath: true}
-	batch, err := core.ReplayBatch(prog, models, core.BatchOptions{Options: opts})
-	if err != nil {
-		return nil, fmt.Errorf("batch replay: %w", err)
-	}
-	var failures []string
-	for i, trial := range models {
-		want, err := core.ReplayCompiled(prog, trial, opts)
-		if err != nil {
-			failures = append(failures, fmt.Sprintf("%s: compiled replay: %v", labels[i], err))
-			continue
-		}
-		if !reflect.DeepEqual(want, batch[i]) {
-			failures = append(failures, fmt.Sprintf(
-				"%s: batch lane %d diverged from single compiled replay (makespan %g vs %g, crit-path steps %d vs %d, warnings %d vs %d)",
-				labels[i], i,
-				batch[i].MakespanDelay, want.MakespanDelay,
-				critSteps(batch[i]), critSteps(want),
-				len(batch[i].Warnings), len(want.Warnings)))
-		}
-	}
-	return failures, nil
-}
-
-// CompiledParallelEquivalence asserts the wavefront-slab parallel
-// replayer is indistinguishable from the single-core compiled
-// replayer: every model in the shared equivalence grid is replayed
-// through core.ReplayParallel at 2 and 4 workers, and each Result must
-// be deeply equal to the serial ReplayCompiled of the same model —
-// critical path included. Together with CompiledEquivalence this
-// closes the chain streaming ≡ compiled ≡ parallel for the scenario,
-// for every worker count (1 and >nranks are degenerate cases of the
-// same engine, pinned by the core test suite).
-func CompiledParallelEquivalence(sc *Scenario) ([]string, error) {
-	traces, err := sc.BuildMemTraces()
-	if err != nil {
-		return nil, err
-	}
-	cset, err := trace.SetFromMem(traces)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := core.Compile(cset, core.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	models, labels := equivalenceGrid(sc)
-	opts := core.Options{RecordCritPath: true}
-	var failures []string
-	for i, trial := range models {
-		want, err := core.ReplayCompiled(prog, trial, opts)
-		if err != nil {
-			failures = append(failures, fmt.Sprintf("%s: compiled replay: %v", labels[i], err))
-			continue
-		}
-		for _, workers := range []int{2, 4} {
-			got, err := core.ReplayParallel(prog, trial, opts, workers)
-			if err != nil {
-				failures = append(failures, fmt.Sprintf("%s: parallel replay (%d workers): %v", labels[i], workers, err))
-				continue
-			}
-			if !reflect.DeepEqual(want, got) {
-				failures = append(failures, fmt.Sprintf(
-					"%s: parallel replay at %d workers diverged from serial compiled replay (makespan %g vs %g, crit-path steps %d vs %d, warnings %d vs %d)",
-					labels[i], workers,
-					got.MakespanDelay, want.MakespanDelay,
-					critSteps(got), critSteps(want),
-					len(got.Warnings), len(want.Warnings)))
-			}
-		}
-	}
-	return failures, nil
-}
-
-// equivalenceGrid builds the model grid both compiled-replay checks
-// share — the scenario's constant perturbation (as the differential
+// equivalenceGrid builds the model grid CompiledEquivalence walks —
+// the scenario's constant perturbation (as the differential
 // check models it) and a seeded stochastic model (equivalence must
 // hold draw for draw, not just in expectation), each crossed with both
 // propagation modes and both collective modes — plus one label per
-// cell for failure messages. Grid order is deterministic, so batch
-// lane i always carries the model labels[i] names.
+// cell for failure messages.
 func equivalenceGrid(sc *Scenario) ([]*core.Model, []string) {
 	lat, perByte, noise := sc.graphDeltas()
 	bases := []*core.Model{

@@ -34,35 +34,3 @@ func TestCompiledEquivalenceCollectiveWorkload(t *testing.T) {
 		t.Error(f)
 	}
 }
-
-// TestCompiledBatchEquivalenceClasses runs the batch-vs-single lane
-// check over one fixed scenario per perturbation class: the whole
-// heterogeneous model grid rides a single batched tape walk and every
-// lane must reproduce its standalone replay bit for bit.
-func TestCompiledBatchEquivalenceClasses(t *testing.T) {
-	for _, class := range []Class{ClassLatency, ClassBandwidth, ClassNoise, ClassMixed} {
-		sc := fixedScenario(class)
-		failures, err := CompiledBatchEquivalence(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", class, err)
-		}
-		for _, f := range failures {
-			t.Errorf("%s: %s", class, f)
-		}
-	}
-}
-
-// TestCompiledBatchEquivalenceCollectiveWorkload exercises the lane-
-// strided collective resolve kernels inside the batch walk.
-func TestCompiledBatchEquivalenceCollectiveWorkload(t *testing.T) {
-	sc := fixedScenario(ClassMixed)
-	sc.Workload = "bsp"
-	sc.Ranks = 6
-	failures, err := CompiledBatchEquivalence(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range failures {
-		t.Error(f)
-	}
-}
