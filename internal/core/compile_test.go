@@ -9,6 +9,7 @@ import (
 	"mpgraph/internal/dist"
 	"mpgraph/internal/machine"
 	"mpgraph/internal/mpi"
+	"mpgraph/internal/parallel"
 	"mpgraph/internal/trace"
 	"mpgraph/internal/workloads"
 )
@@ -264,6 +265,78 @@ func TestReplayCompiledConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayParallelMatchesCompiled pins the multi-core replay path:
+// trials fanned out with parallel.Map over one shared Compiled, as
+// sweeps and experiment grids run them. Across every workload shape,
+// every model in the equivalence grid and workers in {1, 2, 4, 8},
+// each parallel trial must be byte-identical to a serial
+// ReplayCompiled — the full Result plus the trajectory and interval
+// streams. Each worker runs two trials, so pooled-state reuse under
+// concurrency is exercised too. Run with -race.
+func TestReplayParallelMatchesCompiled(t *testing.T) {
+	snaps := map[string]*trace.Snapshot{
+		"tokenring": snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 4}),
+		"stencil1d": snapWorkload(t, "stencil1d", 8, workloads.Options{Iterations: 6, CollEvery: 2}),
+		"bsp":       snapWorkload(t, "bsp", 6, workloads.Options{Iterations: 3}),
+		"collzoo":   snapProgram(t, 6, collZoo),
+	}
+	type trial struct {
+		res  *Result
+		traj []TrajectoryPoint
+		iv   []IntervalPoint
+	}
+	replay := func(c *Compiled, model *Model) (trial, error) {
+		var tr trial
+		res, err := ReplayCompiled(c, model, Options{
+			RecordCritPath: true,
+			Trajectory:     func(p TrajectoryPoint) { tr.traj = append(tr.traj, p) },
+			Interval:       func(p IntervalPoint) { tr.iv = append(tr.iv, p) },
+		})
+		tr.res = res
+		return tr, err
+	}
+	for name, snap := range snaps {
+		t.Run(name, func(t *testing.T) {
+			set, release := snap.Acquire()
+			c, err := Compile(set, Options{})
+			release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, model := range equivalenceModels() {
+				t.Run(modelLabel(model), func(t *testing.T) {
+					want, err := replay(c, model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 2, 4, 8} {
+						got, err := parallel.Map(2*workers, parallel.Options{Workers: workers}, func(int) (trial, error) {
+							return replay(c, model)
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, g := range got {
+							if !reflect.DeepEqual(want.res, g.res) {
+								t.Fatalf("workers=%d trial %d diverged from serial ReplayCompiled:\n%s",
+									workers, i, diffResults(want.res, g.res))
+							}
+							if !reflect.DeepEqual(want.traj, g.traj) {
+								t.Fatalf("workers=%d trial %d trajectory diverged (%d vs %d points)",
+									workers, i, len(want.traj), len(g.traj))
+							}
+							if !reflect.DeepEqual(want.iv, g.iv) {
+								t.Fatalf("workers=%d trial %d interval stream diverged (%d vs %d points)",
+									workers, i, len(want.iv), len(g.iv))
+							}
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
