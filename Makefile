@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench experiments fuzz verify lint lint-baseline tools clean
+.PHONY: all build test race cover bench experiments fuzz verify lint tools clean
 
 all: build lint test
 
@@ -14,15 +14,10 @@ test:
 	$(GO) test ./...
 
 # Domain static analysis (doc/LINT.md): determinism, RNG ownership,
-# float comparisons, hot-path allocation budgets. Exits 1 on any
-# finding that is neither suppressed in source nor baselined.
+# float comparisons, concurrency, hot-path allocation budgets. Exits 1
+# on any finding not suppressed in source with a reason.
 lint:
 	$(GO) run ./cmd/mpg-lint ./...
-
-# Absorb all current findings into lint.baseline.json. Use sparingly:
-# the committed baseline is empty and is supposed to stay that way.
-lint-baseline:
-	$(GO) run ./cmd/mpg-lint -write-baseline ./...
 
 race:
 	$(GO) test -race ./...

@@ -47,7 +47,6 @@ type lintReport struct {
 	Outstanding int `json:"outstanding"`
 	Info        int `json:"info"`
 	Suppressed  int `json:"suppressed"`
-	Baselined   int `json:"baselined"`
 
 	// Stages in execution order; TotalBestMs sums the per-stage bests.
 	Stages      []lintStage `json:"stages"`
@@ -60,10 +59,6 @@ type lintReport struct {
 // and sampler benchmarks it carries its gate in-band: a run with
 // outstanding findings is a failure, not a data point.
 func runLint(cfg lintConfig) error {
-	baseline, err := analysis.LoadBaseline("lint.baseline.json")
-	if err != nil {
-		return err
-	}
 	type agg struct {
 		best, sum float64
 		n         int
@@ -72,7 +67,7 @@ func runLint(cfg lintConfig) error {
 	var order []string
 	var last *analysis.Result
 	for t := 0; t < cfg.trials; t++ {
-		res, err := analysis.Run(".", analysis.Config{Baseline: baseline})
+		res, err := analysis.Run(".", analysis.Config{})
 		if err != nil {
 			return err
 		}
@@ -109,8 +104,6 @@ func runLint(cfg lintConfig) error {
 		switch {
 		case d.Suppressed:
 			rep.Suppressed++
-		case d.Baselined:
-			rep.Baselined++
 		case d.Severity == analysis.SeverityInfo:
 			rep.Info++
 		default:

@@ -1,19 +1,20 @@
 // Command mpg-lint runs the repository's domain static-analysis
-// suite (internal/analysis): determinism, RNG-ownership, float-
-// comparison and hot-path-allocation checks that prove at lint time
-// what the replay equivalence suites can only sample at run time.
+// suite (internal/analysis): five analyzers — concdiscipline,
+// detreach, floateq, hotpathprop, rngpurity — that prove at lint time
+// the determinism, RNG-ownership, float-comparison, concurrency and
+// hot-path-allocation invariants the replay equivalence suites can
+// only sample at run time.
 //
 //	mpg-lint ./...                 # text report, exit 1 on findings
-//	mpg-lint -json ./...           # machine-readable report on stdout
+//	mpg-lint -format json ./...    # machine-readable report on stdout
 //	mpg-lint -format sarif ./...   # SARIF 2.1.0 on stdout (code scanning)
 //	mpg-lint -sarif-out f.sarif    # also write the SARIF log to a file
 //	mpg-lint -list                 # describe the analyzers
-//	mpg-lint -write-baseline ./... # absorb current findings
 //
-// Exit codes: 0 — clean (every finding suppressed or baselined);
-// 1 — outstanding findings; 2 — usage or load error. The JSON report
-// is always written before a findings-driven nonzero exit, so CI can
-// both gate on the code and archive the report.
+// Exit codes: 0 — clean (every finding suppressed in source with a
+// reason); 1 — outstanding findings; 2 — usage or load error. The
+// report files are always written before a findings-driven nonzero
+// exit, so CI can both gate on the code and archive the report.
 package main
 
 import (
@@ -30,15 +31,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mpg-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text (alias for -format json)")
-	format := fs.String("format", "", "report format on stdout: text (default), json, sarif")
+	format := fs.String("format", "text", "report format on stdout: text, json, sarif")
 	outPath := fs.String("out", "", "also write the JSON report to this file")
 	sarifPath := fs.String("sarif-out", "", "also write the SARIF 2.1.0 report to this file")
-	baselinePath := fs.String("baseline", "lint.baseline.json", "baseline file (missing file = empty baseline)")
-	writeBaseline := fs.Bool("write-baseline", false, "absorb all current findings into the baseline file and exit 0")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	dir := fs.String("C", ".", "analyze the module enclosing this directory")
@@ -60,48 +58,21 @@ func run(args []string, stdout, stderr *os.File) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	baseline, err := analysis.LoadBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "mpg-lint:", err)
+	render, ok := map[string]func(*report.LintReport, io.Writer) error{
+		"text":  (*report.LintReport).WriteText,
+		"json":  (*report.LintReport).WriteJSON,
+		"sarif": (*report.LintReport).WriteSARIF,
+	}[*format]
+	if !ok {
+		fmt.Fprintf(stderr, "mpg-lint: unknown format %q (want text, json or sarif)\n", *format)
 		return 2
 	}
 	res, err := analysis.Run(*dir, analysis.Config{
 		Patterns:  patterns,
 		Analyzers: analyzers,
-		Baseline:  baseline,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "mpg-lint:", err)
-		return 2
-	}
-	if *writeBaseline {
-		b := analysis.FromDiagnostics(res.Diagnostics)
-		if err := b.Save(*baselinePath); err != nil {
-			fmt.Fprintln(stderr, "mpg-lint:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "mpg-lint: wrote %d baseline entries to %s\n", len(b.Entries), *baselinePath)
-		return 0
-	}
-
-	stdoutFormat := *format
-	if stdoutFormat == "" {
-		if *jsonOut {
-			stdoutFormat = "json"
-		} else {
-			stdoutFormat = "text"
-		}
-	}
-	var render func(*report.LintReport, *os.File) error
-	switch stdoutFormat {
-	case "text":
-		render = func(r *report.LintReport, f *os.File) error { return r.WriteText(f) }
-	case "json":
-		render = func(r *report.LintReport, f *os.File) error { return r.WriteJSON(f) }
-	case "sarif":
-		render = func(r *report.LintReport, f *os.File) error { return r.WriteSARIF(f) }
-	default:
-		fmt.Fprintf(stderr, "mpg-lint: unknown format %q (want text, json or sarif)\n", stdoutFormat)
 		return 2
 	}
 
@@ -157,7 +128,6 @@ func buildReport(res *analysis.Result, analyzers []*analysis.Analyzer) *report.L
 			Severity:   d.Severity,
 			Suppressed: d.Suppressed,
 			Reason:     d.Reason,
-			Baselined:  d.Baselined,
 		})
 	}
 	rep.Outstanding = len(res.Outstanding())

@@ -11,14 +11,15 @@
 // resolve to empty stub packages, and the resulting "undeclared name"
 // errors are ignored), runs a set of domain Analyzers over each
 // package, and filters the diagnostics through explicit source
-// suppressions (//mpg:lint-ignore) and a committed baseline file.
+// suppressions (//mpg:lint-ignore). There is no baseline: every
+// finding is either fixed or suppressed in source with a reason.
 //
 // Two source directives drive the suite:
 //
 //	//mpg:hotpath
 //	    in a function's doc comment marks it as an allocation-free
-//	    hot path; the hotpathalloc analyzer then forbids allocating
-//	    constructs in its body.
+//	    hot path; the hotpathprop analyzer then forbids allocating
+//	    constructs in its body and in everything it calls.
 //
 //	//mpg:lint-ignore <analyzer>[,<analyzer>...] <reason>
 //	    suppresses the named analyzers' diagnostics, either on the
@@ -51,8 +52,8 @@ const (
 // Analyzer is one named check. Run is invoked once per loaded package
 // that falls inside the analyzer's scope.
 type Analyzer struct {
-	// Name is the stable identifier used in reports, suppressions
-	// and baselines.
+	// Name is the stable identifier used in reports and
+	// suppressions.
 	Name string
 	// Doc is a one-line description, shown by mpg-lint -list.
 	Doc string
@@ -156,10 +157,9 @@ func (p *ModulePass) reportSeverity(pkg *Package, pos token.Pos, severity, forma
 	})
 }
 
-// SeverityInfo marks advisory findings (annotation-completeness
-// nudges, unprovable-determinism notes). Info diagnostics appear in
-// reports but never gate: Outstanding skips them and baselines do not
-// absorb them. The empty severity is an error (gating), so existing
+// SeverityInfo marks advisory findings (unprovable-determinism
+// notes). Info diagnostics appear in reports but never gate:
+// Outstanding skips them. The empty severity is an error (gating), so existing
 // analyzers and serialized reports keep their meaning.
 const SeverityInfo = "info"
 
@@ -172,8 +172,7 @@ type Diagnostic struct {
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	// Func is the enclosing function or method name at the position
-	// ("" at file scope). It keys baseline fingerprints, so a finding
-	// stays pinned to its function when unrelated code moves it.
+	// ("" at file scope).
 	Func    string `json:"func,omitempty"`
 	Message string `json:"message"`
 	// Severity is "" for gating findings and SeverityInfo for
@@ -184,9 +183,6 @@ type Diagnostic struct {
 	// the diagnostic; Reason carries the directive's justification.
 	Suppressed bool   `json:"suppressed,omitempty"`
 	Reason     string `json:"reason,omitempty"`
-	// Baselined is set when the committed baseline absorbs the
-	// diagnostic.
-	Baselined bool `json:"baselined,omitempty"`
 }
 
 // enclosingFuncName names the function or method declaration whose

@@ -317,7 +317,7 @@ func localClosureVars(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
 
 // resolveCall classifies one call expression. Returns ok=false for
 // non-calls that parse as CallExpr: type conversions and builtins
-// (make, len, append — the file-local analyzers handle those).
+// (make, len, append — the analyzers' body scans handle those).
 func resolveCall(pkg *Package, call *ast.CallExpr, nodes map[*types.Func]*FuncNode, closures map[types.Object]bool) (CallEdge, bool) {
 	fun := ast.Unparen(call.Fun)
 	// Generic instantiation: f[T](x) — resolve the underlying ident.

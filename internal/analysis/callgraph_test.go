@@ -5,31 +5,10 @@ import (
 	"testing"
 )
 
-// fixtureSource is one in-memory file of a fixture module package.
-type fixtureSource struct {
-	importPath string
-	filename   string
-	src        string
-}
-
-// buildFixtureGraph type-checks the fixture packages in order (so
-// later packages can import earlier ones) and builds their call
-// graph.
+// buildFixtureGraph builds the call graph of the fixture packages.
 func buildFixtureGraph(t *testing.T, files ...fixtureSource) *CallGraph {
 	t.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	var pkgs []*Package
-	for _, f := range files {
-		pkg, err := l.CheckSource(f.importPath, f.filename, f.src)
-		if err != nil {
-			t.Fatalf("CheckSource(%s): %v", f.filename, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return BuildCallGraph(pkgs)
+	return BuildCallGraph(loadFixtures(t, files...))
 }
 
 // edgeStrings renders a node's outgoing edges as "kind target".

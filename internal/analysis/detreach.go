@@ -6,27 +6,38 @@ import (
 	"go/types"
 )
 
-// DetReachAnalyzer enforces determinism *by reachability*: everything
-// the replay kernels can reach — not just everything that happens to
+// deterministicScope is the set of packages whose outputs must be a
+// pure function of (trace, model, seed): the propagation engines
+// (core.Analyze, core.Compile, core.ReplayCompiled and the shared
+// kernels), the differential verifier, and the DES simulator and the
+// baseline oracle built on it. It is the one determinism boundary:
+// floateq scans these packages, and detreach roots its walk at every
+// function declared in them. The observability layer and the CLI
+// front-ends are deliberately outside it — wall-clock timing and
+// progress reporting live there by design.
+var deterministicScope = []string{
+	"mpgraph/internal/core",
+	"mpgraph/internal/verify",
+	"mpgraph/internal/des",
+	"mpgraph/internal/baseline",
+}
+
+// DetReachAnalyzer enforces determinism *by reachability*: every
+// function declared in a deterministicScope package, and everything
+// those functions can reach — not just everything that happens to
 // live in the deterministic packages — must be a pure function of
-// (trace, model, seed). The file-local nondet analyzer draws its
-// boundary by import path; a helper moved to a utility package slips
-// out of that scope while staying firmly on the replay path. detreach
-// closes the gap by walking the call graph from the replay roots:
-//
-//   - core.ReplayCompiled (the compiled replay engine),
-//   - every function declared in internal/core/compute.go (the shared
-//     propagation kernels),
-//   - baseline.Replay / baseline.ReplayRetimed (the DES oracle the
-//     differential verifier diffs against).
-//
-// Along every reachable path it gates on:
+// (trace, model, seed). A helper moved to a utility package stays
+// covered for as long as the engine calls it. Along every reachable
+// path it gates on:
 //
 //   - time.Now / time.Since / time.Until — wall-clock reads;
 //   - any call into math/rand or math/rand/v2 — unseeded process-
 //     global randomness;
-//   - map iteration outside the collect-then-sort idiom — Go
-//     randomizes iteration order per run;
+//   - map iteration, unless the loop only collects keys/values into
+//     slices that are subsequently sorted in the same function. Go
+//     randomizes map iteration order per run, and even "harmless"
+//     floating-point accumulation over a map is order-sensitive
+//     because FP addition is not associative;
 //   - writes to package-level variables — hidden mutable state makes
 //     a second replay observe the first.
 //
@@ -41,38 +52,28 @@ import (
 // An //mpg:lint-ignore detreach directive on a call site prunes that
 // edge from the walk: the stated reason vouches for the subtree
 // behind the call (e.g. an observability hook that reads the clock by
-// design and feeds nothing back into replay results).
+// design and feeds nothing back into replay results). Because every
+// function in the scope is a root, a pruned callee that is itself in
+// the scope is still checked; the directive then only records the
+// boundary.
 var DetReachAnalyzer = &Analyzer{
 	Name:      "detreach",
-	Doc:       "verifies determinism over everything reachable from the replay kernels and the DES oracle, not just the statically scoped packages",
+	Doc:       "verifies determinism over every function of the deterministic packages and everything they reach through the call graph",
 	RunModule: runDetReach,
 }
 
-// detReachRoots names the entry points whose reachable closure must
-// stay deterministic, as (import path, function name) pairs.
-var detReachRoots = []struct{ pkg, name string }{
-	{"mpgraph/internal/core", "ReplayCompiled"},
-	{"mpgraph/internal/baseline", "Replay"},
-	{"mpgraph/internal/baseline", "ReplayRetimed"},
-}
-
-// detReachRootFiles roots every function declared in these files (the
-// shared propagation kernels are roots as a file, so a new kernel is
-// covered the moment it is written).
-var detReachRootFiles = map[string]bool{
-	"internal/core/compute.go": true,
+var forbiddenTimeFuncs = map[string]bool{
+	"Now":   true,
+	"Since": true, // calls Now internally
+	"Until": true,
 }
 
 func runDetReach(pass *ModulePass) {
 	g := pass.Graph
 	var roots []*FuncNode
 	for _, n := range g.Funcs {
-		if detReachRootFiles[n.Pkg.Fset.Position(n.Decl.Pos()).Filename] {
-			roots = append(roots, n)
-			continue
-		}
-		for _, r := range detReachRoots {
-			if n.Pkg.ImportPath == r.pkg && n.Obj.Name() == r.name && n.Decl.Recv == nil {
+		for _, p := range deterministicScope {
+			if matchPrefix(n.Pkg.ImportPath, p) {
 				roots = append(roots, n)
 				break
 			}
@@ -186,4 +187,81 @@ func pkgScopeVar(obj types.Object) *types.Var {
 		return nil
 	}
 	return v
+}
+
+// mapRangeNondet reports whether rng iterates a map without the
+// collect-then-sort escape hatch: every statement in the loop body
+// appends the key or value to a slice variable (possibly behind a
+// plain if-filter), and at least one of those slices is later passed
+// to a sort or slices call inside the same function.
+func mapRangeNondet(pkg *Package, f *ast.File, rng *ast.RangeStmt) bool {
+	if !isMap(pkg.typeOf(rng.X)) {
+		return false
+	}
+	collected := map[string]bool{}
+	return !(collectOnly(pkg, rng.Body.List, collected) && len(collected) > 0 &&
+		sortedLater(pkg, f, rng, collected))
+}
+
+// collectOnly reports whether every statement is an append of the
+// form `s = append(s, ...)` — optionally wrapped in an else-less if —
+// recording the destination slice names.
+func collectOnly(pkg *Package, stmts []ast.Stmt, collected map[string]bool) bool {
+	for _, st := range stmts {
+		switch x := st.(type) {
+		case *ast.AssignStmt:
+			if len(x.Lhs) != 1 || len(x.Rhs) != 1 {
+				return false
+			}
+			lhs, ok := x.Lhs[0].(*ast.Ident)
+			if !ok {
+				return false
+			}
+			call, ok := x.Rhs[0].(*ast.CallExpr)
+			if !ok || !pkg.isBuiltin(call, "append") || len(call.Args) == 0 {
+				return false
+			}
+			if first, ok := call.Args[0].(*ast.Ident); !ok || first.Name != lhs.Name {
+				return false
+			}
+			collected[lhs.Name] = true
+		case *ast.IfStmt:
+			if x.Else != nil || x.Init != nil || !collectOnly(pkg, x.Body.List, collected) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// sortedLater reports whether, after the range statement, the
+// enclosing function passes one of the collected slices to a
+// sort-package function.
+func sortedLater(pkg *Package, f *ast.File, rng *ast.RangeStmt, collected map[string]bool) bool {
+	body := enclosingFuncBody(f, rng)
+	if body == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found || n == nil {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < rng.End() {
+			return true
+		}
+		if p, _, ok := pkg.callTarget(call); !ok || (p != "sort" && p != "slices") {
+			return true
+		}
+		for _, arg := range call.Args {
+			if id, ok := arg.(*ast.Ident); ok && collected[id.Name] {
+				found = true
+			}
+		}
+		return true
+	})
+	return found
 }

@@ -10,19 +10,43 @@ import (
 // the given analyzer over it, honoring its scope rules.
 func runFixture(t *testing.T, a *Analyzer, importPath, filename, src string) *Result {
 	t.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := l.CheckSource(importPath, filename, src)
-	if err != nil {
-		t.Fatalf("CheckSource: %v", err)
-	}
-	res, err := RunPackages([]*Package{pkg}, Config{Analyzers: []*Analyzer{a}})
+	return runFixtures(t, a, fixtureSource{importPath, filename, src})
+}
+
+// runFixtures is runFixture over several fixture packages.
+func runFixtures(t *testing.T, a *Analyzer, files ...fixtureSource) *Result {
+	t.Helper()
+	res, err := RunPackages(loadFixtures(t, files...), Config{Analyzers: []*Analyzer{a}})
 	if err != nil {
 		t.Fatalf("RunPackages: %v", err)
 	}
 	return res
+}
+
+// fixtureSource is one in-memory file of a fixture module package.
+type fixtureSource struct {
+	importPath string
+	filename   string
+	src        string
+}
+
+// loadFixtures type-checks the fixture packages in order, so later
+// packages can import earlier ones.
+func loadFixtures(t *testing.T, files ...fixtureSource) []*Package {
+	t.Helper()
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	var pkgs []*Package
+	for _, f := range files {
+		pkg, err := l.CheckSource(f.importPath, f.filename, f.src)
+		if err != nil {
+			t.Fatalf("CheckSource(%s): %v", f.filename, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs
 }
 
 // wantOutstanding asserts the result has exactly the outstanding

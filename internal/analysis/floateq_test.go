@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 func TestFloateqFlagsExactComparisons(t *testing.T) {
-	res := runFixture(t, FloateqAnalyzer, nondetScope, "internal/core/fixture/cmp.go", `
+	res := runFixture(t, FloateqAnalyzer, detScope, "internal/core/fixture/cmp.go", `
 package fixture
 
 func Cmp(a, b float64) (bool, bool, bool) {
@@ -18,7 +18,7 @@ func Cmp(a, b float64) (bool, bool, bool) {
 }
 
 func TestFloateqAllowsOrderedNaNConstAndInts(t *testing.T) {
-	res := runFixture(t, FloateqAnalyzer, nondetScope, "internal/core/fixture/ok.go", `
+	res := runFixture(t, FloateqAnalyzer, detScope, "internal/core/fixture/ok.go", `
 package fixture
 
 func OK(a, b float64, i, j int) bool {
@@ -45,7 +45,7 @@ func bitEqual(a, b float64) bool { return a == b }
 }
 
 func TestFloateqSuppression(t *testing.T) {
-	res := runFixture(t, FloateqAnalyzer, nondetScope, "internal/core/fixture/supp.go", `
+	res := runFixture(t, FloateqAnalyzer, detScope, "internal/core/fixture/supp.go", `
 package fixture
 
 func IsZero(d float64) bool {

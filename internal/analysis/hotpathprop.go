@@ -6,30 +6,35 @@ import (
 	"go/types"
 )
 
-// HotPathPropAnalyzer is the interprocedural companion to
-// hotpathalloc: it computes the transitive closure of the
-// //mpg:hotpath roots over the call graph and enforces the allocation
-// discipline on everything the roots *reach*, not just their own
-// bodies. hotpathalloc stops at an annotated function's body — a call
-// to an allocating helper escapes it entirely; hotpathprop closes
-// that gap:
+// HotPathPropAnalyzer enforces the allocation budget of the
+// //mpg:hotpath roots and of everything they reach. The compiled
+// replay loop owes its ~12 allocs/replay (BENCH_replay.json,
+// AllocsPerRun guards) to every buffer being pooled or preallocated;
+// one stray literal or append in a kernel — or in a helper the kernel
+// calls — silently multiplies by the number of Monte Carlo trials.
+// The analyzer is deliberately stricter than the optimizer: a
+// construct the escape analyzer would stack-allocate still needs an
+// explicit suppression, which doubles as documentation of the alloc
+// budget and is pinned by the corresponding AllocsPerRun test.
 //
-//   - an allocating construct (make/new/append, &composite, slice or
-//     map literal, closure) in a *reachable but unannotated* function
-//     is a gating finding, reported at the construct with the full
-//     call chain from the root ("core.ReplayCompiled →
-//     core.newReplayState: make allocates");
-//   - a call into fmt or reflect anywhere on the closure is gating
-//     (in annotated bodies fmt is already hotpathalloc's finding, so
-//     only unannotated functions report it here);
+// It computes the transitive closure of the annotated roots over the
+// call graph and, in every function of that closure (annotated or
+// not), reports at the construct with the call chain from the root
+// ("core.ReplayCompiled → core.newReplayState: make allocates"):
+//
+//   - make/new calls and &composite-literal (heap allocations);
+//   - slice and map composite literals (allocate backing storage) —
+//     plain struct *value* literals stay legal;
+//   - append calls (growth may allocate; preallocate capacity or
+//     justify via suppression);
+//   - function literals (closure environments may allocate);
+//   - implicit boxing: a non-pointer concrete value passed to an
+//     interface parameter or assigned to an interface variable;
+//   - a call into fmt or reflect (allocate, box, defeat
+//     devirtualization);
 //   - a dynamic call (interface dispatch, function value, lost type
-//     info) from any closure member is gating: the callee cannot be
-//     proven allocation-free. Unknown callees taint — they are never
-//     silently dropped;
-//   - a reachable function that lacks the //mpg:hotpath annotation
-//     gets an advisory (info) finding so the annotation set stays
-//     complete: annotating it hands its body to hotpathalloc's
-//     stricter per-construct treatment (including boxing checks).
+//     info): the callee cannot be proven allocation-free. Unknown
+//     callees taint — they are never silently dropped.
 //
 // An //mpg:lint-ignore hotpathprop directive on a call site prunes
 // that edge from the closure: the reason justifies the entire subtree
@@ -38,7 +43,7 @@ import (
 // always-suppressed diagnostic so the report carries the audit trail.
 var HotPathPropAnalyzer = &Analyzer{
 	Name:      "hotpathprop",
-	Doc:       "propagates the //mpg:hotpath allocation discipline through the call graph (transitive closure of the annotated roots)",
+	Doc:       "forbids allocating constructs in //mpg:hotpath functions and everything they reach through the call graph",
 	RunModule: runHotPathProp,
 }
 
@@ -60,12 +65,9 @@ func runHotPathProp(pass *ModulePass) {
 			continue
 		}
 		chain := Chain(visited, n)
-		if !n.HotPath {
-			pass.ReportInfo(n.Pkg, n.Decl.Pos(), "%s is reachable from //mpg:hotpath roots (via %s) but not annotated; add //mpg:hotpath so hotpathalloc guards its body", n.Name, chain)
-			scanAllocConstructs(n, func(pos token.Pos, what string) {
-				pass.Report(n.Pkg, pos, "%s: %s", chain, what)
-			})
-		}
+		scanAllocs(n, func(pos token.Pos, what string) {
+			pass.Report(n.Pkg, pos, "%s: %s", chain, what)
+		})
 		for i := range n.Calls {
 			e := &n.Calls[i]
 			switch e.Kind {
@@ -74,9 +76,7 @@ func runHotPathProp(pass *ModulePass) {
 			case EdgeExternal:
 				switch e.ExtPkg {
 				case "fmt":
-					if !n.HotPath { // annotated bodies: hotpathalloc already reports fmt
-						pass.Report(n.Pkg, e.Site, "%s: fmt.%s allocates and boxes its operands", chain, e.ExtName)
-					}
+					pass.Report(n.Pkg, e.Site, "%s: fmt.%s allocates and boxes its operands", chain, e.ExtName)
 				case "reflect":
 					pass.Report(n.Pkg, e.Site, "%s: reflect.%s reaches the hot path; reflection allocates and defeats devirtualization", chain, e.ExtName)
 				}
@@ -85,12 +85,10 @@ func runHotPathProp(pass *ModulePass) {
 	}
 }
 
-// scanAllocConstructs reports the allocating constructs hotpathalloc
-// forbids, for a function that is *not* annotated (so hotpathalloc
-// itself stays silent on it). Boxing analysis is deliberately left to
-// hotpathalloc: the advisory annotation finding nudges the function
-// into the stricter file-local treatment.
-func scanAllocConstructs(n *FuncNode, report func(pos token.Pos, what string)) {
+// scanAllocs reports the allocating constructs in one function body.
+// Calls into fmt are left to the call-edge check, which reports them
+// once per call rather than once per boxed operand.
+func scanAllocs(n *FuncNode, report func(pos token.Pos, what string)) {
 	if n.Decl.Body == nil {
 		return
 	}
@@ -113,8 +111,10 @@ func scanAllocConstructs(n *FuncNode, report func(pos token.Pos, what string)) {
 			}
 			if t := pkg.typeOf(x); t != nil {
 				switch t.Underlying().(type) {
-				case *types.Slice, *types.Map:
-					report(x.Pos(), kindWord(t)+" literal allocates backing storage")
+				case *types.Slice:
+					report(x.Pos(), "slice literal allocates backing storage")
+				case *types.Map:
+					report(x.Pos(), "map literal allocates backing storage")
 				}
 			}
 		case *ast.CallExpr:
@@ -125,8 +125,71 @@ func scanAllocConstructs(n *FuncNode, report func(pos token.Pos, what string)) {
 				report(x.Pos(), "new allocates")
 			case pkg.isBuiltin(x, "append"):
 				report(x.Pos(), "append allocates (growth may reallocate the backing array)")
+			default:
+				if p, _, ok := pkg.callTarget(x); !ok || p != "fmt" {
+					scanBoxingArgs(pkg, x, report)
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				if i >= len(x.Rhs) {
+					break
+				}
+				if lt := pkg.typeOf(lhs); lt != nil && types.IsInterface(lt) && boxes(pkg, x.Rhs[i]) {
+					report(x.Rhs[i].Pos(), "implicit interface conversion boxes a value on the heap; store a pointer instead")
+				}
 			}
 		}
 		return true
 	})
+}
+
+// scanBoxingArgs reports non-pointer concrete arguments passed to
+// interface parameters (implicit boxing allocates; pointers fit in
+// the interface word and do not).
+func scanBoxingArgs(pkg *Package, call *ast.CallExpr, report func(pos token.Pos, what string)) {
+	ft := pkg.typeOf(call.Fun)
+	if ft == nil {
+		return
+	}
+	sig, ok := ft.Underlying().(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			if sl, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
+				pt = sl.Elem()
+			}
+		case i < params.Len():
+			pt = params.At(i).Type()
+		}
+		if pt != nil && types.IsInterface(pt) && boxes(pkg, arg) {
+			report(arg.Pos(), "implicit interface conversion boxes a value on the heap; pass a pointer or restructure")
+		}
+	}
+}
+
+// boxes reports whether assigning e to an interface would heap-box
+// it: a concrete non-pointer, non-interface, non-nil value. Small
+// integer constants (the runtime's staticuint64s) are still reported:
+// the hot path should not rely on that cache.
+func boxes(pkg *Package, e ast.Expr) bool {
+	t := pkg.typeOf(e)
+	if t == nil {
+		return false
+	}
+	if tv, ok := pkg.Info.Types[e]; ok && tv.IsNil() {
+		return false
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Interface, *types.Chan, *types.Signature:
+		return false
+	case *types.Basic:
+		return u.Kind() != types.UnsafePointer
+	}
+	return true
 }

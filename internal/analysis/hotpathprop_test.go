@@ -5,12 +5,112 @@ import (
 	"testing"
 )
 
-// The acceptance fixture for the interprocedural engine: an annotated
-// root that delegates its allocation to an unannotated helper.
-// hotpathalloc stops at Root's body — the call is just a call — while
-// hotpathprop follows the edge and reports the helper's make with the
-// full chain.
-const calleeAllocFixture = `package fixture
+const hotFixture = "mpgraph/internal/sim/fixture"
+
+func TestHotPathAllocFlagsAllocatingConstructs(t *testing.T) {
+	res := runFixture(t, HotPathPropAnalyzer, hotFixture, "internal/sim/fixture/hot.go", `
+package fixture
+
+import "fmt"
+
+type node struct{ next *node }
+
+//mpg:hotpath
+func Hot(n int) int {
+	buf := make([]float64, n)
+	buf = append(buf, 1)
+	head := &node{}
+	f := func() int { return n }
+	ids := []int{1, 2}
+	fmt.Println(n)
+	_ = buf
+	_ = head
+	_ = ids
+	return f()
+}
+`)
+	wantOutstanding(t, res,
+		"fixture.Hot: make allocates",
+		"fixture.Hot: append allocates",
+		"fixture.Hot: &composite literal escapes to the heap",
+		"fixture.Hot: closure environment may be heap-allocated",
+		"fixture.Hot: slice literal allocates backing storage",
+		"fixture.Hot: fmt.Println allocates and boxes its operands",
+	)
+}
+
+func TestHotPathAllocFlagsInterfaceBoxing(t *testing.T) {
+	res := runFixture(t, HotPathPropAnalyzer, hotFixture, "internal/sim/fixture/box.go", `
+package fixture
+
+type point struct{ x, y float64 }
+
+func sink(v interface{}) {}
+
+//mpg:hotpath
+func Box(p point, pp *point) interface{} {
+	sink(p)  // boxes: concrete value into interface parameter
+	sink(pp) // pointer fits in the interface word: no boxing
+	var out interface{}
+	out = p
+	return out
+}
+`)
+	wantOutstanding(t, res,
+		"fixture.Box: implicit interface conversion boxes a value on the heap; pass a pointer",
+		"fixture.Box: implicit interface conversion boxes a value on the heap; store a pointer",
+	)
+}
+
+func TestHotPathAllocIgnoresUnannotatedAndValueLiterals(t *testing.T) {
+	res := runFixture(t, HotPathPropAnalyzer, hotFixture, "internal/sim/fixture/cold.go", `
+package fixture
+
+type pair struct{ a, b int }
+
+func Cold(n int) []int {
+	return make([]int, n) // not reachable from a hot path: allocation is fine
+}
+
+//mpg:hotpath
+func HotValue(n int) int {
+	p := pair{a: n, b: n} // struct *value* literal: no heap allocation
+	return p.a + p.b
+}
+`)
+	wantOutstanding(t, res)
+}
+
+func TestHotPathAllocSuppressionCoversMultilineStatement(t *testing.T) {
+	res := runFixture(t, HotPathPropAnalyzer, hotFixture, "internal/sim/fixture/supp.go", `
+package fixture
+
+type result struct {
+	delays  []float64
+	regions map[string]float64
+}
+
+//mpg:hotpath
+func Finish(n int) *result {
+	//mpg:lint-ignore hotpathprop the returned result is the one documented allocation group, AllocsPerRun-guarded
+	res := &result{
+		delays:  make([]float64, n),
+		regions: make(map[string]float64, 4),
+	}
+	return res
+}
+`)
+	// One standalone directive covers the whole multi-line composite
+	// literal: the &literal and both makes inside it.
+	wantOutstanding(t, res)
+	wantSuppressed(t, res, 3)
+}
+
+// An annotated root that delegates its allocation to an unannotated
+// helper: the call is followed and the helper's make is reported with
+// the full chain.
+func TestHotPathPropCatchesCalleeAlloc(t *testing.T) {
+	res := runFixture(t, HotPathPropAnalyzer, "mpgraph/internal/core/fixture", "internal/core/fixture/prop.go", `package fixture
 
 //mpg:hotpath
 func Root(n int) []float64 {
@@ -20,29 +120,25 @@ func Root(n int) []float64 {
 func helper(n int) []float64 {
 	return make([]float64, n)
 }
-`
-
-func TestHotPathAllocMissesCalleeAlloc(t *testing.T) {
-	res := runFixture(t, HotPathAllocAnalyzer, "mpgraph/internal/core/fixture", "internal/core/fixture/prop.go", calleeAllocFixture)
-	if out := res.Outstanding(); len(out) != 0 {
-		t.Fatalf("hotpathalloc is file-local and must stay silent on a callee's allocation, got:\n%s", formatDiags(out))
-	}
+`)
+	wantOutstanding(t, res, "fixture.Root → fixture.helper: make allocates")
 }
 
-func TestHotPathPropCatchesCalleeAlloc(t *testing.T) {
-	res := runFixture(t, HotPathPropAnalyzer, "mpgraph/internal/core/fixture", "internal/core/fixture/prop.go", calleeAllocFixture)
-	wantOutstanding(t, res, "fixture.Root → fixture.helper: make allocates")
-	// The helper also draws the annotation-completeness advisory at
-	// info severity — visible, never gating.
-	var infos []Diagnostic
-	for _, d := range res.Diagnostics {
-		if d.Severity == SeverityInfo {
-			infos = append(infos, d)
-		}
-	}
-	if len(infos) != 1 || !strings.Contains(infos[0].Message, "but not annotated; add //mpg:hotpath") {
-		t.Errorf("want one annotation advisory, got:\n%s", formatDiags(infos))
-	}
+// TestHotPathPropCatchesCalleeBoxing: the boxing check runs on every
+// function the roots reach, annotated or not.
+func TestHotPathPropCatchesCalleeBoxing(t *testing.T) {
+	res := runFixture(t, HotPathPropAnalyzer, hotFixture, "internal/sim/fixture/calleebox.go", `package fixture
+
+type sample struct{ at, delay float64 }
+
+func record(v any) {}
+
+//mpg:hotpath
+func Root(s sample) { forward(s) }
+
+func forward(s sample) { record(s) }
+`)
+	wantOutstanding(t, res, "fixture.Root → fixture.forward: implicit interface conversion boxes a value on the heap; pass a pointer")
 }
 
 // TestHotPathPropTransitiveChain: the chain in the finding spans every
@@ -80,9 +176,8 @@ func Root(s sampler) float64 { return s.sample() }
 	wantOutstanding(t, res, "dynamic call (interface or function value) cannot be proven allocation-free")
 }
 
-// TestHotPathPropExternalCalls: fmt in an unannotated closure member
-// gates (annotated bodies are hotpathalloc's job); reflect gates
-// everywhere on the closure.
+// TestHotPathPropExternalCalls: fmt and reflect gate everywhere on
+// the closure.
 func TestHotPathPropExternalCalls(t *testing.T) {
 	res := runFixture(t, HotPathPropAnalyzer, "mpgraph/internal/core/fixture", "internal/core/fixture/ext.go", `package fixture
 
@@ -133,10 +228,10 @@ func observe() { _ = make([]int, 8) }
 	}
 }
 
-// TestHotPathPropAnnotatedCalleeDefersToHotpathalloc: an annotated
-// callee's body belongs to hotpathalloc; hotpathprop adds no
-// duplicate construct findings for it.
-func TestHotPathPropAnnotatedCalleeDefersToHotpathalloc(t *testing.T) {
+// TestHotPathPropAnnotatedCalleeReportedOnce: an annotated callee is a
+// root of its own, so its allocation is reported once, under its own
+// name, not again through the caller's chain.
+func TestHotPathPropAnnotatedCalleeReportedOnce(t *testing.T) {
 	res := runFixture(t, HotPathPropAnalyzer, "mpgraph/internal/core/fixture", "internal/core/fixture/annotated.go", `package fixture
 
 //mpg:hotpath
@@ -145,7 +240,5 @@ func Root(n int) []float64 { return helper(n) }
 //mpg:hotpath
 func helper(n int) []float64 { return make([]float64, n) }
 `)
-	if out := res.Outstanding(); len(out) != 0 {
-		t.Fatalf("annotated callee must be hotpathalloc's finding, not hotpathprop's:\n%s", formatDiags(out))
-	}
+	wantOutstanding(t, res, "fixture.helper: make allocates")
 }

@@ -6,17 +6,15 @@ import (
 	"time"
 )
 
-// All returns the full analyzer suite in stable order: the four
-// file-local analyzers from the original suite, then the three
-// interprocedural analyzers layered on the call graph.
+// All returns the full analyzer suite in name order: two file-local
+// analyzers (floateq, rngpurity) and three interprocedural ones
+// layered on the call graph (concdiscipline, detreach, hotpathprop).
 func All() []*Analyzer {
 	return []*Analyzer{
 		ConcDisciplineAnalyzer,
 		DetReachAnalyzer,
 		FloateqAnalyzer,
-		HotPathAllocAnalyzer,
 		HotPathPropAnalyzer,
-		NondetAnalyzer,
 		RNGPurityAnalyzer,
 	}
 }
@@ -49,8 +47,6 @@ type Config struct {
 	Patterns []string
 	// Analyzers defaults to All().
 	Analyzers []*Analyzer
-	// Baseline, when non-nil, absorbs known diagnostics.
-	Baseline *Baseline
 }
 
 // StageTiming is one timed phase of a Run, for the linter
@@ -61,8 +57,8 @@ type StageTiming struct {
 }
 
 // Result is the outcome of one Run: every diagnostic produced, with
-// suppressed and baselined ones marked rather than dropped, so
-// reports can show the full picture.
+// suppressed ones marked rather than dropped, so reports can show the
+// full picture.
 type Result struct {
 	Diagnostics []Diagnostic
 	// Packages is the number of packages analyzed.
@@ -78,11 +74,11 @@ type Result struct {
 }
 
 // Outstanding returns the diagnostics that still gate: neither
-// suppressed in source, absorbed by the baseline, nor info-severity.
+// suppressed in source nor info-severity.
 func (r *Result) Outstanding() []Diagnostic {
 	var out []Diagnostic
 	for _, d := range r.Diagnostics {
-		if !d.Suppressed && !d.Baselined && d.Severity != SeverityInfo {
+		if !d.Suppressed && d.Severity != SeverityInfo {
 			out = append(out, d)
 		}
 	}
@@ -157,9 +153,6 @@ func RunPackages(pkgs []*Package, cfg Config) (*Result, error) {
 		diags = append(diags, directiveDiagnostics(pkg, analyzers)...)
 	}
 	applySuppressions(pkgs, diags)
-	if cfg.Baseline != nil {
-		cfg.Baseline.absorb(diags)
-	}
 	sortDiagnostics(diags)
 	return &Result{Diagnostics: diags, Packages: len(pkgs), Graph: graph, Timings: timings}, nil
 }
@@ -243,17 +236,4 @@ func applySuppressions(pkgs []*Package, diags []Diagnostic) {
 			}
 		}
 	}
-}
-
-// countVisibleSuppressed is a small helper for reports.
-func countVisibleSuppressed(ds []Diagnostic) (suppressed, baselined int) {
-	for _, d := range ds {
-		if d.Suppressed {
-			suppressed++
-		}
-		if d.Baselined {
-			baselined++
-		}
-	}
-	return
 }

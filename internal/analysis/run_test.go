@@ -29,23 +29,23 @@ func stamp() int64 { return time.Now().UnixNano() }
 	if len(out) != 1 {
 		t.Fatalf("got %d outstanding diagnostics, want 1:\n%s", len(out), formatDiags(out))
 	}
-	if out[0].Analyzer != "nondet" || out[0].File != "internal/core/bad.go" {
+	if out[0].Analyzer != "detreach" || out[0].File != "internal/core/bad.go" {
 		t.Errorf("unexpected diagnostic: %+v", out[0])
 	}
 }
 
 // TestInjectedInterprocViolationsGate is the CI gate for the
 // call-graph analyzers: a module that hides an allocation behind a
-// call from a hot-path root, reads the wall clock deep under a replay
-// kernel, and copies a mutex in the parallel package must produce one
-// outstanding finding per analyzer.
+// call from a hot-path root, reads the wall clock in a helper package
+// the replay kernel calls, and copies a mutex in the parallel package
+// must produce one outstanding finding per analyzer.
 func TestInjectedInterprocViolationsGate(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module mpgraph\n\ngo 1.22\n")
 	writeFile(t, filepath.Join(dir, "internal", "core", "replay.go"), `
 package core
 
-import "time"
+import "mpgraph/internal/clock"
 
 //mpg:hotpath
 func ReplayCompiled() []float64 { return expand(4) }
@@ -53,11 +53,16 @@ func ReplayCompiled() []float64 { return expand(4) }
 func expand(n int) []float64 { return grow(n) }
 
 func grow(n int) []float64 {
-	observeDeadline()
+	clock.ObserveDeadline()
 	return make([]float64, n)
 }
+`)
+	writeFile(t, filepath.Join(dir, "internal", "clock", "clock.go"), `
+package clock
 
-func observeDeadline() { _ = time.Now() }
+import "time"
+
+func ObserveDeadline() { _ = time.Now() }
 `)
 	writeFile(t, filepath.Join(dir, "internal", "parallel", "pool.go"), `
 package parallel
@@ -82,7 +87,7 @@ func (p workerPool) drain() {}
 	}
 	wantContains := map[string]string{
 		"hotpathprop":    "core.ReplayCompiled → core.expand → core.grow: make allocates",
-		"detreach":       "core.ReplayCompiled → core.expand → core.grow → core.observeDeadline: time.Now on a replay-reachable path",
+		"detreach":       "core.grow → clock.ObserveDeadline: time.Now on a replay-reachable path",
 		"concdiscipline": "method drain copies its receiver workerPool, which contains sync.Mutex (field mu); use a pointer receiver",
 	}
 	for analyzer, want := range wantContains {
@@ -99,23 +104,12 @@ func (p workerPool) drain() {}
 }
 
 // TestRepositoryClean is the acceptance criterion: the full suite over
-// the real module with the committed (empty) baseline reports nothing.
+// the real module reports nothing outstanding.
 func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	bl, err := LoadBaseline(filepath.Join(l.Root, "lint.baseline.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if len(bl.Entries) != 0 {
-		t.Errorf("committed baseline has %d entries; the suite is supposed to be clean without debt", len(bl.Entries))
-	}
-	res, err := Run(".", Config{Baseline: bl})
+	res, err := Run(".", Config{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -128,7 +122,7 @@ func TestRepositoryClean(t *testing.T) {
 // analyzer and carry a reason; a bare or misspelled directive is
 // itself a gating finding and cannot suppress anything.
 func TestDirectiveValidation(t *testing.T) {
-	res := runFixture(t, FloateqAnalyzer, nondetScope, "internal/core/fixture/dir.go", `
+	res := runFixture(t, FloateqAnalyzer, detScope, "internal/core/fixture/dir.go", `
 package fixture
 
 func Bad(a, b float64) (bool, bool, bool) {
@@ -154,11 +148,11 @@ func Bad(a, b float64) (bool, bool, bool) {
 // TestSuppressionScope: a trailing directive covers only its own line;
 // an unrelated analyzer name suppresses nothing.
 func TestSuppressionScope(t *testing.T) {
-	res := runFixture(t, FloateqAnalyzer, nondetScope, "internal/core/fixture/scope.go", `
+	res := runFixture(t, FloateqAnalyzer, detScope, "internal/core/fixture/scope.go", `
 package fixture
 
 func Mixed(a, b float64) (bool, bool) {
-	x := a == b //mpg:lint-ignore nondet wrong analyzer: must not absorb the floateq finding
+	x := a == b //mpg:lint-ignore detreach wrong analyzer: must not absorb the floateq finding
 	y := a == b //mpg:lint-ignore floateq demonstration fixture
 	return x, y
 }
@@ -167,60 +161,54 @@ func Mixed(a, b float64) (bool, bool) {
 	wantSuppressed(t, res, 1)
 }
 
-func TestBaselineAbsorbsByCount(t *testing.T) {
-	res := runFixture(t, FloateqAnalyzer, nondetScope, "internal/core/fixture/base.go", `
-package fixture
+// TestStackedDirectives: standalone directives for different analyzers
+// stack above one statement and each covers the full statement span.
+func TestStackedDirectives(t *testing.T) {
+	res := runFixture(t, FloateqAnalyzer, detScope, "internal/core/fixture/stack.go", `package fixture
 
-func Twice(a, b float64) (bool, bool) {
-	return a == b, a == b
+func Stacked(a, b float64) bool {
+	//mpg:lint-ignore detreach unrelated analyzer stacked above the same statement
+	//mpg:lint-ignore floateq demonstration fixture for stacked standalone directives
+	x := a == b
+	return x
 }
 `)
-	if got := len(res.Outstanding()); got != 2 {
-		t.Fatalf("precondition: want 2 outstanding, got %d", got)
+	if out := res.Outstanding(); len(out) != 0 {
+		t.Fatalf("stacked directive did not reach past its sibling:\n%s", formatDiags(out))
 	}
-	// A baseline with count 1 absorbs exactly one of the two identical
-	// findings — baselines never hide more than they record.
-	bl := &Baseline{Entries: []BaselineEntry{{
-		Analyzer: "floateq",
-		File:     res.Diagnostics[0].File,
-		Message:  res.Diagnostics[0].Message,
-		Count:    1,
-	}}}
-	bl.absorb(res.Diagnostics)
-	var baselined, outstanding int
-	for _, d := range res.Diagnostics {
-		if d.Baselined {
-			baselined++
-		} else if !d.Suppressed {
-			outstanding++
-		}
-	}
-	if baselined != 1 || outstanding != 1 {
-		t.Errorf("got %d baselined / %d outstanding, want 1 / 1", baselined, outstanding)
-	}
+	wantSuppressed(t, res, 1)
 }
 
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	b := &Baseline{Entries: []BaselineEntry{
-		{Analyzer: "nondet", File: "internal/core/x.go", Message: "m", Count: 2},
-	}}
-	if err := b.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
+// TestCommaDirective: one directive naming several analyzers yields a
+// suppression per name (the form every pruned call-graph boundary in
+// the repo uses).
+func TestCommaDirective(t *testing.T) {
+	res := runFixture(t, HotPathPropAnalyzer, "mpgraph/internal/core/fixture", "internal/core/fixture/comma.go", `package fixture
+
+//mpg:hotpath
+func Root() {
+	//mpg:lint-ignore hotpathprop,detreach shared out-of-band boundary
+	observe()
+}
+
+func observe() { _ = make([]int, 4) }
+`)
+	if out := res.Outstanding(); len(out) != 0 {
+		t.Fatalf("comma directive did not suppress the named analyzer:\n%s", formatDiags(out))
 	}
-	got, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if len(got.Entries) != 1 || got.Entries[0] != b.Entries[0] {
-		t.Errorf("round trip mismatch: %+v", got.Entries)
-	}
-	missing, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline(missing): %v", err)
-	}
-	if len(missing.Entries) != 0 {
-		t.Errorf("missing baseline should be empty, got %+v", missing.Entries)
+	// And through detreach: the second name prunes that analyzer's
+	// walk out of the scope too.
+	res2 := runFixtures(t, DetReachAnalyzer, obsvFixture, fixtureSource{"mpgraph/internal/core", "internal/core/det_fixture.go", `package core
+
+import "mpgraph/internal/obsv/fixture"
+
+func ReplayCompiled() {
+	//mpg:lint-ignore hotpathprop,detreach shared out-of-band boundary
+	fixture.RecordWallClock()
+}
+`})
+	if out := res2.Outstanding(); len(out) != 0 {
+		t.Fatalf("comma directive did not prune the second analyzer's walk:\n%s", formatDiags(out))
 	}
 }
 

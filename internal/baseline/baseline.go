@@ -142,6 +142,7 @@ func Replay(set *trace.Set, p Params) (*Result, error) {
 // replay is the shared implementation; retime additionally rebuilds
 // the trace on the replayed schedule and accounts merge slack.
 func replay(set *trace.Set, p Params, retime bool) (*Result, *retimeState, error) {
+	//mpg:lint-ignore floateq zero-value default: an unset CPURatio is exactly 0 and selects the 1.0 ratio
 	if p.CPURatio == 0 {
 		p.CPURatio = 1.0
 	}

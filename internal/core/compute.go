@@ -271,7 +271,7 @@ func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int3
 	}
 	// adopt folds a cross-member contribution into dst, reclassifying
 	// the source's noise as remote.
-	//mpg:lint-ignore hotpathalloc non-escaping closure, stack-allocated; pinned at 0 allocs by TestResolveExplicitKernelAllocs
+	//mpg:lint-ignore hotpathprop non-escaping closure, stack-allocated; pinned at 0 allocs by TestResolveExplicitKernelAllocs
 	adopt := func(dst, src int, msg float64) {
 		if v := D[src] + msg; v > D[dst] {
 			D[dst] = v
@@ -279,9 +279,9 @@ func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int3
 			org[dst] = org[src]
 		}
 	}
-	//mpg:lint-ignore hotpathalloc non-escaping closure, stack-allocated; pinned at 0 allocs by TestResolveExplicitKernelAllocs
+	//mpg:lint-ignore hotpathprop non-escaping closure, stack-allocated; pinned at 0 allocs by TestResolveExplicitKernelAllocs
 	bytesOf := func(round int) int64 { return roundBytes(kind, bytes, round, p) }
-	//mpg:lint-ignore hotpathalloc non-escaping closure, stack-allocated; pinned at 0 allocs by TestResolveExplicitKernelAllocs
+	//mpg:lint-ignore hotpathprop non-escaping closure, stack-allocated; pinned at 0 allocs by TestResolveExplicitKernelAllocs
 	msgDelta := func(round int) float64 {
 		d := smp.latency()
 		if smp.model.CollectiveBytes {

@@ -113,7 +113,7 @@ func (g *Graph) dot(title string, path []PathStep) string {
 
 	// Group nodes by rank, ordered.
 	byRank := map[int][]GraphNode{}
-	//mpg:lint-ignore nondet per-rank buckets are fully re-sorted by (event, end) before emission
+	//mpg:lint-ignore detreach per-rank buckets are fully re-sorted by (event, end) before emission
 	for _, n := range g.nodes {
 		byRank[n.Ref.Rank] = append(byRank[n.Ref.Rank], n)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // The //mpg:hotpath annotations (enforced by internal/analysis's
-// hotpathalloc analyzer) promise that the shared propagation kernels
+// hotpathprop analyzer) promise that the shared propagation kernels
 // never allocate on the warm path. These guards pin that promise:
 // unlike the end-to-end ReplayCompiled budget they demand exactly
 // zero, because a single stray allocation in a kernel multiplies by

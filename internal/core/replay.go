@@ -26,22 +26,22 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 	if opts.Graph != nil {
 		return nil, errors.New("core: ReplayCompiled cannot feed a graph sink; use Analyze for graph export")
 	}
-	//mpg:lint-ignore hotpathprop,detreach out-of-band metrics boundary: the registry observes the replay but never feeds results back, and the nil-registry fast path is allocation-free
+	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: the registry observes the replay but never feeds results back, and the nil-registry fast path is allocation-free
 	defer opts.Metrics.Timer("core_replay_compiled").Start()()
-	//mpg:lint-ignore hotpathprop,detreach out-of-band metrics boundary: spans observe the replay but never feed back into its results
+	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: spans observe the replay but never feed back into its results
 	defer opts.Metrics.SpanStart("replay")()
 	if model == nil {
-		//mpg:lint-ignore hotpathalloc nil-model fallback; Monte Carlo callers always pass a model
+		//mpg:lint-ignore hotpathprop nil-model fallback; Monte Carlo callers always pass a model
 		model = &Model{}
 	}
 	st := c.poolGet()
 	if st == nil {
 		//mpg:lint-ignore hotpathprop cold pool-miss path: the replay state is built once and recycled via the pool
 		st = newReplayState(c)
-		//mpg:lint-ignore hotpathprop,detreach out-of-band metrics boundary
+		//mpg:lint-ignore hotpathprop out-of-band metrics boundary
 		opts.Metrics.Counter("core_replay_pool_misses_total").Inc()
 	} else {
-		//mpg:lint-ignore hotpathprop,detreach out-of-band metrics boundary
+		//mpg:lint-ignore hotpathprop out-of-band metrics boundary
 		opts.Metrics.Counter("core_replay_pool_hits_total").Inc()
 	}
 	defer c.poolPut(st)
@@ -52,7 +52,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 		st.ensureCrit(c)
 	}
 
-	//mpg:lint-ignore hotpathalloc the returned Result is the replay's one documented allocation group (AllocsPerRun-guarded <= 16)
+	//mpg:lint-ignore hotpathprop the returned Result is the replay's one documented allocation group (AllocsPerRun-guarded <= 16)
 	res := &Result{
 		NRanks:          c.nranks,
 		Ranks:           make([]RankResult, c.nranks),
@@ -276,7 +276,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 			}
 			if recordCrit {
 				critEnd.d = endD
-				//mpg:lint-ignore hotpathalloc appends into pooled critBack backing whose cap is the rank's full event count; never grows
+				//mpg:lint-ignore hotpathprop appends into pooled critBack backing whose cap is the rank's full event count; never grows
 				st.crit[rank] = append(st.crit[rank], critNode{start: st.critStart[rank], end: critEnd})
 			}
 			st.prevD[rank] = endD
@@ -332,7 +332,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 		rr.Attr = st.prevAttr[r]
 	}
 	if len(c.warnings) > 0 {
-		//mpg:lint-ignore hotpathalloc warnings escape into the returned Result by design; part of the guarded budget
+		//mpg:lint-ignore hotpathprop warnings escape into the returned Result by design; part of the guarded budget
 		res.Warnings = make([]string, len(c.warnings), len(c.warnings)+1)
 		copy(res.Warnings, c.warnings)
 	}
@@ -342,7 +342,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 	// The Result must not reference pooled memory: region stats are
 	// copied out into a fresh backing array.
 	if len(c.regionKeys) > 0 {
-		//mpg:lint-ignore hotpathalloc region stats escape into the returned Result by design; part of the guarded budget
+		//mpg:lint-ignore hotpathprop region stats escape into the returned Result by design; part of the guarded budget
 		stats := make([]RegionStats, len(c.regionKeys))
 		copy(stats, st.regions)
 		for i, k := range c.regionKeys {
@@ -353,7 +353,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 		//mpg:lint-ignore hotpathprop once-per-replay path reconstruction after the event loop
 		res.CritPath = buildCritPath(res, critLog{flat: st.crit})
 	}
-	//mpg:lint-ignore hotpathprop,detreach out-of-band metrics boundary: recorded after the event loop, never feeds back into replay results
+	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: recorded after the event loop, never feeds back into replay results
 	if m := opts.Metrics; m != nil {
 		m.Counter("core_replays_total").Inc()
 		m.Counter("core_events_total").Add(res.Events)

@@ -147,7 +147,9 @@ func (t *Timer) Start() func() {
 	if t == nil {
 		return func() {}
 	}
+	//mpg:lint-ignore detreach out-of-band span timing (DESIGN §7): wall time feeds the registry only, never analysis results
 	begin := time.Now()
+	//mpg:lint-ignore detreach out-of-band span timing (DESIGN §7): wall time feeds the registry only, never analysis results
 	return func() { t.Observe(time.Since(begin)) }
 }
 

@@ -122,6 +122,7 @@ func Map[T any](n int, opts Options, fn func(task int) (T, error)) ([]T, error) 
 	taskMS := m.Histogram("parallel_task_ms", obsv.ExpBuckets(0.01, 4, 12))
 	nTasks := m.Counter("parallel_tasks_total")
 	nFails := m.Counter("parallel_task_failures_total")
+	//mpg:lint-ignore detreach out-of-band pool timing (DESIGN §7): wall time feeds metrics only, never task results or their order
 	mapStart := time.Now()
 	defer m.Timer("parallel_map").Start()()
 
@@ -145,8 +146,10 @@ func Map[T any](n int, opts Options, fn func(task int) (T, error)) ([]T, error) 
 			if i >= n {
 				return
 			}
+			//mpg:lint-ignore detreach out-of-band pool timing (DESIGN §7): wall time feeds metrics only, never task results or their order
 			t0 := time.Now()
 			err := runTask(i, fn, &results[i])
+			//mpg:lint-ignore detreach out-of-band pool timing (DESIGN §7): wall time feeds metrics only, never task results or their order
 			taskMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 			nTasks.Inc()
 			if err != nil {
@@ -166,6 +169,7 @@ func Map[T any](n int, opts Options, fn func(task int) (T, error)) ([]T, error) 
 	wg.Wait()
 
 	if m != nil {
+		//mpg:lint-ignore detreach out-of-band pool timing (DESIGN §7): wall time feeds metrics only, never task results or their order
 		if wall := float64(time.Since(mapStart)) / float64(time.Millisecond); wall > 0 {
 			m.Gauge("parallel_pool_utilization").Set(taskMS.Sum() / (float64(w) * wall))
 		}

@@ -15,7 +15,7 @@ type LintDiagnostic struct {
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	// Func is the enclosing function of the finding ("" at file
-	// scope); it keys baseline fingerprints.
+	// scope).
 	Func    string `json:"func,omitempty"`
 	Message string `json:"message"`
 	// Severity is "" for gating findings and "info" for advisories
@@ -24,7 +24,6 @@ type LintDiagnostic struct {
 
 	Suppressed bool   `json:"suppressed,omitempty"`
 	Reason     string `json:"reason,omitempty"`
-	Baselined  bool   `json:"baselined,omitempty"`
 }
 
 // LintReport is the full outcome of one mpg-lint run.
@@ -37,12 +36,11 @@ type LintReport struct {
 	// with Analyzers; the SARIF writer renders them as rule
 	// descriptions. Omitted from the JSON report to keep it stable.
 	AnalyzerDocs []string `json:"-"`
-	// Diagnostics holds every finding, including suppressed and
-	// baselined ones (marked as such).
+	// Diagnostics holds every finding, including suppressed ones
+	// (marked as such).
 	Diagnostics []LintDiagnostic `json:"diagnostics"`
 	// Outstanding counts the gating findings: neither suppressed
-	// nor baselined nor info-severity. The process exit code is
-	// derived from it.
+	// nor info-severity. The process exit code is derived from it.
 	Outstanding int `json:"outstanding"`
 }
 
@@ -56,13 +54,11 @@ func (r *LintReport) WriteJSON(w io.Writer) error {
 // WriteText renders the report as file:line:col lines — gating
 // findings bare, advisories tagged "info:" — then a one-line summary.
 func (r *LintReport) WriteText(w io.Writer) error {
-	var suppressed, baselined, info int
+	var suppressed, info int
 	for _, d := range r.Diagnostics {
 		switch {
 		case d.Suppressed:
 			suppressed++
-		case d.Baselined:
-			baselined++
 		case d.Severity == "info":
 			info++
 			if _, err := fmt.Fprintf(w, "%s:%d:%d: %s: info: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message); err != nil {
@@ -74,7 +70,7 @@ func (r *LintReport) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	_, err := fmt.Fprintf(w, "mpg-lint: %d packages, %d outstanding, %d info, %d suppressed, %d baselined\n",
-		r.Packages, r.Outstanding, info, suppressed, baselined)
+	_, err := fmt.Fprintf(w, "mpg-lint: %d packages, %d outstanding, %d info, %d suppressed\n",
+		r.Packages, r.Outstanding, info, suppressed)
 	return err
 }

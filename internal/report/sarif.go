@@ -15,9 +15,7 @@ import (
 //   - info advisories are level "note";
 //   - findings suppressed by an //mpg:lint-ignore directive carry a
 //     suppression of kind "inSource" with the directive's reason as
-//     justification;
-//   - baselined findings carry kind "external" (the committed
-//     baseline file is the suppression's home).
+//     justification.
 //
 // Suppressed results are included rather than dropped so a scanning
 // UI shows the audit trail the text report prints as counts.
@@ -133,8 +131,6 @@ func (r *LintReport) WriteSARIF(w io.Writer) error {
 		}
 		if d.Suppressed {
 			res.Suppressions = []sarifSuppression{{Kind: "inSource", Justification: d.Reason}}
-		} else if d.Baselined {
-			res.Suppressions = []sarifSuppression{{Kind: "external", Justification: "absorbed by the committed lint baseline"}}
 		}
 		run.Results = append(run.Results, res)
 	}

@@ -132,7 +132,7 @@ func validateSARIF(t *testing.T, doc map[string]any) {
 
 func TestSARIFConformsToSchema(t *testing.T) {
 	rep := sampleLintReport()
-	rep.AnalyzerDocs = []string{"float comparison discipline", "determinism discipline"}
+	rep.AnalyzerDocs = []string{"determinism discipline", "float comparison discipline"}
 	var b strings.Builder
 	if err := rep.WriteSARIF(&b); err != nil {
 		t.Fatal(err)
@@ -158,8 +158,7 @@ func TestSARIFMapping(t *testing.T) {
 			{Analyzer: "detreach", File: "a.go", Line: 1, Col: 1, Message: "gating"},
 			{Analyzer: "detreach", File: "a.go", Line: 2, Col: 1, Message: "advisory", Severity: "info"},
 			{Analyzer: "detreach", File: "a.go", Line: 3, Col: 1, Message: "vouched", Suppressed: true, Reason: "documented boundary"},
-			{Analyzer: "detreach", File: "a.go", Line: 4, Col: 1, Message: "debt", Baselined: true},
-			{Analyzer: "directive", File: "a.go", Line: 5, Col: 1, Message: "bad directive"},
+			{Analyzer: "directive", File: "a.go", Line: 4, Col: 1, Message: "bad directive"},
 		},
 		Outstanding: 2,
 	}
@@ -185,8 +184,8 @@ func TestSARIFMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := doc.Runs[0]
-	if len(run.Results) != 5 {
-		t.Fatalf("want all 5 diagnostics as results, got %d", len(run.Results))
+	if len(run.Results) != 4 {
+		t.Fatalf("want all 4 diagnostics as results, got %d", len(run.Results))
 	}
 	if run.Results[0].Level != "error" || len(run.Results[0].Suppressions) != 0 {
 		t.Errorf("gating finding: %+v", run.Results[0])
@@ -197,10 +196,7 @@ func TestSARIFMapping(t *testing.T) {
 	if s := run.Results[2].Suppressions; len(s) != 1 || s[0].Kind != "inSource" || s[0].Justification != "documented boundary" {
 		t.Errorf("in-source suppression mapping: %+v", run.Results[2])
 	}
-	if s := run.Results[3].Suppressions; len(s) != 1 || s[0].Kind != "external" {
-		t.Errorf("baselined finding must carry an external suppression: %+v", run.Results[3])
-	}
-	if got := run.Results[4].RuleID; got != "directive" {
+	if got := run.Results[3].RuleID; got != "directive" {
 		t.Errorf("out-of-set analyzer: ruleId = %q", got)
 	}
 	if n := len(run.Tool.Driver.Rules); n != 2 {

@@ -24,7 +24,9 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 
 	"mpgraph/internal/core"
@@ -81,27 +83,21 @@ func (f *File) Model() (*core.Model, error) {
 	if m.PerByte, err = optDist(f.PerByte); err != nil {
 		return nil, fmt.Errorf("per_byte: %w", err)
 	}
-	if len(f.RankOSNoise) > 0 {
-		maxRank := -1
-		parsed := map[int]dist.Distribution{}
-		for key, spec := range f.RankOSNoise {
-			rank, err := strconv.Atoi(key)
-			if err != nil || rank < 0 {
-				return nil, fmt.Errorf("rank_os_noise: bad rank key %q", key)
-			}
-			d, err := dist.Parse(spec)
-			if err != nil {
-				return nil, fmt.Errorf("rank_os_noise[%s]: %w", key, err)
-			}
-			parsed[rank] = d
-			if rank > maxRank {
-				maxRank = rank
-			}
+	// Sorted keys: the first bad key, and the winner among keys naming
+	// one rank ("1", "01"), must not depend on map order.
+	for _, key := range slices.Sorted(maps.Keys(f.RankOSNoise)) {
+		rank, err := strconv.Atoi(key)
+		if err != nil || rank < 0 {
+			return nil, fmt.Errorf("rank_os_noise: bad rank key %q", key)
 		}
-		m.RankOSNoise = make([]dist.Distribution, maxRank+1)
-		for rank, d := range parsed {
-			m.RankOSNoise[rank] = d
+		d, err := dist.Parse(f.RankOSNoise[key])
+		if err != nil {
+			return nil, fmt.Errorf("rank_os_noise[%s]: %w", key, err)
 		}
+		if n := rank + 1; n > len(m.RankOSNoise) {
+			m.RankOSNoise = append(m.RankOSNoise, make([]dist.Distribution, n-len(m.RankOSNoise))...)
+		}
+		m.RankOSNoise[rank] = d
 	}
 	switch f.Propagation {
 	case "", "additive":

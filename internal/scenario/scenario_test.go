@@ -90,6 +90,18 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestModelErrorIgnoresMapOrder: with several bad rank keys the error
+// names the first in sorted order, every time.
+func TestModelErrorIgnoresMapOrder(t *testing.T) {
+	f := &File{RankOSNoise: map[string]string{"x": "constant:1", "y": "constant:1", "z": "bogus"}}
+	for i := 0; i < 50; i++ {
+		_, err := f.Model()
+		if err == nil || err.Error() != `rank_os_noise: bad rank key "x"` {
+			t.Fatalf("call %d: got %v, want the error for key \"x\"", i, err)
+		}
+	}
+}
+
 func TestSaveRoundTrip(t *testing.T) {
 	f := &File{
 		Name:    "rt",

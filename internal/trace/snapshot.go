@@ -56,14 +56,14 @@ func (s *Snapshot) Events() int64 {
 func (s *Snapshot) Acquire() (*Set, func()) {
 	wrappers, _ := s.pool.Get().([]*MemTrace) //mpg:lint-ignore hotpathprop sync.Pool is stubbed by the analysis loader; Get itself does not allocate
 	if wrappers == nil {
-		//mpg:lint-ignore hotpathalloc cold pool-miss path; wrapper sets are recycled across acquisitions
+		//mpg:lint-ignore hotpathprop cold pool-miss path; wrapper sets are recycled across acquisitions
 		wrappers = make([]*MemTrace, len(s.traces))
 		for i := range wrappers {
-			//mpg:lint-ignore hotpathalloc cold pool-miss path; wrapper sets are recycled across acquisitions
+			//mpg:lint-ignore hotpathprop cold pool-miss path; wrapper sets are recycled across acquisitions
 			wrappers[i] = &MemTrace{}
 		}
 	}
-	//mpg:lint-ignore hotpathalloc per-acquire readers slice is part of the documented budget (AllocsPerRun-guarded <= 6)
+	//mpg:lint-ignore hotpathprop per-acquire readers slice is part of the documented budget (AllocsPerRun-guarded <= 6)
 	readers := make([]Reader, len(wrappers))
 	for i, w := range wrappers {
 		w.Hdr = s.traces[i].Hdr
@@ -73,9 +73,9 @@ func (s *Snapshot) Acquire() (*Set, func()) {
 	}
 	// The wrappers are by construction a valid rank-complete set;
 	// bypass NewSet's validation (it cannot fail here).
-	//mpg:lint-ignore hotpathalloc the returned Set is part of the documented budget (AllocsPerRun-guarded <= 6)
+	//mpg:lint-ignore hotpathprop the returned Set is part of the documented budget (AllocsPerRun-guarded <= 6)
 	set := &Set{readers: readers}
-	//mpg:lint-ignore hotpathalloc the release closure escapes by design and is counted in the guarded budget
+	//mpg:lint-ignore hotpathprop the release closure escapes by design and is counted in the guarded budget
 	release := func() { s.pool.Put(wrappers) } //mpg:lint-ignore hotpathprop sync.Pool is stubbed by the analysis loader; Put does not allocate
 	return set, release
 }

@@ -489,7 +489,7 @@ func (g *GraphCollector) AddEdge(from, to core.NodeRef, kind core.EdgeKind, weig
 func LintGraph(g *GraphCollector) []Finding {
 	var out []Finding
 	nodes := map[core.NodeRef]int{}
-	//mpg:lint-ignore nondet map-to-map seeding is order-insensitive
+	//mpg:lint-ignore detreach map-to-map seeding is order-insensitive
 	for ref := range g.Nodes {
 		nodes[ref] = 0
 	}
@@ -519,7 +519,7 @@ func LintGraph(g *GraphCollector) []Finding {
 		succ[e.From] = append(succ[e.From], e.To)
 	}
 	queue := make([]core.NodeRef, 0, len(indeg))
-	//mpg:lint-ignore nondet Kahn's peel set is independent of seeding order; cycle members are sorted before output
+	//mpg:lint-ignore detreach Kahn's peel set is independent of seeding order; cycle members are sorted before output
 	for ref, d := range indeg {
 		if d == 0 {
 			queue = append(queue, ref)
