@@ -49,7 +49,14 @@ type msgState struct {
 	waiters []int
 	waitBuf [2]int
 
-	next *msgState // the next unmatched post in its matching queue
+	// sidesDone counts the completed sides: the end of a blocking Send
+	// or Recv, or the wait on a request. The second one recycles the
+	// transfer (analyzer.sideDone).
+	sidesDone uint8
+
+	// next links the unmatched posts of a matching queue in FIFO order,
+	// and the recycled transfers of the analyzer's free list.
+	next *msgState
 
 	// Graph-sink and critical-path bookkeeping.
 	sendStartRef NodeRef
@@ -134,8 +141,10 @@ type rankState struct {
 	startAttr Attribution // attribution of startD
 	prevAttr  Attribution // attribution at the previous record's end
 	posted    bool        // cur's side effects (queue postings) done
-	myMsg     *msgState
-	myColl    *collState
+	// myMsg is the transfer whose side cur completes: a blocking
+	// Send/Recv's own, or the one a wait's request names.
+	myMsg  *msgState
+	myColl *collState
 
 	region int32
 	// reg caches the stats bucket of (rank, region) and recRegion the
@@ -157,41 +166,56 @@ type rankState struct {
 	ivPeerRank  int
 	ivPeerEvent int64
 
-	// reqTab holds requests by value while their ids arrive
-	// consecutively, as the mpi runtime issues them: reqTab[i] is
-	// request i+1. Any other id lives in reqs (nil until needed).
-	reqTab []reqRef
-	reqs   map[uint64]*reqRef
+	// reqTab is a sliding window over consecutive request ids, as the
+	// mpi runtime issues them: reqTab[i] is request reqBase+i, and a nil
+	// msg marks a request its wait has retired. The first reqFront
+	// entries are retired; an append at capacity reclaims them. Any
+	// other id lives in reqs (nil until needed).
+	reqTab   []reqRef
+	reqBase  uint64
+	reqFront int
+	reqs     map[uint64]*reqRef
 
 	sendReqs    int64
 	waitedSends int64
 	unwaited    int
 }
 
-// reqRef links a request id to its transfer and side.
+// reqRef links a pending request id to its transfer and side.
 type reqRef struct {
 	msg    *msgState
 	isSend bool
-	waited bool
 }
 
-// req returns the posted request with the given id, or nil.
+// req returns the pending request with the given id, or nil.
 func (rs *rankState) req(id uint64) *reqRef {
-	if id-1 < uint64(len(rs.reqTab)) { // id 0 wraps past the table
-		return &rs.reqTab[id-1]
+	if i := id - rs.reqBase; i < uint64(len(rs.reqTab)) { // ids below the window wrap past it
+		if ref := &rs.reqTab[i]; ref.msg != nil {
+			return ref
+		}
+		return nil
 	}
 	return rs.reqs[id]
 }
 
-// addReq registers a posted request, replacing an earlier one with the
+// addReq registers a posted request, replacing a pending one with the
 // same id.
 func (rs *rankState) addReq(id uint64, ref reqRef) {
+	i := id - rs.reqBase
 	switch {
-	case id-1 < uint64(len(rs.reqTab)):
-		rs.reqTab[id-1] = ref
-	case id == uint64(len(rs.reqTab))+1:
+	case i < uint64(len(rs.reqTab)):
+		rs.reqTab[i] = ref
+		rs.reqFront = min(rs.reqFront, int(i))
+	case i == uint64(len(rs.reqTab)):
+		if n := len(rs.reqTab); n == cap(rs.reqTab) && 2*rs.reqFront >= n {
+			// At least half the window is retired: slide the live part
+			// down instead of growing.
+			rs.reqTab = rs.reqTab[:copy(rs.reqTab, rs.reqTab[rs.reqFront:])]
+			rs.reqBase += uint64(rs.reqFront)
+			rs.reqFront = 0
+		}
 		rs.reqTab = append(rs.reqTab, ref)
-		delete(rs.reqs, id) // the table now shadows any sparse entry
+		delete(rs.reqs, id) // the window now shadows any sparse entry
 	default:
 		if rs.reqs == nil {
 			rs.reqs = map[uint64]*reqRef{}
@@ -199,6 +223,26 @@ func (rs *rankState) addReq(id uint64, ref reqRef) {
 		p := new(reqRef) // a fresh copy: &ref would move every call's ref to the heap
 		*p = ref
 		rs.reqs[id] = p
+	}
+}
+
+// retireReq drops the request that a wait has just completed. The
+// window's front advances past retired entries; once all are retired
+// the window empties and starts at the next id.
+func (rs *rankState) retireReq(id uint64) {
+	i := id - rs.reqBase
+	if i >= uint64(len(rs.reqTab)) {
+		delete(rs.reqs, id)
+		return
+	}
+	rs.reqTab[i] = reqRef{}
+	for rs.reqFront < len(rs.reqTab) && rs.reqTab[rs.reqFront].msg == nil {
+		rs.reqFront++
+	}
+	if rs.reqFront == len(rs.reqTab) {
+		rs.reqBase += uint64(len(rs.reqTab))
+		rs.reqTab = rs.reqTab[:0]
+		rs.reqFront = 0
 	}
 }
 
@@ -215,6 +259,7 @@ type analyzer struct {
 	queues  map[msgKey]msgQueue // unmatched posts, FIFO per key
 	colls   map[collKey]*collState
 	msgSlab []msgState // unused msgStates, handed out by newMsg
+	msgFree *msgState  // recycled msgStates, linked through next
 
 	pendingOps int
 
@@ -272,6 +317,7 @@ func newAnalyzer(set *trace.Set, model *Model, opts Options) (*analyzer, error) 
 			reader:    set.Rank(r),
 			region:    -1,
 			recRegion: -1,
+			reqBase:   1, // the mpi runtime's first request id
 		}
 		a.enqueue(r)
 	}
@@ -359,11 +405,11 @@ func (a *analyzer) processBurst(rs *rankState) error {
 			return nil
 		case phaseFetch:
 			rec, err := rs.reader.Next()
-			if errors.Is(err, io.EOF) {
-				a.finishRank(rs)
-				return nil
-			}
-			if err != nil {
+			if err != nil { // tested first: errors.Is costs a call per record
+				if errors.Is(err, io.EOF) {
+					a.finishRank(rs)
+					return nil
+				}
 				return fmt.Errorf("core: rank %d: %w", rs.rank, err)
 			}
 			if err := a.beginRecord(rs, rec); err != nil {
@@ -519,6 +565,15 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, endAttr Attribution) {
 	if a.rec != nil {
 		a.rec.onEnd(rs, rec)
+	}
+	// The recorder has read the request and the transfer's tape index:
+	// retire the one and complete this side of the other.
+	if rec.Kind.IsCompletion() {
+		rs.retireReq(rec.Req)
+	}
+	if m := rs.myMsg; m != nil {
+		rs.myMsg = nil
+		a.sideDone(m)
 	}
 	if a.model.AllowNegative {
 		// Order preservation (§4.3): an event may not end before it
@@ -726,15 +781,32 @@ func (a *analyzer) resolveMatch(key msgKey, m *msgState, recvRank int) {
 	m.waiters = m.waiters[:0]
 }
 
-// newMsg hands out a zeroed msgState from the current slab.
+// newMsg hands out a zeroed msgState: a recycled one if the free list
+// has any, else the next of the current slab.
 func (a *analyzer) newMsg() *msgState {
-	if len(a.msgSlab) == 0 {
-		a.msgSlab = make([]msgState, msgSlabLen)
+	m := a.msgFree
+	if m != nil {
+		a.msgFree = m.next
+		m.next = nil
+	} else {
+		if len(a.msgSlab) == 0 {
+			a.msgSlab = make([]msgState, msgSlabLen)
+		}
+		m = &a.msgSlab[0]
+		a.msgSlab = a.msgSlab[1:]
 	}
-	m := &a.msgSlab[0]
-	a.msgSlab = a.msgSlab[1:]
 	m.waiters = m.waitBuf[:0]
 	return m
+}
+
+// sideDone completes one side of a matched transfer. After the second,
+// no queue, request or rank refers to the transfer any more, so it is
+// zeroed onto the free list.
+func (a *analyzer) sideDone(m *msgState) {
+	if m.sidesDone++; m.sidesDone == 2 {
+		*m = msgState{next: a.msgFree}
+		a.msgFree = m
+	}
 }
 
 // completeBlockingP2P resolves a blocking Send or Recv end subevent.
@@ -838,19 +910,19 @@ func (a *analyzer) postNonblocking(rs *rankState, rec trace.Record) {
 func (a *analyzer) completeWait(rs *rankState, rec trace.Record) (float64, Attribution, bool, error) {
 	ref := rs.req(rec.Req)
 	if ref == nil {
-		return 0, Attribution{}, false, fmt.Errorf("core: rank %d: wait on unknown request %d", rs.rank, rec.Req)
+		return 0, Attribution{}, false, fmt.Errorf("core: rank %d: wait on request %d, which is not pending (an unknown request, or one an earlier wait completed)", rs.rank, rec.Req)
 	}
 	m := ref.msg
 	if !m.matched {
 		m.waiters = append(m.waiters, rs.rank)
 		return 0, Attribution{}, false, nil
 	}
-	if !ref.waited {
-		ref.waited = true
-		rs.unwaited--
-		if ref.isSend {
-			rs.waitedSends++
-		}
+	// This wait completes the request: finishRecord retires it and
+	// completes the transfer's side.
+	rs.myMsg = m
+	rs.unwaited--
+	if ref.isSend {
+		rs.waitedSends++
 	}
 	var d float64
 	var attr Attribution

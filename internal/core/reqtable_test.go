@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mpgraph/internal/dist"
@@ -133,12 +135,12 @@ func TestSparseRequestIDsMatchDense(t *testing.T) {
 	}
 }
 
-// TestDoubleWaitedRequest pins the behaviour of waiting twice on one
-// request, on both sides of the request table: the second wait sees
-// the transfer again and applies the sender's completion rule once
-// more, and the request counts as waited once.
+// TestDoubleWaitedRequest pins the rule that a request completes
+// exactly once: a second wait on it, as on an id never posted, fails
+// with a descriptive error on both sides of the request table and in
+// both engines.
 func TestDoubleWaitedRequest(t *testing.T) {
-	set := func(req uint64) []*trace.MemTrace {
+	set := func(req uint64) *trace.Set {
 		isend := rec(trace.KindIsend, 100, 110)
 		isend.Peer, isend.Tag, isend.Bytes, isend.Req = 1, 3, 100, req
 		w1 := rec(trace.KindWait, 200, 300)
@@ -147,35 +149,178 @@ func TestDoubleWaitedRequest(t *testing.T) {
 		w2.Req = req
 		recv := rec(trace.KindRecv, 100, 350)
 		recv.Peer, recv.Tag, recv.Bytes = 0, 3, 100
-		return []*trace.MemTrace{
-			{Hdr: trace.Header{Rank: 0, NRanks: 2}, Records: []trace.Record{
-				rec(trace.KindInit, 0, 10), isend, w1, w2, rec(trace.KindFinalize, 500, 500)}},
-			{Hdr: trace.Header{Rank: 1, NRanks: 2}, Records: []trace.Record{
-				rec(trace.KindInit, 0, 10), recv, rec(trace.KindFinalize, 500, 500)}},
+		return mkset(t,
+			[]trace.Record{rec(trace.KindInit, 0, 10), isend, w1, w2, rec(trace.KindFinalize, 500, 500)},
+			[]trace.Record{rec(trace.KindInit, 0, 10), recv, rec(trace.KindFinalize, 500, 500)})
+	}
+	model := &Model{MsgLatency: dist.Constant{C: 400}}
+	for _, req := range []uint64{1, 77} {
+		want := fmt.Sprintf("core: rank 0: wait on request %d, which is not pending (an unknown request, or one an earlier wait completed)", req)
+		if _, err := Analyze(set(req), model, Options{}); err == nil || err.Error() != want {
+			t.Errorf("Analyze, request %d: err = %v\nwant %s", req, err, want)
+		}
+		if _, err := Compile(set(req), Options{}); err == nil || err.Error() != want {
+			t.Errorf("Compile, request %d: err = %v\nwant %s", req, err, want)
 		}
 	}
-	model := &Model{
-		OSNoise:    dist.Constant{C: 7},
-		MsgLatency: dist.Constant{C: 400},
-		PerByte:    dist.Constant{C: 0.25},
+}
+
+// reuseReqs returns a copy of the traces in which every post takes the
+// lowest request id, counted from base, that is not pending on its
+// rank, the way MPI libraries recycle completed handles. It also
+// returns how many posts reused an id.
+func reuseReqs(mems []*trace.MemTrace, base uint64) ([]*trace.MemTrace, int) {
+	out := make([]*trace.MemTrace, len(mems))
+	reused := 0
+	for r, m := range mems {
+		recs := append([]trace.Record(nil), m.Records...)
+		renamed := map[uint64]uint64{}
+		var used, busy []bool // per id base+i: ever posted, pending now
+		for i := range recs {
+			switch k := recs[i].Kind; {
+			case k == trace.KindIsend || k == trace.KindIrecv:
+				j := slices.Index(busy, false)
+				if j < 0 {
+					j = len(busy)
+					used, busy = append(used, false), append(busy, false)
+				}
+				if used[j] {
+					reused++
+				}
+				used[j], busy[j] = true, true
+				renamed[recs[i].Req] = base + uint64(j)
+				recs[i].Req = base + uint64(j)
+			case k.IsCompletion():
+				id := renamed[recs[i].Req]
+				delete(renamed, recs[i].Req)
+				busy[id-base] = false
+				recs[i].Req = id
+			}
+		}
+		out[r] = &trace.MemTrace{Hdr: m.Hdr, Records: recs}
 	}
-	dense := analyzeBoth(t, set(1), model)
-	if sparse := analyzeBoth(t, set(77), model); !reflect.DeepEqual(dense, sparse) {
-		t.Fatalf("sparse request id differs from the dense one:\n%s", diffResults(dense, sparse))
+	return out, reused
+}
+
+// TestRequestIDReusedAfterWait: a wait retires its request, so a later
+// post may take the same id, dense or sparse, and the result is that
+// of the same trace with fresh ids. A reposted request nobody waits on
+// still counts as outstanding.
+func TestRequestIDReusedAfterWait(t *testing.T) {
+	fresh := memTraces(t, snapWorkload(t, "stencil1d", 8, workloads.Options{Iterations: 6, CollEvery: 2}))
+	for _, model := range equivalenceModels()[:3] {
+		want := analyzeBoth(t, fresh, model)
+		for _, base := range []uint64{1, 1 << 40} {
+			mems, reused := reuseReqs(fresh, base)
+			if reused == 0 {
+				t.Fatalf("ids from %d: no post reuses an id", base)
+			}
+			if got := analyzeBoth(t, mems, model); !reflect.DeepEqual(want, got) {
+				t.Fatalf("ids from %d, model %s: result differs from the fresh-id run:\n%s",
+					base, modelLabel(model), diffResults(want, got))
+			}
+		}
 	}
-	// The values the map-only request lookup produced: the first wait
-	// adopts the acknowledged transfer (811 cycles induced); the second
-	// merges the same remote path again, which the rank's own noise has
-	// since outrun by 14 cycles.
-	want := RankResult{
-		Events: 5, OrigEnd: 500, FinalDelay: 867, InjectedLocal: 56,
-		Absorbed: 1, Propagated: 1, SlackAbsorbed: 14, DelayInduced: 811,
-		Attr: Attribution{OwnNoise: 42, MsgDelta: 825},
+
+	for _, req := range []uint64{1, 77} {
+		isend := rec(trace.KindIsend, 100, 110)
+		isend.Peer, isend.Tag, isend.Bytes, isend.Req = 1, 3, 100, req
+		wait := rec(trace.KindWait, 200, 300)
+		wait.Req = req
+		repost := isend
+		repost.Begin, repost.End = 400, 410
+		recv := rec(trace.KindRecv, 100, 350)
+		recv.Peer, recv.Tag, recv.Bytes = 0, 3, 100
+		recv2 := recv
+		recv2.Begin, recv2.End = 400, 450
+		res := analyzeBoth(t, []*trace.MemTrace{
+			{Hdr: trace.Header{Rank: 0, NRanks: 2}, Records: []trace.Record{
+				rec(trace.KindInit, 0, 10), isend, wait, repost, rec(trace.KindFinalize, 500, 500)}},
+			{Hdr: trace.Header{Rank: 1, NRanks: 2}, Records: []trace.Record{
+				rec(trace.KindInit, 0, 10), recv, recv2, rec(trace.KindFinalize, 500, 500)}},
+		}, &Model{MsgLatency: dist.Constant{C: 400}})
+		want := []string{"rank 0 finalized with 1 outstanding nonblocking requests"}
+		if !reflect.DeepEqual(res.Warnings, want) {
+			t.Errorf("request %d reposted and never waited: warnings = %q, want %q", req, res.Warnings, want)
+		}
 	}
-	if got := dense.Ranks[0]; got != want {
-		t.Fatalf("double-waiting rank:\n got %+v\nwant %+v", got, want)
+}
+
+// TestRequestTableMatchesMap drives one rank's request table through
+// random posts, waits and reposts, checking every lookup against a
+// plain map. Ids are mostly consecutive, as the mpi runtime issues
+// them, with retired ids reposted and sparse ids mixed in, so the
+// window reuses slots, slides its live part down and empties. Its
+// capacity must follow the span of pending ids, not the ids issued.
+func TestRequestTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	msgs := make([]msgState, 64)
+	rs := &rankState{reqBase: 1}
+	want := map[uint64]reqRef{}
+	var pending, retired []uint64
+	next := uint64(1)
+	maxSpan := 0
+	check := func(step int, id uint64) {
+		ref, ok := want[id]
+		got := rs.req(id)
+		if ok != (got != nil) || ok && *got != ref {
+			t.Fatalf("step %d: req(%d) = %+v, want %+v (pending %t)", step, id, got, ref, ok)
+		}
 	}
-	if len(dense.Warnings) != 0 {
-		t.Fatalf("warnings = %q; the request was waited", dense.Warnings)
+	for step := 0; step < 20000; step++ {
+		var id uint64
+		switch op := rng.Intn(8); {
+		case len(pending) == 16 || len(pending) > 0 && op < 3: // wait
+			k := rng.Intn(len(pending))
+			id = pending[k]
+			pending = slices.Delete(pending, k, k+1)
+			delete(want, id)
+			rs.retireReq(id)
+			retired = append(retired, id)
+			if len(retired) > 32 {
+				retired = retired[1:]
+			}
+		default: // post
+			switch {
+			case op == 3 && len(retired) > 0:
+				id = retired[rng.Intn(len(retired))]
+			case op == 4:
+				id = 1<<40 + uint64(rng.Intn(64))
+			default:
+				id = next
+				next++
+			}
+			if _, ok := want[id]; ok {
+				continue // only ids that are not pending get posted
+			}
+			ref := reqRef{msg: &msgs[rng.Intn(len(msgs))], isSend: rng.Intn(2) == 0}
+			rs.addReq(id, ref)
+			want[id] = ref
+			pending = append(pending, id)
+			retired = slices.DeleteFunc(retired, func(r uint64) bool { return r == id })
+		}
+		// The live span runs from the oldest pending request in the
+		// window to the window's end.
+		end := rs.reqBase + uint64(len(rs.reqTab))
+		oldest := end
+		for _, p := range pending {
+			if p >= rs.reqBase && p < oldest {
+				oldest = p
+			}
+		}
+		maxSpan = max(maxSpan, int(end-oldest))
+		check(step, id)
+		for _, p := range pending {
+			check(step, p)
+		}
+		for _, r := range retired {
+			check(step, r)
+		}
+	}
+	// A window grows only while less than half of it is retired, so
+	// its capacity stays below four times the longest live span.
+	t.Logf("window capacity %d, longest live span %d, after %d consecutive ids", cap(rs.reqTab), maxSpan, next-1)
+	if c := cap(rs.reqTab); c > 4*maxSpan {
+		t.Fatalf("request window capacity %d; the longest live span was %d", c, maxSpan)
 	}
 }

@@ -142,10 +142,10 @@ func ReadAll(r Reader) (*MemTrace, error) {
 	m := &MemTrace{Hdr: r.Header()}
 	for {
 		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return m, nil
-		}
-		if err != nil {
+		if err != nil { // tested first: errors.Is costs a call per record
+			if errors.Is(err, io.EOF) {
+				return m, nil
+			}
 			return nil, err
 		}
 		m.Records = append(m.Records, rec)
