@@ -401,9 +401,7 @@ func BenchmarkReplayStreaming(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, release := snap.Acquire()
-		_, err := core.Analyze(s, replayBenchModel(i), core.Options{})
-		release()
+		_, err := core.Analyze(snap.Set(), replayBenchModel(i), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,50 +10,40 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestGoldenCritPath pins the exact -critpath-csv and -critpath-dot
-// bytes for a deterministic workload (tokenring, 4 ranks, seed 1)
-// under a constant-latency model. Any change to trace generation,
-// graph construction, path extraction, or rendering shows up here.
-// TestGoldenTimeline pins the exact -timeline export bytes for the
-// same deterministic workload, and requires both engines — streaming
-// and compiled — to reproduce them bit-for-bit. The timeline is a pure function of (trace, model), not
-// of the machinery that replays them.
+// TestGoldenTimeline pins the exact -timeline export bytes for a
+// deterministic workload (tokenring, 4 ranks, seed 1). The compiled
+// engine's export is pinned to the same bytes on every verify scenario
+// by verify.TimelineInvariant.
 func TestGoldenTimeline(t *testing.T) {
 	dir := writeTraces(t)
 	golden := filepath.Join("testdata", "timeline.golden")
-	engines := []struct {
-		name string
-		args []string
-	}{
-		{"streaming", []string{"-engine", "streaming"}},
-		{"compiled", []string{"-engine", "compiled"}},
+	out := filepath.Join(t.TempDir(), "run.trace.json")
+	if err := run([]string{"-traces", dir, "-latency", "constant:500",
+		"-os-noise", "constant:20", "-timeline", out, "-timeline-window", "1000"}); err != nil {
+		t.Fatal(err)
 	}
-	for i, eng := range engines {
-		out := filepath.Join(t.TempDir(), "run.trace.json")
-		args := append([]string{"-traces", dir, "-latency", "constant:500",
-			"-os-noise", "constant:20", "-timeline", out, "-timeline-window", "1000"}, eng.args...)
-		if err := run(args); err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 && *update {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing golden (regenerate with -update): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s timeline deviates from golden (%d vs %d bytes)", eng.name, len(got), len(want))
-		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("timeline deviates from golden (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
+// TestGoldenCritPath pins the exact -critpath-csv and -critpath-dot
+// bytes for the same workload under a constant-latency model. Any
+// change to trace generation, graph construction, path extraction, or
+// rendering shows up here.
 func TestGoldenCritPath(t *testing.T) {
 	dir := writeTraces(t)
 	tmp := t.TempDir()

@@ -53,7 +53,6 @@ func run(args []string) error {
 	tlWindow := fs.Float64("timeline-window", 0, "window width in cycles for the timeline's counter tracks (0 = auto)")
 	tlRanks := fs.String("timeline-ranks", "", "ranks to include in the timeline export, e.g. \"0-3,7\" (empty or \"all\" = every rank)")
 	tlValidate := fs.String("timeline-validate", "", "validate an existing trace-event JSON file against the exporter's contract and exit")
-	engine := fs.String("engine", "streaming", "analysis engine: streaming or compiled (byte-identical)")
 	trajectory := fs.String("trajectory", "", "write a per-event delay CSV (rank,event,kind,orig_end,delay,region) to this path")
 	history := fs.String("history", "", "append this run's summary to a JSON-lines history file (§7)")
 	label := fs.String("label", "", "label for the history entry")
@@ -83,14 +82,6 @@ func run(args []string) error {
 	}
 	if *traces == "" {
 		return fmt.Errorf("-traces is required")
-	}
-	switch *engine {
-	case "streaming", "compiled":
-	default:
-		return fmt.Errorf("unknown -engine %q (want streaming or compiled)", *engine)
-	}
-	if *critpathDOT != "" && *engine != "streaming" {
-		return fmt.Errorf("-critpath-dot needs the graph sink; use -engine streaming")
 	}
 	model, err := mf.Build()
 	if err != nil {
@@ -155,9 +146,8 @@ func run(args []string) error {
 		opts.RecordCritPath = true
 		opts.Interval = tl.Record
 	}
-	var trajFile *os.File
 	if *trajectory != "" {
-		trajFile, err = os.Create(*trajectory)
+		trajFile, err := os.Create(*trajectory)
 		if err != nil {
 			return err
 		}
@@ -165,13 +155,17 @@ func run(args []string) error {
 		bw := bufio.NewWriter(trajFile)
 		defer bw.Flush() //nolint:errcheck
 		fmt.Fprintln(bw, "rank,event,kind,orig_end,delay,region")
-		opts.Trajectory = func(p core.TrajectoryPoint) {
+		record := opts.Interval
+		opts.Interval = func(p core.IntervalPoint) {
+			if record != nil {
+				record(p)
+			}
 			fmt.Fprintf(bw, "%d,%d,%s,%d,%.3f,%d\n",
-				p.Rank, p.Event, trace.Kind(p.Kind), p.OrigEnd, p.Delay, p.Region)
+				p.Rank, p.Event, trace.Kind(p.Kind), p.OrigEnd, p.EndDelay, p.Region)
 		}
 	}
 
-	res, err := analyze(set, model, opts, *engine)
+	res, err := core.Analyze(set, model, opts)
 	if err != nil {
 		return err
 	}
@@ -255,19 +249,4 @@ func run(args []string) error {
 		}
 	}
 	return of.Flush()
-}
-
-// analyze runs the model through the selected engine. Both engines
-// are pinned byte-identical by the core equivalence suite, so the
-// choice changes performance characteristics, never results: the
-// compiled engine pre-flattens the schedule into an op tape first.
-func analyze(set *trace.Set, model *core.Model, opts core.Options, engine string) (*core.Result, error) {
-	if engine == "streaming" {
-		return core.Analyze(set, model, opts)
-	}
-	prog, err := core.Compile(set, core.Options{MaxWindow: opts.MaxWindow, Metrics: opts.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	return core.ReplayCompiled(prog, model, opts)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,31 +139,6 @@ func TestAnalyzeTimelineRankFilter(t *testing.T) {
 	if err := run([]string{"-traces", dir, "-timeline", out,
 		"-timeline-ranks", "0-9"}); err == nil {
 		t.Fatal("out-of-world rank filter accepted")
-	}
-}
-
-// TestAnalyzeRejectsRemovedEngines: the deleted lane-batched and
-// wavefront-slab engines are unknown names now, rejected before any
-// analysis runs.
-func TestAnalyzeRejectsRemovedEngines(t *testing.T) {
-	dir := writeTraces(t)
-	for _, engine := range []string{"batched", "parallel"} {
-		err := run([]string{"-traces", dir, "-engine", engine})
-		want := fmt.Sprintf("unknown -engine %q (want streaming or compiled)", engine)
-		if err == nil || err.Error() != want {
-			t.Errorf("-engine %s: err = %v, want %q", engine, err, want)
-		}
-	}
-}
-
-func TestAnalyzeEngineFlag(t *testing.T) {
-	dir := writeTraces(t)
-	if err := run([]string{"-traces", dir, "-engine", "warp"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	if err := run([]string{"-traces", dir, "-engine", "compiled",
-		"-critpath-dot", filepath.Join(t.TempDir(), "g.dot")}); err == nil {
-		t.Fatal("-critpath-dot with compiled engine accepted")
 	}
 }
 

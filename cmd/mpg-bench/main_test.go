@@ -94,9 +94,7 @@ func TestReplayGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	compile := func(snap *trace.Snapshot) *core.Compiled {
-		set, release := snap.Acquire()
-		defer release()
-		c, err := core.Compile(set, core.Options{})
+		c, err := core.Compile(snap.Set(), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,9 +102,7 @@ func measureOnce(trials int, fn func() error) (pathStats, error) {
 func replayGate(snap *trace.Snapshot, compiled *core.Compiled, seed uint64) error {
 	model := replayModel(seed, 0)
 	model.Propagation = core.PropagationAnchored
-	set, release := snap.Acquire()
-	want, err := core.Analyze(set, model, core.Options{RecordCritPath: true})
-	release()
+	want, err := core.Analyze(snap.Set(), model, core.Options{RecordCritPath: true})
 	if err != nil {
 		return err
 	}
@@ -147,9 +145,7 @@ func runReplay(cfg replayConfig) error {
 	}
 
 	compileStart := time.Now()
-	cset, release := snap.Acquire()
-	compiled, err := core.Compile(cset, core.Options{})
-	release()
+	compiled, err := core.Compile(snap.Set(), core.Options{})
 	if err != nil {
 		return err
 	}
@@ -163,9 +159,7 @@ func runReplay(cfg replayConfig) error {
 	}
 
 	streamOne := func(trial int) error {
-		s, rel := snap.Acquire()
-		defer rel()
-		_, err := core.Analyze(s, replayModel(cfg.seed, trial), core.Options{})
+		_, err := core.Analyze(snap.Set(), replayModel(cfg.seed, trial), core.Options{})
 		return err
 	}
 	serial, err := measure(cfg.trials, streamOne)

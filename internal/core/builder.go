@@ -605,16 +605,6 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	rr.Events++
 	a.res.Events++
 	a.res.DelayStats.Add(endD)
-	if a.opts.Trajectory != nil {
-		a.opts.Trajectory(TrajectoryPoint{
-			Rank:    rs.rank,
-			Event:   rs.eventIdx - 1,
-			Kind:    uint8(rec.Kind),
-			OrigEnd: rec.End,
-			Delay:   endD,
-			Region:  rs.region,
-		})
-	}
 	if a.opts.Interval != nil {
 		a.opts.Interval(IntervalPoint{
 			Rank:       rs.rank,
@@ -628,6 +618,7 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 			State:      rs.ivState,
 			PeerRank:   rs.ivPeerRank,
 			PeerEvent:  rs.ivPeerEvent,
+			Region:     rs.region,
 		})
 	}
 

@@ -54,17 +54,17 @@ const (
 // op is one instruction of the compiled program. Ops appear in the
 // exact order the streaming analyzer executed them, which fixes the
 // global RNG draw schedule, the Welford accumulation order, and the
-// Trajectory emission order.
+// Interval emission order.
 type op struct {
 	code    opCode
-	kind    uint8 // trace.Kind of the record (end ops; Trajectory)
+	kind    uint8 // trace.Kind of the record (end ops; Interval)
 	started bool  // begin: the rank had a predecessor event
 	rank    int32
 	region  int32 // dense region index (end ops)
 	arg     int32 // transfer/collective/participant index (see opCode)
 	event   int64 // rank-local record index
 	aux     int64 // begin: compute gap; end ops: traced duration
-	origEnd int64 // end ops: traced end time (Trajectory)
+	origEnd int64 // end ops: traced end time (Interval)
 }
 
 // compiledMsg is the structural half of one matched point-to-point
@@ -270,14 +270,13 @@ func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
 // Compile runs the streaming matcher once over the trace set and
 // returns the immutable compiled program. Like any other consumer, it
 // exhausts the set. The schedule (and hence the tape) honors
-// opts.Burst and opts.MaxWindow; caller sinks (Graph, Trajectory,
+// opts.Burst and opts.MaxWindow; caller sinks (Graph, Interval,
 // RecordCritPath) are meaningless during the structural pass and are
 // ignored — pass them to ReplayCompiled instead.
 func Compile(set *trace.Set, opts Options) (*Compiled, error) {
 	defer opts.Metrics.Timer("core_compile").Start()()
 	defer opts.Metrics.SpanStart("compile")()
 	opts.Graph = nil
-	opts.Trajectory = nil
 	opts.Interval = nil
 	opts.RecordCritPath = false
 	a, err := newAnalyzer(set, &Model{}, opts)

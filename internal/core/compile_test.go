@@ -110,7 +110,7 @@ func modelLabel(m *Model) string {
 // TestReplayCompiledMatchesAnalyze is the tentpole correctness pin:
 // over every workload shape and model in the grid, ReplayCompiled must
 // be byte-identical to Analyze — delays, attribution, region stats,
-// order-violation clamps, warnings, critical path, and the trajectory
+// order-violation clamps, warnings, critical path, and the interval
 // stream. Each model replays twice so the pooled-state reuse path is
 // exercised, not just the cold path.
 func TestReplayCompiledMatchesAnalyze(t *testing.T) {
@@ -122,9 +122,7 @@ func TestReplayCompiledMatchesAnalyze(t *testing.T) {
 	}
 	for name, snap := range snaps {
 		t.Run(name, func(t *testing.T) {
-			set, release := snap.Acquire()
-			c, err := Compile(set, Options{})
-			release()
+			c, err := Compile(snap.Set(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,21 +131,19 @@ func TestReplayCompiledMatchesAnalyze(t *testing.T) {
 			}
 			for _, model := range equivalenceModels() {
 				t.Run(modelLabel(model), func(t *testing.T) {
-					var trajA []TrajectoryPoint
-					set, release := snap.Acquire()
-					want, err := Analyze(set, model, Options{
+					var ivA []IntervalPoint
+					want, err := Analyze(snap.Set(), model, Options{
 						RecordCritPath: true,
-						Trajectory:     func(p TrajectoryPoint) { trajA = append(trajA, p) },
+						Interval:       func(p IntervalPoint) { ivA = append(ivA, p) },
 					})
-					release()
 					if err != nil {
 						t.Fatal(err)
 					}
 					for i := 0; i < 2; i++ {
-						var trajB []TrajectoryPoint
+						var ivB []IntervalPoint
 						got, err := ReplayCompiled(c, model, Options{
 							RecordCritPath: true,
-							Trajectory:     func(p TrajectoryPoint) { trajB = append(trajB, p) },
+							Interval:       func(p IntervalPoint) { ivB = append(ivB, p) },
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -155,8 +151,8 @@ func TestReplayCompiledMatchesAnalyze(t *testing.T) {
 						if !reflect.DeepEqual(want, got) {
 							t.Fatalf("replay %d diverged from Analyze:\n%s", i, diffResults(want, got))
 						}
-						if !reflect.DeepEqual(trajA, trajB) {
-							t.Fatalf("replay %d trajectory diverged (%d vs %d points)", i, len(trajA), len(trajB))
+						if !reflect.DeepEqual(ivA, ivB) {
+							t.Fatalf("replay %d interval stream diverged (%d vs %d points)", i, len(ivA), len(ivB))
 						}
 					}
 				})
@@ -206,9 +202,7 @@ func diffResults(want, got *Result) string {
 // skip.
 func TestReplayCompiledGraphSinkRejected(t *testing.T) {
 	snap := snapWorkload(t, "tokenring", 4, workloads.Options{Iterations: 2})
-	set, release := snap.Acquire()
-	c, err := Compile(set, Options{})
-	release()
+	c, err := Compile(snap.Set(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +221,7 @@ func (discardSink) AddEdge(NodeRef, NodeRef, EdgeKind, int64, string) {}
 // determinism claim behind parallel Monte Carlo). Run with -race.
 func TestReplayCompiledConcurrent(t *testing.T) {
 	snap := snapWorkload(t, "stencil1d", 8, workloads.Options{Iterations: 4, CollEvery: 2})
-	set, release := snap.Acquire()
-	c, err := Compile(set, Options{})
-	release()
+	c, err := Compile(snap.Set(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +265,9 @@ func TestReplayCompiledConcurrent(t *testing.T) {
 // sweeps and experiment grids run them. Across every workload shape,
 // every model in the equivalence grid and workers in {1, 2, 4, 8},
 // each parallel trial must be byte-identical to a serial
-// ReplayCompiled — the full Result plus the trajectory and interval
-// streams. Each worker runs two trials, so pooled-state reuse under
-// concurrency is exercised too. Run with -race.
+// ReplayCompiled — the full Result plus the interval stream. Each
+// worker runs two trials, so pooled-state reuse under concurrency is
+// exercised too. Run with -race.
 func TestReplayParallelMatchesCompiled(t *testing.T) {
 	snaps := map[string]*trace.Snapshot{
 		"tokenring": snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 4}),
@@ -284,15 +276,13 @@ func TestReplayParallelMatchesCompiled(t *testing.T) {
 		"collzoo":   snapProgram(t, 6, collZoo),
 	}
 	type trial struct {
-		res  *Result
-		traj []TrajectoryPoint
-		iv   []IntervalPoint
+		res *Result
+		iv  []IntervalPoint
 	}
 	replay := func(c *Compiled, model *Model) (trial, error) {
 		var tr trial
 		res, err := ReplayCompiled(c, model, Options{
 			RecordCritPath: true,
-			Trajectory:     func(p TrajectoryPoint) { tr.traj = append(tr.traj, p) },
 			Interval:       func(p IntervalPoint) { tr.iv = append(tr.iv, p) },
 		})
 		tr.res = res
@@ -300,9 +290,7 @@ func TestReplayParallelMatchesCompiled(t *testing.T) {
 	}
 	for name, snap := range snaps {
 		t.Run(name, func(t *testing.T) {
-			set, release := snap.Acquire()
-			c, err := Compile(set, Options{})
-			release()
+			c, err := Compile(snap.Set(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,10 +311,6 @@ func TestReplayParallelMatchesCompiled(t *testing.T) {
 							if !reflect.DeepEqual(want.res, g.res) {
 								t.Fatalf("workers=%d trial %d diverged from serial ReplayCompiled:\n%s",
 									workers, i, diffResults(want.res, g.res))
-							}
-							if !reflect.DeepEqual(want.traj, g.traj) {
-								t.Fatalf("workers=%d trial %d trajectory diverged (%d vs %d points)",
-									workers, i, len(want.traj), len(g.traj))
 							}
 							if !reflect.DeepEqual(want.iv, g.iv) {
 								t.Fatalf("workers=%d trial %d interval stream diverged (%d vs %d points)",
@@ -349,9 +333,7 @@ func TestReplayParallelMatchesCompiled(t *testing.T) {
 // thousands), not on Go version drift.
 func TestReplayCompiledAllocs(t *testing.T) {
 	snap := snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 8})
-	set, release := snap.Acquire()
-	c, err := Compile(set, Options{})
-	release()
+	c, err := Compile(snap.Set(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,9 +363,7 @@ func TestReplayCompiledAllocs(t *testing.T) {
 // built only when the sink is set, so disabled runs pay nothing.
 func TestReplayCompiledTimelineOffAllocs(t *testing.T) {
 	snap := snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 8})
-	set, release := snap.Acquire()
-	c, err := Compile(set, Options{})
-	release()
+	c, err := Compile(snap.Set(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,30 +388,11 @@ func TestReplayCompiledTimelineOffAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotAcquireAllocs pins Snapshot.Acquire's pooled reader
-// path: ~3 allocations (the readers slice, the Set, the release
-// closure) with 2x headroom.
-func TestSnapshotAcquireAllocs(t *testing.T) {
-	snap := snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 2})
-	set, release := snap.Acquire() // warm the pool
-	_ = set
-	release()
-	allocs := testing.AllocsPerRun(50, func() {
-		set, release := snap.Acquire()
-		_ = set
-		release()
-	})
-	if allocs > 6 {
-		t.Fatalf("warm Snapshot.Acquire allocates %.1f objects; want <= 6", allocs)
-	}
-}
-
 // TestCompileConsumesSet documents single-use semantics: a Compile
 // exhausts its Set exactly like Analyze does.
 func TestCompileConsumesSet(t *testing.T) {
 	snap := snapWorkload(t, "tokenring", 4, workloads.Options{Iterations: 2})
-	set, release := snap.Acquire()
-	defer release()
+	set := snap.Set()
 	if _, err := Compile(set, Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func analyzeLiveHeap(t *testing.T, wl string, iters int) (peak uint64, events in
 		PerByte:    dist.Constant{C: 0.5},
 	}
 	var ms runtime.MemStats
-	opts := Options{Trajectory: func(TrajectoryPoint) {
+	opts := Options{Interval: func(IntervalPoint) {
 		if events++; events%heapSampleEvery == 0 {
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
@@ -87,13 +87,11 @@ func TestFinishedTransfersRecycled(t *testing.T) {
 		carved := make([]int, 2)
 		for k, iters := range []int{10, 40} {
 			snap := snapWorkload(t, wl, 16, workloads.Options{Iterations: iters})
-			set, release := snap.Acquire()
-			a, err := newAnalyzer(set, &Model{}, Options{})
+			a, err := newAnalyzer(snap.Set(), &Model{}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, err = a.run()
-			release()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -137,9 +137,7 @@ func TestSampleFastAllocs(t *testing.T) {
 // array instead of constructing generators.
 func TestReplayStateResetAllocs(t *testing.T) {
 	snap := snapWorkload(t, "tokenring", 8, workloads.Options{Iterations: 2})
-	set, release := snap.Acquire()
-	c, err := Compile(set, Options{})
-	release()
+	c, err := Compile(snap.Set(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +165,7 @@ func TestAnalyzeAllocsPerEvent(t *testing.T) {
 		PerByte:    dist.Constant{C: 0.5},
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		set, release := snap.Acquire()
-		_, err := Analyze(set, model, Options{RecordCritPath: true})
-		release()
+		_, err := Analyze(snap.Set(), model, Options{RecordCritPath: true})
 		if err != nil {
 			t.Fatal(err)
 		}

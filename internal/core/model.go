@@ -183,21 +183,16 @@ type Options struct {
 	// created (used by the DOT exporter and by tests that inspect the
 	// graph structure).
 	Graph GraphSink
-	// Trajectory, when non-nil, is invoked once per resolved event end
-	// subevent with the event's traced end time (local clock) and its
-	// delay — the raw series behind "regions where perturbations are
-	// absorbed or fully propagated" (§4.2). Events arrive in per-rank
-	// order but interleaved across ranks.
-	Trajectory func(TrajectoryPoint)
 	// Interval, when non-nil, is invoked once per resolved event end
 	// subevent with the timing detail a per-rank timeline needs: the
 	// traced interval, the delays at both subevents, and — when a
 	// remote path won the completion merge — the excess over the local
-	// path (the wait) with its wait-state classification. Points arrive
-	// in per-rank order but interleaved across ranks, in the same order
-	// Trajectory points do. The hook observes only: no sample is drawn
-	// and no delay changes, so instrumented runs are byte-identical to
-	// uninstrumented ones.
+	// path (the wait) with its wait-state classification. The
+	// (OrigEnd, EndDelay) series is the raw data behind "regions where
+	// perturbations are absorbed or fully propagated" (§4.2). Points
+	// arrive in per-rank order but interleaved across ranks. The hook
+	// observes only: no sample is drawn and no delay changes, so
+	// instrumented runs are byte-identical to uninstrumented ones.
 	Interval func(IntervalPoint)
 	// RecordCritPath records the argmax predecessor at every max()
 	// merge so Result.CritPath can name the edges behind the makespan
@@ -210,23 +205,6 @@ type Options struct {
 	// timer. Metrics are out-of-band: attaching a registry changes no
 	// analysis result.
 	Metrics *obsv.Registry
-}
-
-// TrajectoryPoint is one event's delay observation.
-type TrajectoryPoint struct {
-	// Rank is the world rank.
-	Rank int
-	// Event is the record index on the rank.
-	Event int64
-	// Kind is the event kind.
-	Kind uint8
-	// OrigEnd is the traced local end time.
-	OrigEnd int64
-	// Delay is D at the end subevent.
-	Delay float64
-	// Region is the rank's current marker region (−1 before the first
-	// marker).
-	Region int32
 }
 
 // WaitState classifies the blocked portion of a completed event: which
@@ -294,6 +272,9 @@ type IntervalPoint struct {
 	// PeerRank is −1 for every other event.
 	PeerRank  int
 	PeerEvent int64
+	// Region is the rank's current marker region (−1 before the first
+	// marker).
+	Region int32
 }
 
 // sampler owns the deterministic perturbation streams: one OS-noise

@@ -285,17 +285,6 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 			res.Events++
 			res.DelayStats.Add(endD)
 			//mpg:lint-ignore hotpathprop caller-supplied observation hook, invoked only when the caller opted in
-			if opts.Trajectory != nil {
-				opts.Trajectory(TrajectoryPoint{
-					Rank:    rank,
-					Event:   o.event,
-					Kind:    o.kind,
-					OrigEnd: o.origEnd,
-					Delay:   endD,
-					Region:  c.regionKeys[o.region].Region,
-				})
-			}
-			//mpg:lint-ignore hotpathprop caller-supplied observation hook, invoked only when the caller opted in
 			if opts.Interval != nil {
 				p := IntervalPoint{
 					Rank:       rank,
@@ -308,6 +297,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 					Wait:       ivWait,
 					State:      ivState,
 					PeerRank:   -1,
+					Region:     c.regionKeys[o.region].Region,
 				}
 				if o.code == opEndRecv {
 					cm := &c.msgs[o.arg]

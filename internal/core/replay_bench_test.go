@@ -33,9 +33,7 @@ func benchCompiled(b *testing.B) *Compiled {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cset, release := snap.Acquire()
-	defer release()
-	compiled, err := Compile(cset, Options{})
+	compiled, err := Compile(snap.Set(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,8 +16,7 @@ import (
 // may rewrite.
 func memTraces(t *testing.T, snap *trace.Snapshot) []*trace.MemTrace {
 	t.Helper()
-	set, release := snap.Acquire()
-	defer release()
+	set := snap.Set()
 	mems := make([]*trace.MemTrace, set.NRanks())
 	for r := range mems {
 		m, err := trace.ReadAll(set.Rank(r))

@@ -2,11 +2,14 @@ package sweep
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mpgraph/internal/core"
 	"mpgraph/internal/machine"
+	"mpgraph/internal/parallel"
+	"mpgraph/internal/trace"
 	"mpgraph/internal/workloads"
 )
 
@@ -127,41 +130,89 @@ func TestSweepTrialsDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepTrialsDeterminismAcrossEngines proves the engine choice is
-// invisible: for every pool size the compiled Monte Carlo sweep
-// fingerprints bit-identically to the streaming one. Trial seeds
-// derive from the flattened (point × trial) index alone, so neither
-// the engine nor how trials are scheduled can show through.
-func TestSweepTrialsDeterminismAcrossEngines(t *testing.T) {
-	base := Config{
-		Workload:        "stencil1d",
-		WorkloadOptions: workloads.Options{Iterations: 3, CollEvery: 2},
-		Machine:         machine.Config{NRanks: 4, Seed: 13},
-		Param:           ParamRanks,
-		From:            2, To: 4, Step: 2,
-		NoiseMean: 180,
-		ModelSeed: 13,
-		Trials:    5,
-		Workers:   1,
-	}
-	ref := base
-	ref.StreamingTrials = true
-	want, err := Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFP := sweepFingerprint(want)
-	for _, workers := range []int{1, 2, 4, 64} {
-		cfg := base
-		cfg.Workers = workers
-		got, err := Run(cfg)
+// streamingTrials is the reference the compiled Monte Carlo path must
+// reproduce: each point traced once, then every trial run through the
+// streaming analyzer under the seed Run derives for its flattened
+// (point × trial) index.
+func streamingTrials(t *testing.T, cfg Config) []Point {
+	t.Helper()
+	vals := cfg.Values()
+	var results []*core.Result
+	for _, v := range vals {
+		model, mcfg, err := cfg.pointModel(v)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if fp := sweepFingerprint(got); fp != wantFP {
-			t.Fatalf("compiled trials at workers=%d diverge from streaming trials:\n--- streaming\n%s\n--- compiled\n%s",
-				workers, wantFP, fp)
+		set, err := cfg.tracePoint(v, mcfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		snap, err := trace.NewSnapshot(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < cfg.Trials; k++ {
+			trial := model.Clone()
+			trial.Seed = parallel.TaskSeed(cfg.ModelSeed, len(results))
+			res, err := core.Analyze(snap.Set(), trial, cfg.Analyze)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+	}
+	return aggregateTrialPoints(vals, results, cfg.Trials)
+}
+
+// TestSweepTrialsDeterminismAcrossEngines proves the engine is
+// invisible: for every pool size the compiled Monte Carlo sweep is
+// deeply equal, point by point and trial aggregate by trial aggregate,
+// to trials run through the streaming analyzer. Trial seeds derive
+// from the flattened (point × trial) index alone, so neither the
+// engine nor how trials are scheduled can show through.
+func TestSweepTrialsDeterminismAcrossEngines(t *testing.T) {
+	configs := map[string]Config{
+		"ranks": {
+			Workload:        "stencil1d",
+			WorkloadOptions: workloads.Options{Iterations: 3, CollEvery: 2},
+			Machine:         machine.Config{NRanks: 4, Seed: 13},
+			Param:           ParamRanks,
+			From:            2, To: 4, Step: 2,
+			NoiseMean: 180,
+			ModelSeed: 13,
+			Trials:    5,
+		},
+		"latency": {
+			Workload:        "stencil1d",
+			WorkloadOptions: workloads.Options{Iterations: 3, CollEvery: 2},
+			Machine:         machine.Config{NRanks: 4, Seed: 9},
+			Param:           ParamLatency,
+			From:            0, To: 300, Step: 150,
+			ModelSeed: 17,
+			Trials:    4,
+		},
+	}
+	for name, base := range configs {
+		t.Run(name, func(t *testing.T) {
+			want := streamingTrials(t, base)
+			for _, workers := range []int{1, 2, 4, 64} {
+				cfg := base
+				cfg.Workers = workers
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if len(got.Points) != len(want) {
+					t.Fatalf("workers=%d: %d points, want %d", workers, len(got.Points), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(want[i], got.Points[i]) {
+						t.Fatalf("workers=%d point %d: compiled trials diverge from streaming trials:\n--- streaming %+v\n%s--- compiled %+v\n%s",
+							workers, i, *want[i].Trials, fingerprint(want[i].Result), *got.Points[i].Trials, fingerprint(got.Points[i].Result))
+					}
+				}
+			}
+		})
 	}
 }
 

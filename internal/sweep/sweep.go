@@ -13,7 +13,6 @@ package sweep
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"mpgraph/internal/core"
@@ -93,7 +92,9 @@ type Config struct {
 	// ModelSeed seeds perturbation sampling. With Trials > 1 it is the
 	// base from which per-trial seeds are derived.
 	ModelSeed uint64
-	// Analyze tunes the analyzer.
+	// Analyze tunes the analyzer. Its Graph sink must be nil: every
+	// replay of the sweep would append to the one graph, concurrently
+	// for Workers > 1.
 	Analyze core.Options
 	// Workers bounds the replay worker pool; zero or negative means
 	// GOMAXPROCS. Results are identical for every pool size.
@@ -106,18 +107,11 @@ type Config struct {
 	// per-point Result is trial 0's; the aggregate lands in
 	// Point.Trials. Values <= 1 run the classic single replay.
 	//
-	// Trials use the compiled fast path automatically: each point's
-	// trace is compiled once (core.Compile) and every trial replays
-	// the compiled program (core.ReplayCompiled), which is
-	// byte-identical to the streaming engine but skips re-parsing and
-	// re-matching. A non-nil Analyze.Graph falls back to streaming
-	// (the compiled replayer cannot feed a graph sink), as does
-	// StreamingTrials.
+	// Each point's trace is compiled once (core.Compile) and every
+	// trial replays the compiled program (core.ReplayCompiled), which
+	// is byte-identical to the streaming analyzer but skips re-parsing
+	// and re-matching.
 	Trials int
-	// StreamingTrials forces Monte Carlo trials through the streaming
-	// analyzer instead of the compiled replayer — an escape hatch for
-	// debugging and for A/B-verifying the two engines.
-	StreamingTrials bool
 	// Metrics, when non-nil, receives sweep observability: tracing
 	// phase timers, point/trial counters, the pool metrics (it is
 	// passed into the worker pool), and — unless Analyze.Metrics is
@@ -220,6 +214,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Step <= 0 || cfg.To < cfg.From {
 		return nil, fmt.Errorf("sweep: invalid range [%g,%g] step %g", cfg.From, cfg.To, cfg.Step)
 	}
+	if cfg.Analyze.Graph != nil {
+		return nil, fmt.Errorf("sweep: Analyze.Graph cannot be shared by concurrent replays")
+	}
 	if _, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions); err != nil {
 		return nil, err
 	}
@@ -279,97 +276,53 @@ func Run(cfg Config) (*Result, error) {
 	return out, nil
 }
 
-// pointSnap lazily traces and snapshots one point's workload exactly
-// once, no matter which trial task gets there first; tracing is
-// deterministic, so the winner is irrelevant.
-type pointSnap struct {
-	once sync.Once
-	snap *trace.Snapshot
-	err  error
+// trialPoint is one Monte Carlo point's shared input: its model and
+// its compiled trace, both read-only across the point's trials.
+type trialPoint struct {
+	model *core.Model
+	prog  *core.Compiled
 }
 
-func (ps *pointSnap) get(cfg Config, v float64, mcfg machine.Config) (*trace.Snapshot, error) {
-	ps.once.Do(func() {
-		set, err := cfg.tracePoint(v, mcfg)
-		if err != nil {
-			ps.err = err
-			return
-		}
-		ps.snap, ps.err = trace.NewSnapshot(set)
-	})
-	return ps.snap, ps.err
-}
-
-// pointProg lazily traces and compiles one point's workload exactly
-// once (see core.Compile); the immutable program is then shared by all
-// of the point's trial replays.
-type pointProg struct {
-	once sync.Once
-	prog *core.Compiled
-	err  error
-}
-
-func (pp *pointProg) get(cfg Config, v float64, mcfg machine.Config) (*core.Compiled, error) {
-	pp.once.Do(func() {
-		set, err := cfg.tracePoint(v, mcfg)
-		if err != nil {
-			pp.err = err
-			return
-		}
-		pp.prog, pp.err = core.Compile(set, cfg.Analyze)
-	})
-	return pp.prog, pp.err
-}
-
-// runTrials fans out the flattened (point × trial) task grid. Each
-// point's trace is captured once — compiled to a graph program on the
-// default path, snapshotted for the streaming fallback — and shared
-// read-only across its trials; each trial clones the point model with
-// its own derived seed, so no sampler state is ever shared between
-// replays. Both engines produce byte-identical results (pinned by the
-// core equivalence suite), so the fast path is not a mode switch.
+// runTrials runs the Monte Carlo study in two fan-outs. The first
+// traces and compiles each point (see core.Compile); the second
+// replays the flattened (point × trial) grid, each trial cloning its
+// point's model with its own derived seed, so no sampler state is ever
+// shared between replays. A failing point fails the sweep before any
+// trial runs; within each fan-out the lowest-numbered failure wins,
+// as in a serial loop over the same two phases.
 func (cfg Config) runTrials(vals []float64, popts parallel.Options) ([]Point, error) {
 	trials := cfg.Trials
-	streaming := cfg.StreamingTrials || cfg.Analyze.Graph != nil
-	snaps := make([]pointSnap, len(vals))
-	progs := make([]pointProg, len(vals))
 	cfg.Metrics.Counter("sweep_trials_total").Add(int64(len(vals) * trials))
-	if !streaming {
-		cfg.Metrics.Counter("sweep_compiled_points_total").Add(int64(len(vals)))
+	cfg.Metrics.Counter("sweep_compiled_points_total").Add(int64(len(vals)))
+	points, err := parallel.Map(len(vals), popts, func(p int) (trialPoint, error) {
+		v := vals[p]
+		model, mcfg, err := cfg.pointModel(v)
+		if err != nil {
+			return trialPoint{}, err
+		}
+		set, err := cfg.tracePoint(v, mcfg)
+		if err != nil {
+			return trialPoint{}, err
+		}
+		prog, err := core.Compile(set, cfg.Analyze)
+		if err != nil {
+			return trialPoint{}, fmt.Errorf("sweep: value %g: %w", v, err)
+		}
+		return trialPoint{model: model, prog: prog}, nil
+	})
+	if err != nil {
+		return nil, unwrapTask(err)
 	}
 	tick := cfg.progressTick(len(vals) * trials)
 	results, err := parallel.Map(len(vals)*trials, popts, func(t int) (*core.Result, error) {
 		defer tick()
 		defer cfg.Metrics.SpanStart("sweep_point")()
-		p := t / trials
-		v := vals[p]
-		model, mcfg, err := cfg.pointModel(v)
-		if err != nil {
-			return nil, err
-		}
-		trial := model.Clone()
+		pt := points[t/trials]
+		trial := pt.model.Clone()
 		trial.Seed = parallel.TaskSeed(cfg.ModelSeed, t)
-		var res *core.Result
-		if streaming {
-			snap, err := snaps[p].get(cfg, v, mcfg)
-			if err != nil {
-				return nil, err
-			}
-			set, release := snap.Acquire()
-			res, err = core.Analyze(set, trial, cfg.Analyze)
-			release()
-			if err != nil {
-				return nil, fmt.Errorf("sweep: value %g trial %d: %w", v, t%trials, err)
-			}
-			return res, nil
-		}
-		prog, err := progs[p].get(cfg, v, mcfg)
+		res, err := core.ReplayCompiled(pt.prog, trial, cfg.Analyze)
 		if err != nil {
-			return nil, err
-		}
-		res, err = core.ReplayCompiled(prog, trial, cfg.Analyze)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: value %g trial %d: %w", v, t%trials, err)
+			return nil, fmt.Errorf("sweep: value %g trial %d: %w", vals[t/trials], t%trials, err)
 		}
 		return res, nil
 	})
@@ -380,8 +333,7 @@ func (cfg Config) runTrials(vals []float64, popts parallel.Options) ([]Point, er
 }
 
 // aggregateTrialPoints folds the flattened (point × trial) results
-// into per-point trial statistics, identically for the streaming and
-// compiled paths.
+// into per-point trial statistics.
 func aggregateTrialPoints(vals []float64, results []*core.Result, trials int) []Point {
 	points := make([]Point, len(vals))
 	maxima := make([]float64, trials)

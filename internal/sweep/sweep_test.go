@@ -1,11 +1,12 @@
 package sweep
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"mpgraph/internal/core"
 	"mpgraph/internal/machine"
 	"mpgraph/internal/obsv"
 	"mpgraph/internal/workloads"
@@ -131,6 +132,33 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsGraphSink: one graph sink cannot collect the replays
+// of a whole sweep, so Run refuses it before tracing anything, with or
+// without Monte Carlo trials.
+func TestRunRejectsGraphSink(t *testing.T) {
+	for _, trials := range []int{1, 3} {
+		t.Run(fmt.Sprintf("trials=%d", trials), func(t *testing.T) {
+			reg := obsv.NewRegistry()
+			_, err := Run(Config{
+				Workload: "tokenring",
+				Machine:  machine.Config{NRanks: 2, Seed: 1},
+				From:     0, To: 100, Step: 50,
+				Analyze: core.Options{Graph: &core.Graph{}},
+				Trials:  trials,
+				Workers: 1,
+				Metrics: reg,
+			})
+			const want = "sweep: Analyze.Graph cannot be shared by concurrent replays"
+			if err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if n := reg.Snapshot().Timers["sweep_trace"].Count; n != 0 {
+				t.Fatalf("traced %d points before rejecting the graph sink", n)
+			}
+		})
+	}
+}
+
 func TestMetricsAndProgress(t *testing.T) {
 	reg := obsv.NewRegistry()
 	var mu sync.Mutex
@@ -168,13 +196,14 @@ func TestMetricsAndProgress(t *testing.T) {
 	}
 	mu.Unlock()
 	snap := reg.Snapshot()
-	// Trials ride the compiled replay path: each of the 9 trials is
-	// one pool task replaying its point's compiled program.
+	// Trials ride the compiled replay path: 3 pool tasks trace and
+	// compile the points, then each of the 9 trials is one pool task
+	// replaying its point's compiled program.
 	for name, want := range map[string]int64{
 		"sweep_points_total":          3,
 		"sweep_trials_total":          9,
 		"sweep_compiled_points_total": 3,
-		"parallel_tasks_total":        9,
+		"parallel_tasks_total":        12,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -196,7 +225,7 @@ func TestMetricsAndProgress(t *testing.T) {
 		ms["core_compile"] <= 0 || ms["core_replay_compiled"] <= 0 {
 		t.Errorf("phase timings not all positive: %v", ms)
 	}
-	if h, ok := snap.Histograms["parallel_task_ms"]; !ok || h.Count != 9 {
+	if h, ok := snap.Histograms["parallel_task_ms"]; !ok || h.Count != 12 {
 		t.Errorf("parallel_task_ms histogram = %+v", snap.Histograms["parallel_task_ms"])
 	}
 	if w := snap.Gauges["parallel_pool_workers"]; w != 2 {
@@ -235,40 +264,5 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 	}
 	if plain.Fit != got.Fit {
 		t.Fatalf("fit diverged: %+v vs %+v", plain.Fit, got.Fit)
-	}
-}
-
-// TestStreamingTrialsMatchCompiled: the compiled fast path and the
-// streaming escape hatch must produce byte-identical sweeps — same
-// per-trial results, same aggregates, same fit.
-func TestStreamingTrialsMatchCompiled(t *testing.T) {
-	base := Config{
-		Workload:        "stencil1d",
-		WorkloadOptions: workloads.Options{Iterations: 3, CollEvery: 2},
-		Machine:         machine.Config{NRanks: 4, Seed: 9},
-		Param:           ParamLatency,
-		From:            0, To: 300, Step: 150,
-		ModelSeed: 17,
-		Trials:    4,
-		Workers:   2,
-	}
-	compiled, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streaming := base
-	streaming.StreamingTrials = true
-	want, err := Run(streaming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, compiled) {
-		for i := range want.Points {
-			if !reflect.DeepEqual(want.Points[i], compiled.Points[i]) {
-				t.Errorf("point %d diverged: streaming trials=%+v compiled trials=%+v",
-					i, want.Points[i].Trials, compiled.Points[i].Trials)
-			}
-		}
-		t.Fatal("compiled trials diverged from streaming trials")
 	}
 }

@@ -53,16 +53,14 @@ func TestSnapshotRepeatedAcquire(t *testing.T) {
 		t.Fatalf("snapshot shape: ranks=%d events=%d", snap.NRanks(), snap.Events())
 	}
 	for i := 0; i < 5; i++ {
-		set, release := snap.Acquire()
-		if got := drain(t, set); got != 4 {
-			t.Fatalf("acquire %d: drained %d records", i, got)
+		if got := drain(t, snap.Set()); got != 4 {
+			t.Fatalf("set %d: drained %d records", i, got)
 		}
-		release()
 	}
 }
 
-// TestSnapshotConcurrentAcquire drains many acquired sets in parallel
-// under -race: the shared records must never be mutated and each set's
+// TestSnapshotConcurrentAcquire drains many sets taken from one
+// snapshot in parallel under -race: the shared records must never be mutated and each set's
 // read position must be private.
 func TestSnapshotConcurrentAcquire(t *testing.T) {
 	snap := snapshotFixture(t)
@@ -72,8 +70,7 @@ func TestSnapshotConcurrentAcquire(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			set, release := snap.Acquire()
-			defer release()
+			set := snap.Set()
 			n := 0
 			for r := 0; r < set.NRanks(); r++ {
 				for {
@@ -100,13 +97,12 @@ func TestSnapshotConcurrentAcquire(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithoutRelease still works (fresh wrappers are built when
-// the pool is empty) — release is an optimization, not a requirement.
+// TestSnapshotWithoutRelease: two Sets taken from one snapshot before
+// either is read drain independently.
 func TestSnapshotWithoutRelease(t *testing.T) {
 	snap := snapshotFixture(t)
-	a, _ := snap.Acquire()
-	b, _ := snap.Acquire()
+	a, b := snap.Set(), snap.Set()
 	if drain(t, a) != 4 || drain(t, b) != 4 {
-		t.Fatal("parallel acquires interfere")
+		t.Fatal("sets from one snapshot interfere")
 	}
 }

@@ -32,22 +32,12 @@ func CompiledEquivalence(sc *Scenario) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	sset, err := trace.SetFromMem(traces)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := trace.NewSnapshot(sset)
-	if err != nil {
-		return nil, err
-	}
 
 	models, labels := equivalenceGrid(sc)
 	var failures []string
 	for i, trial := range models {
 		opts := core.Options{RecordCritPath: true}
-		set, release := snap.Acquire()
-		want, err := core.Analyze(set, trial, opts)
-		release()
+		want, err := analyzeMem(traces, trial, opts)
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: streaming analyze: %v", labels[i], err))
 			continue

@@ -83,7 +83,7 @@ func Monotonicity(sc *Scenario, traces []*trace.MemTrace) error {
 // even under negative perturbations (AllowNegative with a symmetric
 // uniform distribution) the perturbed per-rank event order equals the
 // traced order — each rank's perturbed end times, observed through
-// Options.Trajectory, never decrease.
+// Options.Interval, never decrease.
 func OrderPreservation(traces []*trace.MemTrace, magnitude int64, seed uint64) error {
 	if magnitude <= 0 {
 		magnitude = 500
@@ -96,13 +96,13 @@ func OrderPreservation(traces []*trace.MemTrace, magnitude int64, seed uint64) e
 	}
 	last := map[int]float64{}
 	var violation error
-	opts := core.Options{Trajectory: func(tp core.TrajectoryPoint) {
-		perturbed := float64(tp.OrigEnd) + tp.Delay
-		if prev, ok := last[tp.Rank]; ok && perturbed < prev-1e-6 && violation == nil {
+	opts := core.Options{Interval: func(p core.IntervalPoint) {
+		perturbed := float64(p.OrigEnd) + p.EndDelay
+		if prev, ok := last[p.Rank]; ok && perturbed < prev-1e-6 && violation == nil {
 			violation = fmt.Errorf("order-preservation: rank %d event %d ends at %g before its predecessor at %g",
-				tp.Rank, tp.Event, perturbed, prev)
+				p.Rank, p.Event, perturbed, prev)
 		}
-		last[tp.Rank] = perturbed
+		last[p.Rank] = perturbed
 	}}
 	if _, err := analyzeMem(traces, m, opts); err != nil {
 		return fmt.Errorf("order-preservation: %w", err)
