@@ -391,8 +391,8 @@ func replayBenchModel(trial int) *core.Model {
 
 // BenchmarkReplayStreaming is the per-trial cost of re-running the
 // streaming analyzer over a snapshot, the pre-compile Monte Carlo hot
-// path. Its compiled counterpart below must beat it by ≥2x (see
-// BENCH_replay.json for the recorded datapoint).
+// path. Its compiled counterpart below must beat it by ≥2x (DESIGN.md
+// §8 records the latest medians).
 func BenchmarkReplayStreaming(b *testing.B) {
 	snap, err := trace.NewSnapshot(replayBenchSet(b))
 	if err != nil {

@@ -5,30 +5,9 @@
 //
 //	mpg-bench -ranks 2 -machine-noise exponential:300 -out noisy.json
 //
-// The signature feeds mpg-analyze -signature.
-//
-// With -replay the command instead benchmarks the Monte Carlo replay
-// engines — the streaming analyzer (serial and parallel) against the
-// compile-once/replay-many path — and writes a machine-readable
-// BENCH_replay.json report. The run fails if the two engines disagree
-// on a reference model, so CI can use it as an equivalence gate:
-//
-//	mpg-bench -replay -replay-ranks 64 -out BENCH_replay.json
-//
-// With -sampler it benchmarks the distribution samplers themselves —
-// the ziggurat fast paths against the retained exact reference
-// algorithms — behind an in-band KS gate, and writes
-// BENCH_sampler.json:
-//
-//	mpg-bench -sampler -out BENCH_sampler.json
-//
-// With -lint it benchmarks the static-analysis suite itself against
-// this repository — load, call-graph construction, and each analyzer
-// timed separately, with the call-graph edge mix recorded as a
-// precision trend line — and writes BENCH_lint.json. The run fails if
-// the suite reports outstanding findings:
-//
-//	mpg-bench -lint -out BENCH_lint.json
+// The signature feeds mpg-analyze -signature. Every probe size and
+// sample count must be positive: the signature records exactly what
+// was asked for.
 package main
 
 import (
@@ -59,51 +38,26 @@ func run(args []string) error {
 	ppBytes := fs.Int64("pingpong-bytes", 8, "ping-pong message size")
 	bwBytes := fs.Int64("bandwidth-bytes", 1<<20, "bandwidth probe message size")
 	bwSamples := fs.Int("bandwidth-samples", 50, "bandwidth probe sample count")
-	replay := fs.Bool("replay", false, "benchmark the replay engines instead of probing the platform")
-	lint := fs.Bool("lint", false, "benchmark the static-analysis suite against this repository and write BENCH_lint.json")
-	lintTrials := fs.Int("lint-trials", 3, "analysis runs per lint benchmark")
-	sampler := fs.Bool("sampler", false, "benchmark the distribution samplers (ziggurat vs exact reference) and write BENCH_sampler.json")
-	samplerDraws := fs.Int("sampler-draws", 2_000_000, "draws per sampler benchmark case")
-	replayWorkload := fs.String("replay-workload", "stencil1d", "workload for the replay benchmark")
-	replayRanks := fs.Int("replay-ranks", 64, "world size for the replay benchmark")
-	replayIters := fs.Int("replay-iters", 10, "workload iterations for the replay benchmark")
-	replayCollEvery := fs.Int("replay-collevery", 4, "collective cadence for the replay benchmark")
-	replayTrials := fs.Int("replay-trials", 100, "Monte Carlo replays per engine path")
-	replaySeed := fs.Uint64("replay-seed", 1, "trace and model seed for the replay benchmark")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *lint {
-		path := *out
-		if path == "" {
-			path = "BENCH_lint.json"
-		}
-		return runLint(lintConfig{trials: *lintTrials, out: path})
-	}
-	if *sampler {
-		path := *out
-		if path == "" {
-			path = "BENCH_sampler.json"
-		}
-		return runSampler(samplerConfig{draws: *samplerDraws, out: path})
-	}
-	if *replay {
-		path := *out
-		if path == "" {
-			path = "BENCH_replay.json"
-		}
-		return runReplay(replayConfig{
-			workload:  *replayWorkload,
-			ranks:     *replayRanks,
-			iters:     *replayIters,
-			collEvery: *replayCollEvery,
-			trials:    *replayTrials,
-			seed:      *replaySeed,
-			out:       path,
-		})
-	}
 	if *out == "" {
 		return fmt.Errorf("-out is required")
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"ftq-quantum", *quantum},
+		{"ftq-samples", int64(*ftqSamples)},
+		{"pingpong-samples", int64(*ppSamples)},
+		{"pingpong-bytes", *ppBytes},
+		{"bandwidth-bytes", *bwBytes},
+		{"bandwidth-samples", int64(*bwSamples)},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
+		}
 	}
 	mcfg, err := mf.Build()
 	if err != nil {

@@ -8,10 +8,11 @@ import (
 
 // HotPathPropAnalyzer enforces the allocation budget of the
 // //mpg:hotpath roots and of everything they reach. The compiled
-// replay loop owes its ~12 allocs/replay (BENCH_replay.json,
-// AllocsPerRun guards) to every buffer being pooled or preallocated;
-// one stray literal or append in a kernel — or in a helper the kernel
-// calls — silently multiplies by the number of Monte Carlo trials.
+// replay loop owes its ~11 allocs/replay (BenchmarkReplayCompiled
+// -benchmem, AllocsPerRun guards) to every buffer being pooled or
+// preallocated; one stray literal or append in a kernel — or in a
+// helper the kernel calls — silently multiplies by the number of
+// Monte Carlo trials.
 // The analyzer is deliberately stricter than the optimizer: a
 // construct the escape analyzer would stack-allocate still needs an
 // explicit suppression, which doubles as documentation of the alloc

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // All returns the full analyzer suite in name order: two file-local
@@ -49,13 +48,6 @@ type Config struct {
 	Analyzers []*Analyzer
 }
 
-// StageTiming is one timed phase of a Run, for the linter
-// self-benchmark (mpg-bench -lint).
-type StageTiming struct {
-	Name string  `json:"name"`
-	Ms   float64 `json:"ms"`
-}
-
 // Result is the outcome of one Run: every diagnostic produced, with
 // suppressed ones marked rather than dropped, so reports can show the
 // full picture.
@@ -63,14 +55,6 @@ type Result struct {
 	Diagnostics []Diagnostic
 	// Packages is the number of packages analyzed.
 	Packages int
-	// Graph is the shared call graph, built at most once per run and
-	// reused by every interprocedural analyzer (nil when no selected
-	// analyzer needed it).
-	Graph *CallGraph
-	// Timings records the run's phases in execution order: "load"
-	// (when Run loaded the packages), "callgraph" (when a graph was
-	// built), then one entry per analyzer.
-	Timings []StageTiming
 }
 
 // Outstanding returns the diagnostics that still gate: neither
@@ -96,18 +80,11 @@ func Run(dir string, cfg Config) (*Result, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	start := time.Now()
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		return nil, err
 	}
-	loadMs := float64(time.Since(start)) / float64(time.Millisecond)
-	res, err := RunPackages(pkgs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings = append([]StageTiming{{Name: "load", Ms: loadMs}}, res.Timings...)
-	return res, nil
+	return RunPackages(pkgs, cfg)
 }
 
 // RunPackages applies the configured analyzers to already-loaded
@@ -121,17 +98,14 @@ func RunPackages(pkgs []*Package, cfg Config) (*Result, error) {
 	}
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	var timings []StageTiming
 	var graph *CallGraph
 	for _, a := range analyzers {
-		if a.RunModule != nil && graph == nil {
-			start := time.Now()
+		if a.RunModule != nil {
 			graph = BuildCallGraph(pkgs)
-			timings = append(timings, StageTiming{Name: "callgraph", Ms: float64(time.Since(start)) / float64(time.Millisecond)})
+			break
 		}
 	}
 	for _, a := range analyzers {
-		start := time.Now()
 		if a.RunModule != nil {
 			a.RunModule(&ModulePass{
 				Analyzer: a,
@@ -147,14 +121,13 @@ func RunPackages(pkgs []*Package, cfg Config) (*Result, error) {
 				a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
 			}
 		}
-		timings = append(timings, StageTiming{Name: a.Name, Ms: float64(time.Since(start)) / float64(time.Millisecond)})
 	}
 	for _, pkg := range pkgs {
 		diags = append(diags, directiveDiagnostics(pkg, analyzers)...)
 	}
 	applySuppressions(pkgs, diags)
 	sortDiagnostics(diags)
-	return &Result{Diagnostics: diags, Packages: len(pkgs), Graph: graph, Timings: timings}, nil
+	return &Result{Diagnostics: diags, Packages: len(pkgs)}, nil
 }
 
 // directiveDiagnostics validates //mpg:lint-ignore directives

@@ -61,8 +61,9 @@ func collZoo(r *mpi.Rank) error {
 
 // equivalenceModels is the model grid the byte-identity tests sweep:
 // sampled continuous noise, quantized noise with a per-rank override,
-// heavy per-byte terms with collective payload charging, and negative
-// perturbations exercising the §4.3 clamps.
+// heavy per-byte terms with collective payload charging, negative
+// perturbations exercising the §4.3 clamps, and the laws ReplayCompiled
+// draws inline.
 func equivalenceModels() []*Model {
 	base := []*Model{
 		{Seed: 3}, // zero model
@@ -86,6 +87,15 @@ func equivalenceModels() []*Model {
 			OSNoise:       dist.Normal{Mu: 0, Sigma: 80},
 			MsgLatency:    dist.Normal{Mu: 100, Sigma: 150},
 			AllowNegative: true,
+		},
+		{
+			// The only laws ReplayCompiled draws inline at both op
+			// sites (fastNoise and fastMatch): exponential noise and
+			// latency, constant per-byte, no per-rank or quantum noise.
+			Seed:       14,
+			OSNoise:    dist.Exponential{MeanValue: 300},
+			MsgLatency: dist.Exponential{MeanValue: 500},
+			PerByte:    dist.Constant{C: 0.5},
 		},
 	}
 	var out []*Model

@@ -10,8 +10,6 @@ import (
 // Distribution implementation against its analytic CDF, and the
 // differential ziggurat tests (ziggurat_test.go) pin the fast samplers
 // against the exact reference samplers with the two-sample statistic.
-// The helpers are exported so external tooling (mpg-bench -sampler
-// uses the two-sample gate) can reuse them.
 
 // KSStat computes the one-sample Kolmogorov–Smirnov statistic
 // D = sup_x |F_n(x) − F(x)| of the samples against a continuous CDF.
