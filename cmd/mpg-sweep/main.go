@@ -1,6 +1,8 @@
-// Command mpg-sweep traces a workload once per sweep point and reports
-// how the analyzed delay grows as a perturbation parameter increases —
-// the paper's Section 6.1 experiment and its generalizations:
+// Command mpg-sweep traces a workload once per tracing machine (once
+// for a latency, noise or per-byte sweep; once per point for a ranks
+// sweep) and reports how the analyzed delay grows as a perturbation
+// parameter increases — the paper's Section 6.1 experiment and its
+// generalizations:
 //
 //	mpg-sweep -workload tokenring -ranks 128 -iters 10 \
 //	    -sweep latency -from 0 -to 700 -step 100
@@ -25,11 +27,13 @@ import (
 	"mpgraph/internal/baseline"
 	"mpgraph/internal/cli"
 	"mpgraph/internal/dist"
+	"mpgraph/internal/machine"
 	"mpgraph/internal/mpi"
 	"mpgraph/internal/obsv"
 	"mpgraph/internal/parallel"
 	"mpgraph/internal/report"
 	"mpgraph/internal/sweep"
+	"mpgraph/internal/trace"
 	"mpgraph/internal/workloads"
 )
 
@@ -165,48 +169,76 @@ func run(args []string, w, stderr io.Writer) error {
 }
 
 // baselineGrowth replays every sweep point through the DES baseline and
-// reports makespan growth relative to the first point. Replays fan out
-// like the sweep itself; growth is computed after ordered collection so
-// the reference point never depends on scheduling.
+// reports makespan growth relative to the first point. Like sweep.Run,
+// it traces each distinct tracing machine once (only a ranks sweep
+// changes the machine, and only its NRanks), then replays every point
+// over a fresh Set of its machine's snapshot. Both phases fan out like
+// the sweep itself; growth is computed after ordered collection so the
+// reference point never depends on scheduling.
 func baselineGrowth(cfg sweep.Config, points []sweep.Point, workers int) ([]int64, error) {
-	spans, err := parallel.Map(len(points), parallel.Options{Workers: workers}, func(i int) (int64, error) {
-		v := points[i].Value
+	popts := parallel.Options{Workers: workers}
+	var machines []machine.Config
+	index := map[int]int{}                // NRanks → machine
+	machineOf := make([]int, len(points)) // point → machine
+	for i, p := range points {
 		mcfg := cfg.Machine
-		params := baseline.Params{Latency: 1000 + int64(v), BytesPerCycle: mcfg.BytesPerCycle}
 		if cfg.Param == sweep.ParamRanks {
-			mcfg.NRanks = int(v)
+			mcfg.NRanks = int(p.Value)
 		}
+		m, ok := index[mcfg.NRanks]
+		if !ok {
+			m = len(machines)
+			index[mcfg.NRanks] = m
+			machines = append(machines, mcfg)
+		}
+		machineOf[i] = m
+	}
+	snaps, err := parallel.Map(len(machines), popts, func(m int) (*trace.Snapshot, error) {
+		prog, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions)
+		if err != nil {
+			return nil, err
+		}
+		run, err := mpi.Run(mpi.Config{Machine: machines[m]}, prog)
+		if err != nil {
+			return nil, err
+		}
+		set, err := run.TraceSet()
+		if err != nil {
+			return nil, err
+		}
+		return trace.NewSnapshot(set)
+	})
+	if err != nil {
+		return nil, unwrapTask(err)
+	}
+	spans, err := parallel.Map(len(points), popts, func(i int) (int64, error) {
+		v := points[i].Value
+		params := baseline.Params{Latency: 1000 + int64(v), BytesPerCycle: cfg.Machine.BytesPerCycle}
 		if cfg.Param != sweep.ParamLatency {
 			params.Latency = 1000
 			params.OSNoise = dist.Constant{C: v}
 		}
-		prog, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions)
-		if err != nil {
-			return 0, err
-		}
-		run, err := mpi.Run(mpi.Config{Machine: mcfg}, prog)
-		if err != nil {
-			return 0, err
-		}
-		set, err := run.TraceSet()
-		if err != nil {
-			return 0, err
-		}
-		rep, err := baseline.Replay(set, params)
+		rep, err := baseline.Replay(snaps[machineOf[i]].Set(), params)
 		if err != nil {
 			return 0, err
 		}
 		return rep.Makespan, nil
 	})
 	if err != nil {
-		if te, ok := err.(*parallel.TaskError); ok {
-			err = te.Err
-		}
-		return nil, err
+		return nil, unwrapTask(err)
 	}
 	out := make([]int64, len(spans))
 	for i, s := range spans {
 		out[i] = s - spans[0]
 	}
 	return out, nil
+}
+
+// unwrapTask strips the pool's task wrapper so errors read as a serial
+// loop's.
+func unwrapTask(err error) error {
+	if te, ok := err.(*parallel.TaskError); ok {
+		return te.Err
+	}
+	return err
 }

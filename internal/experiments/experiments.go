@@ -564,21 +564,27 @@ func runExtNeg(cfg Config) (*Outcome, error) {
 	tbl := report.NewTable("traced on a noisy platform; modeled with noise removed",
 		"removed/edge", "mean-delay", "order-violations-clamped")
 	removed := []float64{0, 100, 200, 400}
+	// Every cell analyzes the same noisy run: trace it once and give
+	// each cell its own readers over the shared records.
+	prog, err := workloads.BuildByName("cg", workloads.Options{Iterations: iters})
+	if err != nil {
+		return nil, err
+	}
+	run, err := mpi.Run(mpi.Config{Machine: mcfg}, prog)
+	if err != nil {
+		return nil, err
+	}
+	set, err := run.TraceSet()
+	if err != nil {
+		return nil, err
+	}
+	snap, err := trace.NewSnapshot(set)
+	if err != nil {
+		return nil, err
+	}
 	results, err := parallel.Map(len(removed), cfg.pool(), func(i int) (*core.Result, error) {
 		defer cfg.Metrics.SpanStart("experiment_cell")()
-		prog, err := workloads.BuildByName("cg", workloads.Options{Iterations: iters})
-		if err != nil {
-			return nil, err
-		}
-		run, err := mpi.Run(mpi.Config{Machine: mcfg}, prog)
-		if err != nil {
-			return nil, err
-		}
-		set, err := run.TraceSet()
-		if err != nil {
-			return nil, err
-		}
-		return core.Analyze(set, &core.Model{
+		return core.Analyze(snap.Set(), &core.Model{
 			Seed:          cfg.Seed,
 			OSNoise:       dist.Constant{C: -removed[i]},
 			AllowNegative: true,

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"mpgraph/internal/core"
+	"mpgraph/internal/dist"
 	"mpgraph/internal/machine"
+	"mpgraph/internal/obsv"
 	"mpgraph/internal/parallel"
 	"mpgraph/internal/trace"
 	"mpgraph/internal/workloads"
@@ -281,5 +283,120 @@ func TestSweepErrorsMatchSerialUnderParallelism(t *testing.T) {
 	}
 	if err1.Error() != err8.Error() {
 		t.Fatalf("error text depends on pool size: %q vs %q", err1, err8)
+	}
+}
+
+// retracedPoints is the reference a trace-once sweep must reproduce:
+// every point traced afresh on its own machine, as if no two points
+// shared a trace, then analyzed once or, with Trials > 1, through
+// streamingTrials' per-trial analyses.
+func retracedPoints(t *testing.T, cfg Config) []Point {
+	t.Helper()
+	if cfg.Trials > 1 {
+		return streamingTrials(t, cfg)
+	}
+	var points []Point
+	for _, v := range cfg.Values() {
+		model, mcfg, err := cfg.pointModel(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := cfg.tracePoint(v, mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Analyze(set, model, cfg.Analyze)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, Point{Value: v, Result: res})
+	}
+	return points
+}
+
+// TestSweepTracesEachMachineOnce: only ParamRanks changes the tracing
+// machine, so a latency, noise or per-byte sweep traces (and, with
+// trials, compiles) once, while a ranks sweep traces every point. At
+// every pool size each point is deeply equal to a per-point re-trace.
+func TestSweepTracesEachMachineOnce(t *testing.T) {
+	for _, p := range []Param{ParamLatency, ParamNoise, ParamPerByte, ParamRanks} {
+		for _, trials := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/trials=%d", p, trials), func(t *testing.T) {
+				base := Config{
+					Workload:        "stencil1d",
+					WorkloadOptions: workloads.Options{Iterations: 3, CollEvery: 2},
+					Machine:         machine.Config{NRanks: 4, Seed: 21, Noise: dist.Exponential{MeanValue: 40}},
+					Param:           p,
+					From:            0, To: 200, Step: 100,
+					NoiseMean: 120,
+					ModelSeed: 21,
+					Trials:    trials,
+				}
+				traces := int64(1)
+				if p == ParamRanks {
+					base.From, base.To, base.Step = 2, 4, 1
+					traces = 3
+				}
+				want := retracedPoints(t, base)
+				for _, workers := range []int{1, 2, 8} {
+					cfg := base
+					cfg.Workers = workers
+					cfg.Metrics = obsv.NewRegistry()
+					got, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
+					}
+					snap := cfg.Metrics.Snapshot()
+					if n := snap.Timers["sweep_trace"].Count; n != traces {
+						t.Errorf("workers=%d: traced %d times, want %d", workers, n, traces)
+					}
+					if trials > 1 {
+						if n := snap.Counters["core_compiles_total"]; n != traces {
+							t.Errorf("workers=%d: compiled %d times, want %d", workers, n, traces)
+						}
+					}
+					if len(got.Points) != len(want) {
+						t.Fatalf("workers=%d: %d points, want %d", workers, len(got.Points), len(want))
+					}
+					for i := range want {
+						if !reflect.DeepEqual(want[i], got.Points[i]) {
+							t.Fatalf("workers=%d point %d: shared-trace result diverges from a re-trace:\n--- re-traced\n%s--- shared\n%s",
+								workers, i, fingerprint(want[i].Result), fingerprint(got.Points[i].Result))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSweepSharedTraceErrorText: a trace shared by every point fails
+// once, named by the lowest value that uses it — the text a loop that
+// traced each point produced — and no point is analyzed.
+func TestSweepSharedTraceErrorText(t *testing.T) {
+	for _, trials := range []int{1, 3} {
+		for _, workers := range []int{1, 8} {
+			reg := obsv.NewRegistry()
+			_, err := Run(Config{
+				Workload: "tokenring",
+				Machine:  machine.Config{NRanks: 4, Seed: 1, BytesPerCycle: -1},
+				Param:    ParamLatency,
+				From:     100, To: 300, Step: 100,
+				Trials:  trials,
+				Workers: workers,
+				Metrics: reg,
+			})
+			const want = "sweep: value 100: machine: negative bandwidth -1"
+			if err == nil || err.Error() != want {
+				t.Fatalf("trials=%d workers=%d: err = %v, want %q", trials, workers, err, want)
+			}
+			snap := reg.Snapshot()
+			if n := snap.Timers["sweep_trace"].Count; n != 1 {
+				t.Errorf("trials=%d workers=%d: traced %d times, want 1", trials, workers, n)
+			}
+			if n := snap.Counters["core_events_total"]; n != 0 {
+				t.Errorf("trials=%d workers=%d: analyzed %d events after the trace failed", trials, workers, n)
+			}
+		}
 	}
 }

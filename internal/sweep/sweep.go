@@ -1,14 +1,17 @@
-// Package sweep runs perturbation parameter sweeps: trace a workload
-// once per point, analyze under a model derived from the swept value,
-// and collect the delay series plus its linear fit — the programmatic
-// form of the paper's Section 6.1 protocol, shared by the mpg-sweep
-// tool, the benchmark harness, and the examples.
+// Package sweep runs perturbation parameter sweeps: trace the workload
+// once per distinct tracing machine, analyze every point under a model
+// derived from the swept value, and collect the delay series plus its
+// linear fit — the programmatic form of the paper's Section 6.1
+// protocol (trace once, ask the what-ifs afterwards), shared by the
+// mpg-sweep tool, the benchmark harness, and the examples.
 //
-// Sweep points (and Monte Carlo trials within a point) are independent
-// replays over deterministic traces, so Run fans them out across a
-// bounded worker pool (Config.Workers). Parallel execution is
-// bit-identical to serial: every replay derives all of its randomness
-// from (seed, point, trial), never from scheduling order.
+// Only ParamRanks changes the tracing machine, so a latency, noise or
+// per-byte sweep traces once and every point reads that one trace. The
+// traces and the points' replays (and Monte Carlo trials within a
+// point) are independent, so Run fans each phase out across a bounded
+// worker pool (Config.Workers). Parallel execution is bit-identical to
+// serial: every replay derives all of its randomness from (seed, point,
+// trial), never from scheduling order.
 package sweep
 
 import (
@@ -107,10 +110,10 @@ type Config struct {
 	// per-point Result is trial 0's; the aggregate lands in
 	// Point.Trials. Values <= 1 run the classic single replay.
 	//
-	// Each point's trace is compiled once (core.Compile) and every
-	// trial replays the compiled program (core.ReplayCompiled), which
-	// is byte-identical to the streaming analyzer but skips re-parsing
-	// and re-matching.
+	// Each distinct trace is compiled once (core.Compile) and every
+	// trial of every point that shares it replays the compiled program
+	// (core.ReplayCompiled), which is byte-identical to the streaming
+	// analyzer but skips re-parsing and re-matching.
 	Trials int
 	// Metrics, when non-nil, receives sweep observability: tracing
 	// phase timers, point/trial counters, the pool metrics (it is
@@ -192,9 +195,11 @@ func (cfg Config) pointModel(v float64) (*core.Model, machine.Config, error) {
 	return model, mcfg, nil
 }
 
-// tracePoint traces the workload for one sweep value. Tracing is a
-// pure function of (workload, options, machine config), so concurrent
-// points re-trace independently.
+// tracePoint traces the workload on one tracing machine; v is the
+// lowest sweep value that uses it and names it in a failure. Tracing
+// is a pure function of (workload, options, machine config), so every
+// point on the same machine shares the one trace, and distinct
+// machines trace independently.
 func (cfg Config) tracePoint(v float64, mcfg machine.Config) (*trace.Set, error) {
 	defer cfg.Metrics.Timer("sweep_trace").Start()()
 	prog, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions)
@@ -208,8 +213,64 @@ func (cfg Config) tracePoint(v float64, mcfg machine.Config) (*trace.Set, error)
 	return run.TraceSet()
 }
 
-// Run executes the sweep, fanning the grid (and, with Trials > 1, the
-// per-point Monte Carlo trials) across the worker pool.
+// grid is a sweep's points grouped by tracing machine.
+type grid struct {
+	vals     []float64
+	models   []*core.Model    // per point
+	machine  []int            // per point: its index into machines
+	machines []machine.Config // the distinct tracing machines, in first-use order
+	first    []float64        // per machine: the lowest value that traces it
+}
+
+// plan derives every point's model and groups the points by tracing
+// machine. pointModel changes nothing of cfg.Machine but NRanks, so the
+// rank count identifies the machine. The first failing value wins, as
+// in a serial loop.
+func (cfg Config) plan(vals []float64) (grid, error) {
+	g := grid{vals: vals, models: make([]*core.Model, len(vals)), machine: make([]int, len(vals))}
+	index := map[int]int{} // NRanks → machine
+	for i, v := range vals {
+		model, mcfg, err := cfg.pointModel(v)
+		if err != nil {
+			return grid{}, err
+		}
+		m, ok := index[mcfg.NRanks]
+		if !ok {
+			m = len(g.machines)
+			index[mcfg.NRanks] = m
+			g.machines = append(g.machines, mcfg)
+			g.first = append(g.first, v)
+		}
+		g.models[i], g.machine[i] = model, m
+	}
+	return g, nil
+}
+
+// traceEach traces every distinct machine of g once, fanned across the
+// pool, and turns each trace into what the points' replays share. The
+// lowest-numbered failing machine wins, and machines are numbered by
+// their lowest value, so the error is the one a serial loop over the
+// points meets first.
+func traceEach[T any](cfg Config, g grid, popts parallel.Options, prepare func(*trace.Set) (T, error)) ([]T, error) {
+	out, err := parallel.Map(len(g.machines), popts, func(m int) (T, error) {
+		var zero T
+		set, err := cfg.tracePoint(g.first[m], g.machines[m])
+		if err != nil {
+			return zero, err
+		}
+		shared, err := prepare(set)
+		if err != nil {
+			return zero, fmt.Errorf("sweep: value %g: %w", g.first[m], err)
+		}
+		return shared, nil
+	})
+	return out, unwrapTask(err)
+}
+
+// Run executes the sweep in phases: derive every point's model, trace
+// each distinct machine once, then analyze the grid (and, with
+// Trials > 1, the per-point Monte Carlo trials) across the worker
+// pool. A failure in an earlier phase wins over any in a later one.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Step <= 0 || cfg.To < cfg.From {
 		return nil, fmt.Errorf("sweep: invalid range [%g,%g] step %g", cfg.From, cfg.To, cfg.Step)
@@ -228,25 +289,26 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer cfg.Metrics.Timer("sweep_run").Start()()
 	cfg.Metrics.Counter("sweep_points_total").Add(int64(len(vals)))
+	g, err := cfg.plan(vals)
+	if err != nil {
+		return nil, err
+	}
 
 	var xs, ys []float64
 	if cfg.Trials <= 1 {
+		// Single-trial points stream: each reads its machine's trace
+		// through a fresh Set over the shared snapshot.
+		snaps, err := traceEach(cfg, g, popts, trace.NewSnapshot)
+		if err != nil {
+			return nil, err
+		}
 		tick := cfg.progressTick(len(vals))
 		results, err := parallel.Map(len(vals), popts, func(i int) (*core.Result, error) {
 			defer tick()
 			defer cfg.Metrics.SpanStart("sweep_point")()
-			v := vals[i]
-			model, mcfg, err := cfg.pointModel(v)
+			res, err := core.Analyze(snaps[g.machine[i]].Set(), g.models[i], cfg.Analyze)
 			if err != nil {
-				return nil, err
-			}
-			set, err := cfg.tracePoint(v, mcfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Analyze(set, model, cfg.Analyze)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: value %g: %w", v, err)
+				return nil, fmt.Errorf("sweep: value %g: %w", vals[i], err)
 			}
 			return res, nil
 		})
@@ -259,7 +321,7 @@ func Run(cfg Config) (*Result, error) {
 			ys = append(ys, res.MaxFinalDelay)
 		}
 	} else {
-		points, err := cfg.runTrials(vals, popts)
+		points, err := cfg.runTrials(g, popts)
 		if err != nil {
 			return nil, err
 		}
@@ -276,53 +338,34 @@ func Run(cfg Config) (*Result, error) {
 	return out, nil
 }
 
-// trialPoint is one Monte Carlo point's shared input: its model and
-// its compiled trace, both read-only across the point's trials.
-type trialPoint struct {
-	model *core.Model
-	prog  *core.Compiled
-}
-
 // runTrials runs the Monte Carlo study in two fan-outs. The first
-// traces and compiles each point (see core.Compile); the second
-// replays the flattened (point × trial) grid, each trial cloning its
-// point's model with its own derived seed, so no sampler state is ever
-// shared between replays. A failing point fails the sweep before any
-// trial runs; within each fan-out the lowest-numbered failure wins,
-// as in a serial loop over the same two phases.
-func (cfg Config) runTrials(vals []float64, popts parallel.Options) ([]Point, error) {
-	trials := cfg.Trials
+// traces and compiles each distinct machine (see core.Compile); the
+// second replays the flattened (point × trial) grid, each point on its
+// machine's program and each trial cloning its point's model with its
+// own derived seed, so no sampler state is ever shared between
+// replays. A failing trace or compile fails the sweep before any trial
+// runs; within each fan-out the lowest-numbered failure wins, as in a
+// serial loop over the same two phases.
+func (cfg Config) runTrials(g grid, popts parallel.Options) ([]Point, error) {
+	vals, trials := g.vals, cfg.Trials
 	cfg.Metrics.Counter("sweep_trials_total").Add(int64(len(vals) * trials))
-	cfg.Metrics.Counter("sweep_compiled_points_total").Add(int64(len(vals)))
-	points, err := parallel.Map(len(vals), popts, func(p int) (trialPoint, error) {
-		v := vals[p]
-		model, mcfg, err := cfg.pointModel(v)
-		if err != nil {
-			return trialPoint{}, err
-		}
-		set, err := cfg.tracePoint(v, mcfg)
-		if err != nil {
-			return trialPoint{}, err
-		}
-		prog, err := core.Compile(set, cfg.Analyze)
-		if err != nil {
-			return trialPoint{}, fmt.Errorf("sweep: value %g: %w", v, err)
-		}
-		return trialPoint{model: model, prog: prog}, nil
+	cfg.Metrics.Counter("sweep_compiled_points_total").Add(int64(len(g.machines)))
+	progs, err := traceEach(cfg, g, popts, func(set *trace.Set) (*core.Compiled, error) {
+		return core.Compile(set, cfg.Analyze)
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, err
 	}
 	tick := cfg.progressTick(len(vals) * trials)
 	results, err := parallel.Map(len(vals)*trials, popts, func(t int) (*core.Result, error) {
 		defer tick()
 		defer cfg.Metrics.SpanStart("sweep_point")()
-		pt := points[t/trials]
-		trial := pt.model.Clone()
+		p := t / trials
+		trial := g.models[p].Clone()
 		trial.Seed = parallel.TaskSeed(cfg.ModelSeed, t)
-		res, err := core.ReplayCompiled(pt.prog, trial, cfg.Analyze)
+		res, err := core.ReplayCompiled(progs[g.machine[p]], trial, cfg.Analyze)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: value %g trial %d: %w", vals[t/trials], t%trials, err)
+			return nil, fmt.Errorf("sweep: value %g trial %d: %w", vals[p], t%trials, err)
 		}
 		return res, nil
 	})

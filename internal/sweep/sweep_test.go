@@ -196,24 +196,25 @@ func TestMetricsAndProgress(t *testing.T) {
 	}
 	mu.Unlock()
 	snap := reg.Snapshot()
-	// Trials ride the compiled replay path: 3 pool tasks trace and
-	// compile the points, then each of the 9 trials is one pool task
-	// replaying its point's compiled program.
+	// Trials ride the compiled replay path: the three latency points
+	// share one tracing machine, so 1 pool task traces and compiles it,
+	// then each of the 9 trials is one pool task replaying that
+	// compiled program.
 	for name, want := range map[string]int64{
 		"sweep_points_total":          3,
 		"sweep_trials_total":          9,
-		"sweep_compiled_points_total": 3,
-		"parallel_tasks_total":        12,
+		"sweep_compiled_points_total": 1,
+		"parallel_tasks_total":        10,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	// Engine counters flow through Analyze.Metrics defaulting: each
-	// point compiles once (a zero-model streaming pass) and each trial
-	// replays the compiled program.
-	if got := snap.Counters["core_compiles_total"]; got != 3 {
-		t.Errorf("core_compiles_total = %d, want 3", got)
+	// Engine counters flow through Analyze.Metrics defaulting: the
+	// shared trace compiles once (a zero-model streaming pass) and each
+	// trial replays the compiled program.
+	if got := snap.Counters["core_compiles_total"]; got != 1 {
+		t.Errorf("core_compiles_total = %d, want 1", got)
 	}
 	if got := snap.Counters["core_replays_total"]; got != 9 {
 		t.Errorf("core_replays_total = %d, want 9", got)
@@ -225,7 +226,7 @@ func TestMetricsAndProgress(t *testing.T) {
 		ms["core_compile"] <= 0 || ms["core_replay_compiled"] <= 0 {
 		t.Errorf("phase timings not all positive: %v", ms)
 	}
-	if h, ok := snap.Histograms["parallel_task_ms"]; !ok || h.Count != 12 {
+	if h, ok := snap.Histograms["parallel_task_ms"]; !ok || h.Count != 10 {
 		t.Errorf("parallel_task_ms histogram = %+v", snap.Histograms["parallel_task_ms"])
 	}
 	if w := snap.Gauges["parallel_pool_workers"]; w != 2 {

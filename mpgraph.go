@@ -128,7 +128,8 @@ const (
 	SweepRanks   = sweep.ParamRanks
 )
 
-// Sweep traces a workload once per point and analyzes it under the
+// Sweep traces a workload once per tracing machine (once, unless the
+// sweep varies the rank count) and analyzes every point under the
 // swept perturbation parameter — the paper's §6.1 protocol as a
 // library call.
 func Sweep(cfg SweepConfig) (*SweepResult, error) { return sweep.Run(cfg) }
