@@ -394,7 +394,7 @@ func replayBenchModel(trial int) *core.Model {
 // path. Its compiled counterpart below must beat it by ≥2x (DESIGN.md
 // §8 records the latest medians).
 func BenchmarkReplayStreaming(b *testing.B) {
-	snap, err := trace.NewSnapshot(replayBenchSet(b))
+	snap, err := trace.SnapshotFromMem(memify(b, replayBenchSet(b)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -473,9 +473,9 @@ func runSweepBench(b *testing.B, workers int) {
 // BenchmarkSweepSerial is the single-worker reference for the replay
 // fan-out engine; the Parallel variants below must reproduce its
 // results bit-for-bit. Only the replays scale with the pool: the sweep
-// traces once, serially, before they fan out. On a 2-vCPU Intel Xeon
-// (Go 1.24.0, -cpu 2, medians of 5) Parallel2 ran 2.2 ms against
-// Serial's 3.5 ms, 1.6x.
+// traces once, serially, while the other workers wait for it. On a
+// 2-vCPU Intel Xeon (Go 1.24.0, -cpu 2, medians of 5) Parallel2 ran
+// 2.5 ms against Serial's 3.3 ms, 1.3x.
 func BenchmarkSweepSerial(b *testing.B)    { runSweepBench(b, 1) }
 func BenchmarkSweepParallel2(b *testing.B) { runSweepBench(b, 2) }
 func BenchmarkSweepParallel4(b *testing.B) { runSweepBench(b, 4) }

@@ -27,10 +27,7 @@ import (
 	"mpgraph/internal/baseline"
 	"mpgraph/internal/cli"
 	"mpgraph/internal/dist"
-	"mpgraph/internal/machine"
-	"mpgraph/internal/mpi"
 	"mpgraph/internal/obsv"
-	"mpgraph/internal/parallel"
 	"mpgraph/internal/report"
 	"mpgraph/internal/sweep"
 	"mpgraph/internal/trace"
@@ -123,7 +120,7 @@ func run(args []string, w, stderr io.Writer) error {
 
 	var growth []int64
 	if *useBaseline {
-		if growth, err = baselineGrowth(cfg, res.Points, *workers); err != nil {
+		if growth, err = baselineGrowth(cfg); err != nil {
 			return err
 		}
 	}
@@ -169,76 +166,30 @@ func run(args []string, w, stderr io.Writer) error {
 }
 
 // baselineGrowth replays every sweep point through the DES baseline and
-// reports makespan growth relative to the first point. Like sweep.Run,
-// it traces each distinct tracing machine once (only a ranks sweep
-// changes the machine, and only its NRanks), then replays every point
-// over a fresh Set of its machine's snapshot. Both phases fan out like
-// the sweep itself; growth is computed after ordered collection so the
-// reference point never depends on scheduling.
-func baselineGrowth(cfg sweep.Config, points []sweep.Point, workers int) ([]int64, error) {
-	popts := parallel.Options{Workers: workers}
-	var machines []machine.Config
-	index := map[int]int{}                // NRanks → machine
-	machineOf := make([]int, len(points)) // point → machine
-	for i, p := range points {
-		mcfg := cfg.Machine
-		if cfg.Param == sweep.ParamRanks {
-			mcfg.NRanks = int(p.Value)
-		}
-		m, ok := index[mcfg.NRanks]
-		if !ok {
-			m = len(machines)
-			index[mcfg.NRanks] = m
-			machines = append(machines, mcfg)
-		}
-		machineOf[i] = m
-	}
-	snaps, err := parallel.Map(len(machines), popts, func(m int) (*trace.Snapshot, error) {
-		prog, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions)
-		if err != nil {
-			return nil, err
-		}
-		run, err := mpi.Run(mpi.Config{Machine: machines[m]}, prog)
-		if err != nil {
-			return nil, err
-		}
-		set, err := run.TraceSet()
-		if err != nil {
-			return nil, err
-		}
-		return trace.NewSnapshot(set)
-	})
-	if err != nil {
-		return nil, unwrapTask(err)
-	}
-	spans, err := parallel.Map(len(points), popts, func(i int) (int64, error) {
-		v := points[i].Value
+// reports makespan growth relative to the first point. sweep.EachPoint
+// fans the points out like the sweep itself, over one trace per
+// distinct tracing machine; growth is computed after ordered
+// collection so the reference point never depends on scheduling.
+func baselineGrowth(cfg sweep.Config) ([]int64, error) {
+	cfg.Metrics = nil // the metrics report covers the sweep alone
+	spans, err := sweep.EachPoint(cfg, func(i int, v float64, set *trace.Set) (int64, error) {
 		params := baseline.Params{Latency: 1000 + int64(v), BytesPerCycle: cfg.Machine.BytesPerCycle}
 		if cfg.Param != sweep.ParamLatency {
 			params.Latency = 1000
 			params.OSNoise = dist.Constant{C: v}
 		}
-		rep, err := baseline.Replay(snaps[machineOf[i]].Set(), params)
+		rep, err := baseline.Replay(set, params)
 		if err != nil {
 			return 0, err
 		}
 		return rep.Makespan, nil
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, err
 	}
 	out := make([]int64, len(spans))
 	for i, s := range spans {
 		out[i] = s - spans[0]
 	}
 	return out, nil
-}
-
-// unwrapTask strips the pool's task wrapper so errors read as a serial
-// loop's.
-func unwrapTask(err error) error {
-	if te, ok := err.(*parallel.TaskError); ok {
-		return te.Err
-	}
-	return err
 }

@@ -27,8 +27,11 @@ func snapWorkload(t *testing.T, name string, nranks int, opts workloads.Options)
 
 func snapProgram(t *testing.T, nranks int, prog mpi.Program) *trace.Snapshot {
 	t.Helper()
-	set := traceWorkload(t, machine.Config{NRanks: nranks, Seed: 7}, prog)
-	snap, err := trace.NewSnapshot(set)
+	res, err := mpi.Run(mpi.Config{Machine: machine.Config{NRanks: nranks, Seed: 7}}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := trace.SnapshotFromMem(res.Traces)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -574,11 +574,7 @@ func runExtNeg(cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := run.TraceSet()
-	if err != nil {
-		return nil, err
-	}
-	snap, err := trace.NewSnapshot(set)
+	snap, err := trace.SnapshotFromMem(run.Traces)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package sweep
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"mpgraph/internal/core"
 	"mpgraph/internal/dist"
@@ -145,11 +147,7 @@ func streamingTrials(t *testing.T, cfg Config) []Point {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := cfg.tracePoint(v, mcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := trace.NewSnapshot(set)
+		snap, err := cfg.tracePoint(v, mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,11 +299,11 @@ func retracedPoints(t *testing.T, cfg Config) []Point {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := cfg.tracePoint(v, mcfg)
+		snap, err := cfg.tracePoint(v, mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Analyze(set, model, cfg.Analyze)
+		res, err := core.Analyze(snap.Set(), model, cfg.Analyze)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,5 +396,37 @@ func TestSweepSharedTraceErrorText(t *testing.T) {
 				t.Errorf("trials=%d workers=%d: analyzed %d events after the trace failed", trials, workers, n)
 			}
 		}
+	}
+}
+
+// TestRanksSweepDropsEachTrace: every point of a ranks sweep is a
+// machine of its own, so a single-trial sweep must hold no more traces
+// than busy workers. With one worker, each earlier point's trace is
+// collectable by the time the next point is analyzed.
+func TestRanksSweepDropsEachTrace(t *testing.T) {
+	cfg := Config{
+		Workload:        "tokenring",
+		WorkloadOptions: workloads.Options{Iterations: 2},
+		Machine:         machine.Config{NRanks: 2, Seed: 1},
+		Param:           ParamRanks,
+		From:            2, To: 6, Step: 1,
+		Workers: 1,
+	}
+	var held []weak.Pointer[trace.Record]
+	_, err := EachPoint(cfg, func(i int, v float64, set *trace.Set) (int, error) {
+		runtime.GC()
+		for k, w := range held {
+			if w.Value() != nil {
+				t.Errorf("point %d: the trace of point %d is still held", i, k)
+			}
+		}
+		held = append(held, weak.Make(&set.Rank(0).(*trace.MemTrace).Records[0]))
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != 5 {
+		t.Fatalf("visited %d points, want 5", len(held))
 	}
 }

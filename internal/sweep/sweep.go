@@ -8,14 +8,15 @@
 // Only ParamRanks changes the tracing machine, so a latency, noise or
 // per-byte sweep traces once and every point reads that one trace. The
 // traces and the points' replays (and Monte Carlo trials within a
-// point) are independent, so Run fans each phase out across a bounded
-// worker pool (Config.Workers). Parallel execution is bit-identical to
+// point) are independent, so Run fans them out across a bounded worker
+// pool (Config.Workers). Parallel execution is bit-identical to
 // serial: every replay derives all of its randomness from (seed, point,
 // trial), never from scheduling order.
 package sweep
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mpgraph/internal/core"
@@ -199,8 +200,9 @@ func (cfg Config) pointModel(v float64) (*core.Model, machine.Config, error) {
 // lowest sweep value that uses it and names it in a failure. Tracing
 // is a pure function of (workload, options, machine config), so every
 // point on the same machine shares the one trace, and distinct
-// machines trace independently.
-func (cfg Config) tracePoint(v float64, mcfg machine.Config) (*trace.Set, error) {
+// machines trace independently. The snapshot wraps the run's own
+// records; nothing is copied.
+func (cfg Config) tracePoint(v float64, mcfg machine.Config) (*trace.Snapshot, error) {
 	defer cfg.Metrics.Timer("sweep_trace").Start()()
 	prog, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions)
 	if err != nil {
@@ -210,7 +212,7 @@ func (cfg Config) tracePoint(v float64, mcfg machine.Config) (*trace.Set, error)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: value %g: %w", v, err)
 	}
-	return run.TraceSet()
+	return trace.SnapshotFromMem(run.Traces)
 }
 
 // grid is a sweep's points grouped by tracing machine.
@@ -246,31 +248,64 @@ func (cfg Config) plan(vals []float64) (grid, error) {
 	return g, nil
 }
 
-// traceEach traces every distinct machine of g once, fanned across the
-// pool, and turns each trace into what the points' replays share. The
-// lowest-numbered failing machine wins, and machines are numbered by
-// their lowest value, so the error is the one a serial loop over the
-// points meets first.
-func traceEach[T any](cfg Config, g grid, popts parallel.Options, prepare func(*trace.Set) (T, error)) ([]T, error) {
-	out, err := parallel.Map(len(g.machines), popts, func(m int) (T, error) {
-		var zero T
-		set, err := cfg.tracePoint(g.first[m], g.machines[m])
+// sharedTrace is one tracing machine's trace in a single-trial sweep.
+// The first of its points to run traces it; the last to take it drops
+// it, so a sweep holds at most one trace per busy worker (a ranks sweep,
+// one point per machine) and a latency, noise or per-byte sweep one in
+// all.
+type sharedTrace struct {
+	once  sync.Once
+	snap  *trace.Snapshot
+	err   error
+	users atomic.Int64 // points yet to take the trace
+}
+
+// eachPoint calls fn for every point of g across the pool, with a
+// fresh Set over the trace of the point's machine. Each point first
+// takes its machine's trace, tracing it if no other point has, so a
+// failure is the one a serial loop over the points meets first: a
+// failed trace is reported by its machine's lowest value.
+func eachPoint[T any](cfg Config, g grid, popts parallel.Options, fn func(i int, v float64, set *trace.Set) (T, error)) ([]T, error) {
+	traces := make([]sharedTrace, len(g.machines))
+	for _, m := range g.machine {
+		traces[m].users.Add(1)
+	}
+	out, err := parallel.Map(len(g.vals), popts, func(i int) (T, error) {
+		m := g.machine[i]
+		st := &traces[m]
+		st.once.Do(func() { st.snap, st.err = cfg.tracePoint(g.first[m], g.machines[m]) })
+		snap, err := st.snap, st.err
+		if st.users.Add(-1) == 0 {
+			st.snap = nil
+		}
 		if err != nil {
+			var zero T
 			return zero, err
 		}
-		shared, err := prepare(set)
-		if err != nil {
-			return zero, fmt.Errorf("sweep: value %g: %w", g.first[m], err)
-		}
-		return shared, nil
+		return fn(i, g.vals[i], snap.Set())
 	})
 	return out, unwrapTask(err)
 }
 
-// Run executes the sweep in phases: derive every point's model, trace
-// each distinct machine once, then analyze the grid (and, with
-// Trials > 1, the per-point Monte Carlo trials) across the worker
-// pool. A failure in an earlier phase wins over any in a later one.
+// EachPoint calls fn for every point of the sweep cfg describes, fanned
+// across cfg.Workers, with a fresh Set over the trace of the point's
+// tracing machine. Like Run, it traces each distinct machine once:
+// only a ranks sweep traces per point. Results are in point order and
+// the lowest-numbered failing point wins, as in a serial loop.
+func EachPoint[T any](cfg Config, fn func(i int, v float64, set *trace.Set) (T, error)) ([]T, error) {
+	g, err := cfg.plan(cfg.Values())
+	if err != nil {
+		return nil, err
+	}
+	return eachPoint(cfg, g, parallel.Options{Workers: cfg.Workers, Metrics: cfg.Metrics}, fn)
+}
+
+// Run executes the sweep: it derives every point's model, then
+// analyzes the grid across the worker pool, tracing each distinct
+// machine once. A single-trial point streams over its machine's trace
+// (see eachPoint). With Trials > 1, every machine is traced and
+// compiled before the per-point Monte Carlo trials replay (see
+// runTrials). A failing model wins over any trace or analysis failure.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Step <= 0 || cfg.To < cfg.From {
 		return nil, fmt.Errorf("sweep: invalid range [%g,%g] step %g", cfg.From, cfg.To, cfg.Step)
@@ -296,24 +331,18 @@ func Run(cfg Config) (*Result, error) {
 
 	var xs, ys []float64
 	if cfg.Trials <= 1 {
-		// Single-trial points stream: each reads its machine's trace
-		// through a fresh Set over the shared snapshot.
-		snaps, err := traceEach(cfg, g, popts, trace.NewSnapshot)
-		if err != nil {
-			return nil, err
-		}
 		tick := cfg.progressTick(len(vals))
-		results, err := parallel.Map(len(vals), popts, func(i int) (*core.Result, error) {
+		results, err := eachPoint(cfg, g, popts, func(i int, v float64, set *trace.Set) (*core.Result, error) {
 			defer tick()
 			defer cfg.Metrics.SpanStart("sweep_point")()
-			res, err := core.Analyze(snaps[g.machine[i]].Set(), g.models[i], cfg.Analyze)
+			res, err := core.Analyze(set, g.models[i], cfg.Analyze)
 			if err != nil {
-				return nil, fmt.Errorf("sweep: value %g: %w", vals[i], err)
+				return nil, fmt.Errorf("sweep: value %g: %w", v, err)
 			}
 			return res, nil
 		})
 		if err != nil {
-			return nil, unwrapTask(err)
+			return nil, err
 		}
 		for i, res := range results {
 			out.Points = append(out.Points, Point{Value: vals[i], Result: res})
@@ -350,11 +379,19 @@ func (cfg Config) runTrials(g grid, popts parallel.Options) ([]Point, error) {
 	vals, trials := g.vals, cfg.Trials
 	cfg.Metrics.Counter("sweep_trials_total").Add(int64(len(vals) * trials))
 	cfg.Metrics.Counter("sweep_compiled_points_total").Add(int64(len(g.machines)))
-	progs, err := traceEach(cfg, g, popts, func(set *trace.Set) (*core.Compiled, error) {
-		return core.Compile(set, cfg.Analyze)
+	progs, err := parallel.Map(len(g.machines), popts, func(m int) (*core.Compiled, error) {
+		snap, err := cfg.tracePoint(g.first[m], g.machines[m])
+		if err != nil {
+			return nil, err
+		}
+		prog, err := core.Compile(snap.Set(), cfg.Analyze)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: value %g: %w", g.first[m], err)
+		}
+		return prog, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, unwrapTask(err)
 	}
 	tick := cfg.progressTick(len(vals) * trials)
 	results, err := parallel.Map(len(vals)*trials, popts, func(t int) (*core.Result, error) {

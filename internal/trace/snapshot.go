@@ -1,30 +1,29 @@
 package trace
 
-// Snapshot is an immutable in-memory copy of a traced run from which
-// any number of independent Sets can be built. It exists for parallel
-// replay: a Set is single-use (its readers carry a position), so
-// concurrent Analyze calls must each get their own readers — but the
-// records themselves never change, so they can be shared. A Snapshot
-// drains the trace once and then hands out lightweight reader sets
+// Snapshot is an immutable in-memory traced run from which any number
+// of independent Sets can be built. It exists for parallel replay: a
+// Set is single-use (its readers carry a position), so concurrent
+// Analyze calls must each get their own readers — but the records
+// themselves never change, so they can be shared. A Snapshot wraps a
+// run's in-memory records once and hands out lightweight reader sets
 // over the shared record slices.
 type Snapshot struct {
-	traces []*MemTrace // canonical records; never mutated after NewSnapshot
+	traces []*MemTrace // canonical records, by rank; never mutated
 }
 
-// NewSnapshot drains the Set into a Snapshot. Like any other consumer
-// of a Set, it exhausts the readers: the Set cannot be analyzed
-// afterwards (use the Snapshot instead).
-func NewSnapshot(s *Set) (*Snapshot, error) {
-	traces := make([]*MemTrace, s.NRanks())
-	for r := 0; r < s.NRanks(); r++ {
-		m, err := ReadAll(s.Rank(r))
-		if err != nil {
-			return nil, err
-		}
-		m.Hdr = s.Rank(r).Header()
-		traces[r] = m
+// SnapshotFromMem wraps in-memory traces, such as a traced run's
+// mpi.Result.Traces, as a Snapshot without copying their records. The
+// caller must not modify the traces afterwards.
+func SnapshotFromMem(traces []*MemTrace) (*Snapshot, error) {
+	set, err := SetFromMem(traces) // validates and orders by rank
+	if err != nil {
+		return nil, err
 	}
-	return &Snapshot{traces: traces}, nil
+	snap := &Snapshot{traces: make([]*MemTrace, set.NRanks())}
+	for r := range snap.traces {
+		snap.traces[r] = set.Rank(r).(*MemTrace)
+	}
+	return snap, nil
 }
 
 // NRanks returns the world size of the snapshotted run.

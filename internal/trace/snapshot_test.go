@@ -18,11 +18,7 @@ func snapshotFixture(t *testing.T) *Snapshot {
 			},
 		}
 	}
-	set, err := SetFromMem([]*MemTrace{mk(0), mk(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := NewSnapshot(set)
+	snap, err := SnapshotFromMem([]*MemTrace{mk(0), mk(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +100,41 @@ func TestSnapshotWithoutRelease(t *testing.T) {
 	a, b := snap.Set(), snap.Set()
 	if drain(t, a) != 4 || drain(t, b) != 4 {
 		t.Fatal("sets from one snapshot interfere")
+	}
+}
+
+// TestSnapshotFromMemSharesRecords: wrapping a run's in-memory traces
+// orders them by rank and reads the caller's record slices in place,
+// with no copy, however far the traces were already read.
+func TestSnapshotFromMemSharesRecords(t *testing.T) {
+	mk := func(rank int) *MemTrace {
+		return &MemTrace{
+			Hdr: Header{Rank: rank, NRanks: 2},
+			Records: []Record{
+				{Kind: KindInit, Begin: 0, End: 10, Peer: NoRank, Root: NoRank},
+				{Kind: KindFinalize, Begin: 20, End: 20, Peer: NoRank, Root: NoRank},
+			},
+		}
+	}
+	r0, r1 := mk(0), mk(1)
+	if _, err := r1.Next(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := SnapshotFromMem([]*MemTrace{r1, r0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, m := range []*MemTrace{r0, r1} {
+		if &snap.traces[r].Records[0] != &m.Records[0] {
+			t.Errorf("rank %d: records were copied", r)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if got := drain(t, snap.Set()); got != 4 {
+			t.Fatalf("set %d: drained %d records, want 4", i, got)
+		}
+	}
+	if _, err := SnapshotFromMem([]*MemTrace{r0}); err == nil {
+		t.Error("a rank-incomplete trace set was accepted")
 	}
 }
