@@ -133,11 +133,6 @@ func run(args []string) error {
 	opts := core.Options{MaxWindow: *maxWindow, Metrics: of.Registry()}
 	wantCrit := *critpath || *critpathCSV != "" || *critpathDOT != ""
 	opts.RecordCritPath = wantCrit
-	var graph *core.Graph
-	if *critpathDOT != "" {
-		graph = &core.Graph{}
-		opts.Graph = graph
-	}
 	var tl *timeline.Timeline
 	if *tlPath != "" {
 		// The export draws critical-path flow arrows, so extraction is
@@ -242,11 +237,28 @@ func run(args []string) error {
 			}
 		}
 		if *critpathDOT != "" {
-			dot := graph.DOTWithPath("critical path", res.CritPath.Steps)
-			if err := os.WriteFile(*critpathDOT, []byte(dot), 0o644); err != nil {
+			if err := writeCritPathDOT(*critpathDOT, *traces, res.CritPath.Steps); err != nil {
 				return err
 			}
 		}
 	}
 	return of.Flush()
+}
+
+// writeCritPathDOT renders the graph of the traces with the critical
+// path overlaid. The graph is built from its own copy of the traces.
+func writeCritPathDOT(path, traces string, steps []core.PathStep) error {
+	set, closeFn, err := trace.OpenDir(traces)
+	if err != nil {
+		return err
+	}
+	g, err := core.BuildGraph(set)
+	if err != nil {
+		closeFn() //nolint:errcheck
+		return err
+	}
+	if err := closeFn(); err != nil {
+		return err
+	}
+	return os.WriteFile(path, []byte(g.DOTWithPath("critical path", steps)), 0o644)
 }

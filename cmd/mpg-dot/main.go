@@ -39,14 +39,13 @@ func run(args []string) error {
 	}
 	defer closeFn() //nolint:errcheck
 
-	g := &core.Graph{}
-	res, err := core.Analyze(set, &core.Model{}, core.Options{Graph: g})
+	g, err := core.BuildGraph(set)
 	if err != nil {
 		return err
 	}
-	if *maxEvents > 0 && res.Events > *maxEvents {
+	if events := int64(g.NumNodes() / 2); *maxEvents > 0 && events > *maxEvents { // two subevents per record
 		return fmt.Errorf("trace has %d events (> -max-events %d); DOT output would be unreadable",
-			res.Events, *maxEvents)
+			events, *maxEvents)
 	}
 	fmt.Print(g.DOT(*title))
 	return nil

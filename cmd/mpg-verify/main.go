@@ -144,8 +144,8 @@ func runLint(stdout io.Writer, dir string, jsonOut bool) error {
 			return err
 		}
 		defer closeFn2()
-		g := verify.NewGraphCollector()
-		if _, err := core.Analyze(set2, &core.Model{}, core.Options{Graph: g}); err != nil {
+		g, err := core.BuildGraph(set2)
+		if err != nil {
 			return fmt.Errorf("graph build: %w", err)
 		}
 		findings = append(findings, verify.LintGraph(g)...)

@@ -58,15 +58,10 @@ type msgState struct {
 	// and the recycled transfers of the analyzer's free list.
 	next *msgState
 
-	// Graph-sink and critical-path bookkeeping.
+	// The posts' start subevents, for critical-path steps, interval
+	// peers and the compiled transfer's endpoints.
 	sendStartRef NodeRef
 	recvStartRef NodeRef
-	sendDoneRef  NodeRef
-	recvDoneRef  NodeRef
-	sendDoneSet  bool
-	recvDoneSet  bool
-	dataEmitted  bool
-	ackEmitted   bool
 
 	tapeIdx int32 // transfer index on the compile tape, once matched
 }
@@ -92,7 +87,6 @@ type collParticipant struct {
 	startD    float64
 	startAttr Attribution
 	startRef  NodeRef
-	endRef    NodeRef
 	dur       int64
 	outD      float64     // resolved completion contribution
 	outAttr   Attribution // attribution of outD from this rank's view
@@ -112,8 +106,7 @@ type collState struct {
 	root     int32
 	parts    []collParticipant
 	resolved bool
-	lMax     float64 // the propagated max (approx mode), for labels
-	tapeIdx  int32   // collective index on the compile tape, once resolved
+	tapeIdx  int32 // collective index on the compile tape, once resolved
 }
 
 // --- per-rank state -----------------------------------------------------
@@ -483,14 +476,6 @@ func (a *analyzer) beginRecord(rs *rankState, rec trace.Record) error {
 			rs.critStart.hasPred = true
 		}
 	}
-	if sink := a.opts.Graph; sink != nil {
-		ref := NodeRef{Rank: rs.rank, Event: rs.eventIdx}
-		sink.AddNode(ref, rec.Begin, rec)
-		if rs.started {
-			prev := NodeRef{Rank: rs.rank, Event: rs.eventIdx - 1, End: true}
-			sink.AddEdge(prev, ref, EdgeLocal, gap, "compute")
-		}
-	}
 	return nil
 }
 
@@ -587,12 +572,6 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	if a.crit != nil {
 		rs.critEnd.d = endD
 		a.crit.add(rs.rank, rs.eventIdx, critNode{start: rs.critStart, end: rs.critEnd})
-	}
-	if sink := a.opts.Graph; sink != nil {
-		ref := NodeRef{Rank: rs.rank, Event: rs.eventIdx, End: true}
-		sink.AddNode(ref, rec.End, rec)
-		sink.AddEdge(NodeRef{Rank: rs.rank, Event: rs.eventIdx}, ref,
-			EdgeLocal, rec.Duration(), rec.Kind.String())
 	}
 	rs.started = true
 	rs.prevEnd = rec.End
@@ -816,10 +795,8 @@ func (a *analyzer) completeBlockingP2P(rs *rankState, rec trace.Record) (float64
 	var attr Attribution
 	if isSend {
 		d, attr = a.sendCompletion(rs, m, rec.Duration())
-		a.sinkSendDone(rs, m)
 	} else {
 		d, attr = a.recvCompletion(rs, m, rec.Duration())
-		a.sinkRecvDone(rs, m)
 	}
 	return d, attr, true, nil
 }
@@ -919,50 +896,10 @@ func (a *analyzer) completeWait(rs *rankState, rec trace.Record) (float64, Attri
 	var attr Attribution
 	if ref.isSend {
 		d, attr = a.sendCompletion(rs, m, rec.Duration())
-		a.sinkSendDone(rs, m)
 	} else {
 		d, attr = a.recvCompletion(rs, m, rec.Duration())
-		a.sinkRecvDone(rs, m)
 	}
 	return d, attr, true, nil
-}
-
-// sinkSendDone / sinkRecvDone emit the message edges once the
-// corresponding completion subevents are known. The data edge runs
-// send-start → receive-completion-end; the acknowledgment edge runs
-// receive-completion-end → send-completion-end (Fig. 2/3).
-func (a *analyzer) sinkSendDone(rs *rankState, m *msgState) {
-	if a.opts.Graph == nil {
-		return
-	}
-	m.sendDoneRef = NodeRef{Rank: rs.rank, Event: rs.eventIdx, End: true}
-	m.sendDoneSet = true
-	a.sinkMsgEdges(m)
-}
-
-func (a *analyzer) sinkRecvDone(rs *rankState, m *msgState) {
-	if a.opts.Graph == nil {
-		return
-	}
-	m.recvDoneRef = NodeRef{Rank: rs.rank, Event: rs.eventIdx, End: true}
-	m.recvDoneSet = true
-	a.sinkMsgEdges(m)
-}
-
-func (a *analyzer) sinkMsgEdges(m *msgState) {
-	if !m.recvDoneSet {
-		return
-	}
-	sink := a.opts.Graph
-	if !m.dataEmitted {
-		sink.AddEdge(m.sendStartRef, m.recvDoneRef, EdgeMessage, 0,
-			fmt.Sprintf("data %dB", m.bytes))
-		m.dataEmitted = true
-	}
-	if m.sendDoneSet && !m.ackEmitted {
-		sink.AddEdge(m.recvDoneRef, m.sendDoneRef, EdgeMessage, 0, "ack")
-		m.ackEmitted = true
-	}
 }
 
 // --- window accounting ---------------------------------------------------

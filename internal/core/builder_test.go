@@ -225,8 +225,7 @@ func TestEq2Nonblocking(t *testing.T) {
 // the inbound delay; everything lands on the waits).
 func TestEq2ImmediateReturn(t *testing.T) {
 	model := &Model{MsgLatency: dist.Constant{C: 1e6}}
-	g := &Graph{}
-	res, err := Analyze(nonblockingPairSet(t), model, Options{Graph: g})
+	res, err := Analyze(nonblockingPairSet(t), model, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,6 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 			startD:    rs.startD,
 			startAttr: rs.startAttr,
 			startRef:  NodeRef{Rank: rs.rank, Event: rs.eventIdx},
-			endRef:    NodeRef{Rank: rs.rank, Event: rs.eventIdx, End: true},
 			dur:       rec.Duration(),
 		})
 		rs.posted = true
@@ -58,7 +57,6 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 				a.enqueue(cs.parts[i].rank)
 			}
 		}
-		a.sinkCollective(cs)
 	}
 	// Find this rank's resolved contribution.
 	for i := range cs.parts {
@@ -154,7 +152,7 @@ func applyCollOut(ordered []*collParticipant, outD []float64, outAttr []Attribut
 // delay plus l_δ feeds a max that is propagated back to everyone.
 func (a *analyzer) resolveApprox(cs *collState, ordered []*collParticipant) {
 	in, outD, outAttr, outPred := a.collBufs(ordered)
-	cs.lMax = resolveApproxKernel(a.smp, cs.kind, cs.bytes, in, outD, outAttr, outPred)
+	resolveApproxKernel(a.smp, cs.kind, cs.bytes, in, outD, outAttr, outPred)
 	applyCollOut(ordered, outD, outAttr, outPred)
 }
 
@@ -164,7 +162,7 @@ func (a *analyzer) resolveApprox(cs *collState, ordered []*collParticipant) {
 // linear exchanges for Gather/Scatter.
 func (a *analyzer) resolveExplicit(cs *collState, ordered []*collParticipant) {
 	in, outD, outAttr, outPred := a.collBufs(ordered)
-	cs.lMax = resolveExplicitKernel(a.smp, cs.kind, cs.bytes, cs.root, in, &a.csc, outD, outAttr, outPred)
+	resolveExplicitKernel(a.smp, cs.kind, cs.bytes, cs.root, in, &a.csc, outD, outAttr, outPred)
 	applyCollOut(ordered, outD, outAttr, outPred)
 }
 
@@ -216,28 +214,4 @@ func ceilLog2(p int) int {
 		r = 1
 	}
 	return r
-}
-
-// sinkCollective emits the paper's Fig. 4 hub structure: an l_δ edge
-// from every participant's start to the hub's end node, and an
-// l_δmax edge from the hub's end back to every other participant's
-// end.
-func (a *analyzer) sinkCollective(cs *collState) {
-	sink := a.opts.Graph
-	if sink == nil {
-		return
-	}
-	hub := &cs.parts[0]
-	for i := range cs.parts {
-		if cs.parts[i].rank < hub.rank {
-			hub = &cs.parts[i]
-		}
-	}
-	for i := range cs.parts {
-		p := &cs.parts[i]
-		sink.AddEdge(p.startRef, hub.endRef, EdgeCollective, 0, "l_delta")
-		if p != hub {
-			sink.AddEdge(hub.endRef, p.endRef, EdgeCollective, 0, "l_delta_max")
-		}
-	}
 }

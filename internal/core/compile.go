@@ -270,13 +270,12 @@ func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
 // Compile runs the streaming matcher once over the trace set and
 // returns the immutable compiled program. Like any other consumer, it
 // exhausts the set. The schedule (and hence the tape) honors
-// opts.Burst and opts.MaxWindow; caller sinks (Graph, Interval,
+// opts.Burst and opts.MaxWindow; the per-replay hooks (Interval,
 // RecordCritPath) are meaningless during the structural pass and are
 // ignored — pass them to ReplayCompiled instead.
 func Compile(set *trace.Set, opts Options) (*Compiled, error) {
 	defer opts.Metrics.Timer("core_compile").Start()()
 	defer opts.Metrics.SpanStart("compile")()
-	opts.Graph = nil
 	opts.Interval = nil
 	opts.RecordCritPath = false
 	a, err := newAnalyzer(set, &Model{}, opts)

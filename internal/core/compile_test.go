@@ -210,25 +210,6 @@ func diffResults(want, got *Result) string {
 	return s
 }
 
-// TestReplayCompiledGraphSinkRejected: graph export needs the
-// streaming engine; the compiled replayer must refuse, not silently
-// skip.
-func TestReplayCompiledGraphSinkRejected(t *testing.T) {
-	snap := snapWorkload(t, "tokenring", 4, workloads.Options{Iterations: 2})
-	c, err := Compile(snap.Set(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReplayCompiled(c, &Model{}, Options{Graph: discardSink{}}); err == nil {
-		t.Fatal("expected an error for a graph sink on the compiled replayer")
-	}
-}
-
-type discardSink struct{}
-
-func (discardSink) AddNode(NodeRef, int64, trace.Record)              {}
-func (discardSink) AddEdge(NodeRef, NodeRef, EdgeKind, int64, string) {}
-
 // TestReplayCompiledConcurrent replays one compiled program from many
 // goroutines with the same model; every result must be identical (the
 // determinism claim behind parallel Monte Carlo). Run with -race.

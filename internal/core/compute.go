@@ -176,11 +176,10 @@ type collIn struct {
 // the symmetric collectives; a single sample for the rooted ones, the
 // paper's Reduce simplification) feeds a max that is propagated back
 // to all participants. outPred[i] is the index (into in) of the
-// participant whose start subevent anchors the winning path. The
-// returned value is the propagated max.
+// participant whose start subevent anchors the winning path.
 //
 //mpg:hotpath
-func resolveApproxKernel(smp *sampler, kind trace.Kind, bytes int64, in []collIn, outD []float64, outAttr []Attribution, outPred []int32) float64 {
+func resolveApproxKernel(smp *sampler, kind trace.Kind, bytes int64, in []collIn, outD []float64, outAttr []Attribution, outPred []int32) {
 	p := len(in)
 	rounds := ceilLog2(p)
 	if kind.IsRooted() {
@@ -214,7 +213,6 @@ func resolveApproxKernel(smp *sampler, kind trace.Kind, bytes int64, in []collIn
 			outAttr[i] = winAttr.asRemote()
 		}
 	}
-	return lMax
 }
 
 // collScratch holds the explicit-pattern working arrays so both
@@ -245,11 +243,10 @@ func (s *collScratch) ensure(p int) {
 // collectives, binomial trees for Bcast/Reduce, linear exchanges for
 // Gather/Scatter, the prefix chain for Scan. outPred[i] is the index
 // (into in) of the participant whose start subevent anchors member i's
-// winning adopt chain. The returned value is the largest outbound
-// delay (for graph labels).
+// winning adopt chain.
 //
 //mpg:hotpath
-func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int32, in []collIn, sc *collScratch, outD []float64, outAttr []Attribution, outPred []int32) float64 {
+func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int32, in []collIn, sc *collScratch, outD []float64, outAttr []Attribution, outPred []int32) {
 	p := len(in)
 	//mpg:lint-ignore hotpathprop lazy scratch growth: the collective working arrays grow monotonically with participant count and are reused across events
 	sc.ensure(p)
@@ -358,16 +355,11 @@ func resolveExplicitKernel(smp *sampler, kind trace.Kind, bytes int64, root int3
 			copy(org, nextOrg)
 		}
 	}
-	lMax := 0.0
 	for i := range in {
 		outD[i] = D[i]
 		outAttr[i] = A[i]
 		outPred[i] = int32(org[i])
-		if D[i] > lMax {
-			lMax = D[i]
-		}
 	}
-	return lMax
 }
 
 // orderViolationWarning is the §4.3 clamp warning, shared by both

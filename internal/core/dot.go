@@ -8,9 +8,9 @@ import (
 	"mpgraph/internal/trace"
 )
 
-// Graph is a materialized message-passing graph, built by running the
-// analyzer with a capturing sink. It exists for visualization (the
-// paper's Fig. 5 Graphviz rendering) and for structural tests; the
+// Graph is a materialized message-passing graph, a view of the
+// compiled program (BuildGraph). It exists for visualization (the
+// paper's Fig. 5 Graphviz rendering) and for structural checks; the
 // analyzer itself never materializes the graph.
 type Graph struct {
 	nodes map[NodeRef]GraphNode
@@ -34,15 +34,17 @@ type GraphEdge struct {
 	Label    string
 }
 
-// AddNode implements GraphSink.
-func (g *Graph) AddNode(ref NodeRef, localTime int64, rec trace.Record) {
+// AddNode introduces a subevent node with its traced local time and
+// the kind of the record it belongs to.
+func (g *Graph) AddNode(ref NodeRef, localTime int64, kind trace.Kind) {
 	if g.nodes == nil {
 		g.nodes = map[NodeRef]GraphNode{}
 	}
-	g.nodes[ref] = GraphNode{Ref: ref, Time: localTime, Kind: rec.Kind}
+	g.nodes[ref] = GraphNode{Ref: ref, Time: localTime, Kind: kind}
 }
 
-// AddEdge implements GraphSink.
+// AddEdge introduces an edge with its traced weight (local edges) or
+// zero (message and collective edges) and a human-readable label.
 func (g *Graph) AddEdge(from, to NodeRef, kind EdgeKind, weight int64, label string) {
 	g.edges = append(g.edges, GraphEdge{From: from, To: to, Kind: kind, Weight: weight, Label: label})
 }
@@ -73,13 +75,78 @@ func (g *Graph) EdgesByKind() map[EdgeKind]int {
 }
 
 // BuildGraph constructs the materialized message-passing graph of a
-// trace set without applying any perturbation.
+// trace set without applying any perturbation. It compiles the set and
+// walks the tape: every op contributes the nodes and edges of the
+// subevents it resolves, in the order the analyzer resolved them.
 func BuildGraph(set *trace.Set) (*Graph, error) {
-	g := &Graph{}
-	if _, err := Analyze(set, &Model{}, Options{Graph: g}); err != nil {
+	c, err := Compile(set, Options{})
+	if err != nil {
 		return nil, err
 	}
+	g := &Graph{nodes: make(map[NodeRef]GraphNode, 2*c.events)}
+	// sendEnd[i]/recvEnd[i] is 1 + the event that completed transfer
+	// i's send/receive side, or 0 while that side is open.
+	sendEnd := make([]int64, len(c.msgs))
+	recvEnd := make([]int64, len(c.msgs))
+	// ack draws the acknowledgment edge once both sides have completed:
+	// receive-completion end → send-completion end (Fig. 2/3).
+	ack := func(i int32) {
+		if sendEnd[i] > 0 && recvEnd[i] > 0 {
+			m := &c.msgs[i]
+			g.AddEdge(NodeRef{Rank: int(m.recvRank), Event: recvEnd[i] - 1, End: true},
+				NodeRef{Rank: int(m.sendRank), Event: sendEnd[i] - 1, End: true}, EdgeMessage, 0, "ack")
+		}
+	}
+	for i := range c.ops {
+		o := &c.ops[i]
+		switch o.code {
+		case opBegin:
+			if o.started {
+				g.AddEdge(NodeRef{Rank: int(o.rank), Event: o.event - 1, End: true},
+					NodeRef{Rank: int(o.rank), Event: o.event}, EdgeLocal, o.aux, "compute")
+			}
+			continue
+		case opMatch:
+			continue
+		case opCollResolve:
+			g.addHub(c, &c.colls[o.arg])
+			continue
+		case opEndSend:
+			sendEnd[o.arg] = o.event + 1
+			ack(o.arg)
+		case opEndRecv:
+			// The data edge runs send start → receive-completion end.
+			m := &c.msgs[o.arg]
+			recvEnd[o.arg] = o.event + 1
+			g.AddEdge(NodeRef{Rank: int(m.sendRank), Event: m.sendEvent},
+				NodeRef{Rank: int(o.rank), Event: o.event, End: true}, EdgeMessage, 0,
+				fmt.Sprintf("data %dB", m.bytes))
+			ack(o.arg)
+		}
+		// An end op: the record's two subevents and its internal edge.
+		kind := trace.Kind(o.kind)
+		start := NodeRef{Rank: int(o.rank), Event: o.event}
+		end := NodeRef{Rank: int(o.rank), Event: o.event, End: true}
+		g.AddNode(start, o.origEnd-o.aux, kind)
+		g.AddNode(end, o.origEnd, kind)
+		g.AddEdge(start, end, EdgeLocal, o.aux, kind.String())
+	}
 	return g, nil
+}
+
+// addHub draws the paper's Fig. 4 hub of one collective, centered on
+// its lowest-ranked participant's end subevent: an l_delta edge from
+// every participant's start to the hub, and an l_delta_max edge from
+// the hub to every other participant's end.
+func (g *Graph) addHub(c *Compiled, cc *compiledColl) {
+	parts := c.parts[cc.partOff : cc.partOff+cc.partN]
+	hub := NodeRef{Rank: int(parts[0].rank), Event: parts[0].event, End: true}
+	for j, p := range parts {
+		g.AddEdge(NodeRef{Rank: int(p.rank), Event: p.event}, hub, EdgeCollective, 0, "l_delta")
+		if j > 0 {
+			g.AddEdge(hub, NodeRef{Rank: int(p.rank), Event: p.event, End: true}, EdgeCollective, 0, "l_delta_max")
+		}
+	}
 }
 
 // DOT renders the graph in Graphviz format (the paper's Fig. 5):

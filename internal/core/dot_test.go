@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mpgraph/internal/obsv"
 	"mpgraph/internal/trace"
+	"mpgraph/internal/workloads"
 )
 
 func TestBuildGraphBlockingPair(t *testing.T) {
@@ -85,9 +88,8 @@ func TestGraphNonblockingEdgesLandOnWaits(t *testing.T) {
 }
 
 func TestCollectiveHubEdges(t *testing.T) {
-	g := &Graph{}
-	set := collSet(t, 4, trace.KindAllreduce, 8, trace.NoRank)
-	if _, err := Analyze(set, &Model{}, Options{Graph: g}); err != nil {
+	g, err := BuildGraph(collSet(t, 4, trace.KindAllreduce, 8, trace.NoRank))
+	if err != nil {
 		t.Fatal(err)
 	}
 	byKind := g.EdgesByKind()
@@ -147,5 +149,41 @@ func TestGraphNodeLookup(t *testing.T) {
 	}
 	if _, ok := g.Node(NodeRef{Rank: 9, Event: 9}); ok {
 		t.Fatal("phantom node found")
+	}
+}
+
+// TestBuildGraphMatchesEngineCounters: the tape-built graph has the
+// edges the analyzer counts and two nodes per event, on every
+// registered workload.
+func TestBuildGraphMatchesEngineCounters(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for _, n := range []int{2, 4, 16} {
+			t.Run(fmt.Sprintf("%s/p=%d", name, n), func(t *testing.T) {
+				snap := snapWorkload(t, name, n, workloads.Options{Iterations: 3, CollEvery: 1})
+				reg := obsv.NewRegistry()
+				res, err := Analyze(snap.Set(), &Model{}, Options{Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := BuildGraph(snap.Set())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.NumNodes() != int(2*res.Events) {
+					t.Errorf("nodes = %d, want 2×%d events", g.NumNodes(), res.Events)
+				}
+				byKind := g.EdgesByKind()
+				counters := reg.Snapshot().Counters
+				for kind, counter := range map[EdgeKind]string{
+					EdgeLocal:      "core_edges_local_total",
+					EdgeMessage:    "core_edges_message_total",
+					EdgeCollective: "core_edges_collective_total",
+				} {
+					if got, want := int64(byKind[kind]), counters[counter]; got != want {
+						t.Errorf("%s edges = %d, %s = %d", kind, got, counter, want)
+					}
+				}
+			})
+		}
 	}
 }

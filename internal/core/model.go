@@ -179,10 +179,6 @@ type Options struct {
 	// turn; smaller values keep rank progress balanced and windows
 	// small. Default 64.
 	Burst int
-	// Graph, when non-nil, receives every node and edge as it is
-	// created (used by the DOT exporter and by tests that inspect the
-	// graph structure).
-	Graph GraphSink
 	// Interval, when non-nil, is invoked once per resolved event end
 	// subevent with the timing detail a per-rank timeline needs: the
 	// traced interval, the delays at both subevents, and — when a

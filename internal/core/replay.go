@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"mpgraph/internal/dist"
@@ -17,15 +16,11 @@ import (
 // Result. Concurrent replays of one Compiled program are safe; each
 // borrows its own pooled state.
 //
-// Graph export requires the streaming engine: a non-nil opts.Graph is
-// an error. opts.MaxWindow and opts.Burst have no effect at replay
-// (the schedule was fixed at compile time).
+// opts.MaxWindow and opts.Burst have no effect at replay (the schedule
+// was fixed at compile time).
 //
 //mpg:hotpath
 func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
-	if opts.Graph != nil {
-		return nil, errors.New("core: ReplayCompiled cannot feed a graph sink; use Analyze for graph export")
-	}
 	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: the registry observes the replay but never feeds results back, and the nil-registry fast path is allocation-free
 	defer opts.Metrics.Timer("core_replay_compiled").Start()()
 	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: spans observe the replay but never feed back into its results

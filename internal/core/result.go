@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"mpgraph/internal/dist"
-	"mpgraph/internal/trace"
 )
 
 // NodeRef identifies a subevent node: the start or end subevent of the
@@ -54,19 +53,6 @@ func (k EdgeKind) String() string {
 		return "collective"
 	}
 	return fmt.Sprintf("edge(%d)", uint8(k))
-}
-
-// GraphSink receives the graph as the builder discovers it. AddNode is
-// called exactly once per subevent (in per-rank record order); AddEdge
-// may be called before the destination node's AddNode when a message
-// edge lands on a not-yet-emitted subevent of another rank.
-type GraphSink interface {
-	// AddNode introduces a subevent node with its traced local time
-	// and the record it belongs to.
-	AddNode(ref NodeRef, localTime int64, rec trace.Record)
-	// AddEdge introduces an edge with its traced weight (local edges)
-	// or zero (message edges) and a human-readable label.
-	AddEdge(from, to NodeRef, kind EdgeKind, weight int64, label string)
 }
 
 // RankResult summarizes one rank's outcome.

@@ -54,7 +54,6 @@ type Sim struct {
 	seq      uint64
 	queue    eventHeap
 	fired    uint64
-	halted   bool
 	limit    uint64
 	limitHit bool
 }
@@ -64,9 +63,6 @@ func (s *Sim) Now() int64 { return s.now }
 
 // Fired returns how many events have fired so far.
 func (s *Sim) Fired() uint64 { return s.fired }
-
-// Pending returns the number of scheduled-but-unfired events.
-func (s *Sim) Pending() int { return len(s.queue) }
 
 // At schedules ev to fire at absolute time t. Scheduling in the past
 // (t < Now) panics: it would silently reorder causality.
@@ -78,20 +74,7 @@ func (s *Sim) At(t int64, ev Event) {
 	heap.Push(&s.queue, entry{at: t, seq: s.seq, ev: ev})
 }
 
-// After schedules ev to fire delay cycles from now; negative delays
-// panic.
-func (s *Sim) After(delay int64, ev Event) {
-	if delay < 0 {
-		panic("des: negative delay")
-	}
-	s.At(s.now+delay, ev)
-}
-
-// Halt stops the run loop after the current event returns, leaving any
-// remaining events queued.
-func (s *Sim) Halt() { s.halted = true }
-
-// SetLimit caps the total number of events Run/RunUntil may fire
+// SetLimit caps the total number of events Run may fire
 // (0 = unbounded). When the cap is hit the loop stops with the
 // remaining events still queued and LimitReached reports true — a
 // safety net for randomized replay campaigns, where a malformed input
@@ -111,26 +94,10 @@ func (s *Sim) overLimit() bool {
 	return false
 }
 
-// Run fires events in timestamp order until the queue drains, Halt is
-// called, or the event limit is reached. It returns the final
-// simulation time.
+// Run fires events in timestamp order until the queue drains or the
+// event limit is reached. It returns the final simulation time.
 func (s *Sim) Run() int64 {
-	s.halted = false
-	for len(s.queue) > 0 && !s.halted && !s.overLimit() {
-		e := heap.Pop(&s.queue).(entry)
-		s.now = e.at
-		s.fired++
-		e.ev.Fire(s)
-	}
-	return s.now
-}
-
-// RunUntil fires events with timestamps <= deadline, then stops (the
-// clock is left at the last fired event's time, or unchanged if no
-// event fired).
-func (s *Sim) RunUntil(deadline int64) int64 {
-	s.halted = false
-	for len(s.queue) > 0 && !s.halted && s.queue[0].at <= deadline && !s.overLimit() {
+	for len(s.queue) > 0 && !s.overLimit() {
 		e := heap.Pop(&s.queue).(entry)
 		s.now = e.at
 		s.fired++

@@ -51,7 +51,7 @@ func TestEventsScheduleEvents(t *testing.T) {
 	chain = func(sim *Sim) {
 		depth++
 		if depth < 5 {
-			sim.After(7, EventFunc(chain))
+			sim.At(sim.Now()+7, EventFunc(chain))
 		}
 	}
 	s.At(0, EventFunc(chain))
@@ -84,45 +84,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	s.After(-1, EventFunc(func(*Sim) {}))
-}
-
-func TestHalt(t *testing.T) {
-	var s Sim
-	fired := 0
-	s.At(1, EventFunc(func(sim *Sim) { fired++; sim.Halt() }))
-	s.At(2, EventFunc(func(*Sim) { fired++ }))
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d after halt, want 1", fired)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
-	}
-	// Resume finishes the rest.
-	s.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d after resume, want 2", fired)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var s Sim
-	var got []int64
-	for _, at := range []int64{10, 20, 30} {
-		s.At(at, EventFunc(func(sim *Sim) { got = append(got, sim.Now()) }))
-	}
-	s.RunUntil(20)
-	if len(got) != 2 {
-		t.Fatalf("RunUntil fired %d events, want 2", len(got))
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-	s.Run()
-	if len(got) != 3 {
-		t.Fatalf("resume after RunUntil fired %d total", len(got))
-	}
+	s.At(s.Now()-1, EventFunc(func(*Sim) {}))
 }
 
 func TestQuickMonotonicFiring(t *testing.T) {

@@ -65,7 +65,7 @@ func (c Config) replayGrid(prog *core.Compiled, models []*core.Model) ([]*core.R
 		return core.ReplayCompiled(prog, models[i], core.Options{Metrics: c.Metrics})
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	return results, nil
 }
@@ -195,7 +195,7 @@ func runFig2(cfg Config) (*Outcome, error) {
 		}, nil
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	maxErr := 0.0
 	for i, row := range rows {
@@ -296,7 +296,7 @@ func runFig4(cfg Config) (*Outcome, error) {
 		return res.MaxFinalDelay, nil
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	pass := true
 	for i, p := range sizes {
@@ -399,7 +399,7 @@ func runAblA(cfg Config) (*Outcome, error) {
 		return core.Analyze(set, &core.Model{}, core.Options{Burst: 8})
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	pass := true
 	var prev int
@@ -587,7 +587,7 @@ func runExtNeg(cfg Config) (*Outcome, error) {
 		}, core.Options{})
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	pass := true
 	var prev float64 = 1
@@ -676,7 +676,7 @@ func runExtTopo(cfg Config) (*Outcome, error) {
 		return run.Makespan, nil
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	crossbar := spans[0] // topos[0] is TopoFull
 	pass := true
@@ -691,15 +691,6 @@ func runExtTopo(cfg Config) (*Outcome, error) {
 	out.Pass = pass
 	out.Verdict = "every multi-hop topology is at or above the crossbar; the gap is the placement cost"
 	return out, nil
-}
-
-// unwrapTask strips the engine's task wrapper so experiment callers see
-// the same error text the serial loops produced.
-func unwrapTask(err error) error {
-	if te, ok := err.(*parallel.TaskError); ok {
-		return te.Err
-	}
-	return err
 }
 
 func abs(x float64) float64 {

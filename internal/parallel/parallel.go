@@ -91,6 +91,16 @@ func (e *TaskError) Error() string { return fmt.Sprintf("task %d: %v", e.Task, e
 // Unwrap exposes the underlying task error.
 func (e *TaskError) Unwrap() error { return e.Err }
 
+// UnwrapTask strips Map's task wrapper, so callers report the same
+// error text a serial loop over the tasks produced. Any other error is
+// returned as is.
+func UnwrapTask(err error) error {
+	if te, ok := err.(*TaskError); ok {
+		return te.Err
+	}
+	return err
+}
+
 // PanicError is a panic captured inside a task, converted to an error
 // so one bad model cannot kill a 10k-trial study.
 type PanicError struct {

@@ -284,7 +284,7 @@ func eachPoint[T any](cfg Config, g grid, popts parallel.Options, fn func(i int,
 		}
 		return fn(i, g.vals[i], snap.Set())
 	})
-	return out, unwrapTask(err)
+	return out, parallel.UnwrapTask(err)
 }
 
 // EachPoint calls fn for every point of the sweep cfg describes, fanned
@@ -309,9 +309,6 @@ func EachPoint[T any](cfg Config, fn func(i int, v float64, set *trace.Set) (T, 
 func Run(cfg Config) (*Result, error) {
 	if cfg.Step <= 0 || cfg.To < cfg.From {
 		return nil, fmt.Errorf("sweep: invalid range [%g,%g] step %g", cfg.From, cfg.To, cfg.Step)
-	}
-	if cfg.Analyze.Graph != nil {
-		return nil, fmt.Errorf("sweep: Analyze.Graph cannot be shared by concurrent replays")
 	}
 	if _, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions); err != nil {
 		return nil, err
@@ -391,7 +388,7 @@ func (cfg Config) runTrials(g grid, popts parallel.Options) ([]Point, error) {
 		return prog, nil
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	tick := cfg.progressTick(len(vals) * trials)
 	results, err := parallel.Map(len(vals)*trials, popts, func(t int) (*core.Result, error) {
@@ -407,7 +404,7 @@ func (cfg Config) runTrials(g grid, popts parallel.Options) ([]Point, error) {
 		return res, nil
 	})
 	if err != nil {
-		return nil, unwrapTask(err)
+		return nil, parallel.UnwrapTask(err)
 	}
 	return aggregateTrialPoints(vals, results, trials), nil
 }
@@ -450,13 +447,4 @@ func (cfg Config) progressTick(total int) func() {
 	return func() {
 		cfg.Progress(int(done.Add(1)), total)
 	}
-}
-
-// unwrapTask strips the engine's task wrapper so sweep callers see the
-// same error text a serial loop produced.
-func unwrapTask(err error) error {
-	if te, ok := err.(*parallel.TaskError); ok {
-		return te.Err
-	}
-	return err
 }

@@ -1,12 +1,10 @@
 package sweep
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
-	"mpgraph/internal/core"
 	"mpgraph/internal/machine"
 	"mpgraph/internal/obsv"
 	"mpgraph/internal/workloads"
@@ -129,33 +127,6 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(Config{Workload: "tokenring", Param: ParamRanks,
 		From: 0, To: 1, Step: 1, Machine: machine.Config{NRanks: 2}}); err == nil {
 		t.Fatal("ranks < 1 accepted")
-	}
-}
-
-// TestRunRejectsGraphSink: one graph sink cannot collect the replays
-// of a whole sweep, so Run refuses it before tracing anything, with or
-// without Monte Carlo trials.
-func TestRunRejectsGraphSink(t *testing.T) {
-	for _, trials := range []int{1, 3} {
-		t.Run(fmt.Sprintf("trials=%d", trials), func(t *testing.T) {
-			reg := obsv.NewRegistry()
-			_, err := Run(Config{
-				Workload: "tokenring",
-				Machine:  machine.Config{NRanks: 2, Seed: 1},
-				From:     0, To: 100, Step: 50,
-				Analyze: core.Options{Graph: &core.Graph{}},
-				Trials:  trials,
-				Workers: 1,
-				Metrics: reg,
-			})
-			const want = "sweep: Analyze.Graph cannot be shared by concurrent replays"
-			if err == nil || err.Error() != want {
-				t.Fatalf("err = %v, want %q", err, want)
-			}
-			if n := reg.Snapshot().Timers["sweep_trace"].Count; n != 0 {
-				t.Fatalf("traced %d points before rejecting the graph sink", n)
-			}
-		})
 	}
 }
 

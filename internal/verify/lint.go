@@ -450,50 +450,16 @@ func findCycle(adj [][]int, stuck []bool) map[int]bool {
 	return nil
 }
 
-// GraphCollector implements core.GraphSink, retaining the built graph
-// for structural linting.
-type GraphCollector struct {
-	// Nodes maps every introduced subevent to its traced local time.
-	Nodes map[core.NodeRef]int64
-	// Edges holds every edge in introduction order.
-	Edges []GraphEdge
-}
-
-// GraphEdge is one collected edge.
-type GraphEdge struct {
-	From, To core.NodeRef
-	Kind     core.EdgeKind
-	Weight   int64
-	Label    string
-}
-
-// NewGraphCollector returns an empty collector.
-func NewGraphCollector() *GraphCollector {
-	return &GraphCollector{Nodes: map[core.NodeRef]int64{}}
-}
-
-// AddNode implements core.GraphSink.
-func (g *GraphCollector) AddNode(ref core.NodeRef, localTime int64, rec trace.Record) {
-	g.Nodes[ref] = localTime
-}
-
-// AddEdge implements core.GraphSink.
-func (g *GraphCollector) AddEdge(from, to core.NodeRef, kind core.EdgeKind, weight int64, label string) {
-	g.Edges = append(g.Edges, GraphEdge{From: from, To: to, Kind: kind, Weight: weight, Label: label})
-}
-
-// LintGraph structurally checks a collected graph: local edges must
-// have non-negative weights (a negative weight is a non-monotone local
+// LintGraph structurally checks a built graph: local edges must have
+// non-negative weights (a negative weight is a non-monotone local
 // interval) and the digraph must be acyclic (a cycle means the trace
 // cannot describe any real execution; traversal would not terminate).
-func LintGraph(g *GraphCollector) []Finding {
+// Only edge endpoints are visited: a node without edges lies on no
+// cycle.
+func LintGraph(g *core.Graph) []Finding {
 	var out []Finding
 	nodes := map[core.NodeRef]int{}
-	//mpg:lint-ignore detreach map-to-map seeding is order-insensitive
-	for ref := range g.Nodes {
-		nodes[ref] = 0
-	}
-	for _, e := range g.Edges {
+	for _, e := range g.Edges() {
 		if e.Weight < 0 {
 			out = append(out, Finding{
 				Class: LintNegativeEdge,
@@ -514,7 +480,7 @@ func LintGraph(g *GraphCollector) []Finding {
 	// nodes lie on (or downstream of) a cycle.
 	indeg := nodes
 	succ := map[core.NodeRef][]core.NodeRef{}
-	for _, e := range g.Edges {
+	for _, e := range g.Edges() {
 		indeg[e.To]++
 		succ[e.From] = append(succ[e.From], e.To)
 	}

@@ -177,11 +177,11 @@ func TestLintDeadlockCollectiveOrder(t *testing.T) {
 }
 
 func TestLintGraphNegativeEdgeAndCycle(t *testing.T) {
-	g := NewGraphCollector()
+	g := &core.Graph{}
 	a := core.NodeRef{Rank: 0, Event: 0}
 	b := core.NodeRef{Rank: 0, Event: 0, End: true}
-	g.AddNode(a, 0, trace.Record{Kind: trace.KindInit})
-	g.AddNode(b, 10, trace.Record{Kind: trace.KindInit})
+	g.AddNode(a, 0, trace.KindInit)
+	g.AddNode(b, 10, trace.KindInit)
 	g.AddEdge(a, b, core.EdgeLocal, -5, "dur")
 	g.AddEdge(b, a, core.EdgeLocal, 5, "back")
 	fs := LintGraph(g)
@@ -198,12 +198,16 @@ func TestLintGraphCleanFromAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGraphCollector()
-	if _, err := analyzeMem(traces, &core.Model{}, core.Options{Graph: g}); err != nil {
+	set, err := trace.SetFromMem(traces)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Nodes) == 0 || len(g.Edges) == 0 {
-		t.Fatal("collector saw no graph")
+	g, err := core.BuildGraph(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() == 0 || g.NumEdges() == 0 {
+		t.Fatal("built an empty graph")
 	}
 	if fs := LintGraph(g); len(fs) > 0 {
 		t.Fatalf("built graph from a clean trace produced findings: %v", fs)
