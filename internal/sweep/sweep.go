@@ -96,9 +96,7 @@ type Config struct {
 	// ModelSeed seeds perturbation sampling. With Trials > 1 it is the
 	// base from which per-trial seeds are derived.
 	ModelSeed uint64
-	// Analyze tunes the analyzer. Its Graph sink must be nil: every
-	// replay of the sweep would append to the one graph, concurrently
-	// for Workers > 1.
+	// Analyze tunes the analyzer.
 	Analyze core.Options
 	// Workers bounds the replay worker pool; zero or negative means
 	// GOMAXPROCS. Results are identical for every pool size.
