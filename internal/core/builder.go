@@ -90,12 +90,11 @@ type collParticipant struct {
 	dur       int64
 	outD      float64     // resolved completion contribution
 	outAttr   Attribution // attribution of outD from this rank's view
-	// outPred anchors outD for critical-path extraction: the start
+	// outPredRef anchors outD for critical-path extraction: the start
 	// subevent of the participant whose path won the collective's max
 	// (the hub argmax in approx mode, the adopt-chain origin in
-	// explicit mode) and that participant's inbound delay.
+	// explicit mode).
 	outPredRef NodeRef
-	outPredD   float64
 }
 
 // collState gathers a collective's participants until all arrive.
@@ -146,14 +145,10 @@ type rankState struct {
 	reg       *RegionStats
 	recRegion int32
 
-	// Pending critical-path steps for the current record (valid only
-	// while crit recording is enabled).
-	critStart critStep
-	critEnd   critStep
-
-	// Pending interval detail for the current record (valid only while
-	// Options.Interval is set): the wait charged by the completion merge
-	// and, for receive completions, the matched sender subevent.
+	// Pending interval detail for the current record: the wait charged
+	// by the completion merge and its state (also what the critical-path
+	// entry derives from) and, for receive completions, the matched
+	// sender subevent.
 	ivWait      float64
 	ivState     WaitState
 	ivPeerRank  int
@@ -259,7 +254,7 @@ type analyzer struct {
 	runnable []int
 	queued   []bool
 
-	// crit holds the recorded argmax decisions in its block log; nil
+	// crit holds the recorded end-merge decisions in its block log; nil
 	// unless Options.RecordCritPath.
 	crit *critLog
 
@@ -468,14 +463,6 @@ func (a *analyzer) beginRecord(rs *rankState, rec trace.Record) error {
 	if rs.started {
 		a.nLocalEdges++ // compute-gap edge
 	}
-	if a.crit != nil {
-		rs.critStart = critStep{d: rs.startD, kind: EdgeLocal}
-		if rs.started {
-			rs.critStart.pred = NodeRef{Rank: rs.rank, Event: rs.eventIdx - 1, End: true}
-			rs.critStart.predD = rs.prevD
-			rs.critStart.hasPred = true
-		}
-	}
 	return nil
 }
 
@@ -486,16 +473,6 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 	rec := rs.cur
 	var endD float64
 	var endAttr Attribution
-	if a.crit != nil {
-		// Default argmax: the event's own start subevent (the local
-		// internal edge). Remote-win completion paths overwrite this.
-		rs.critEnd = critStep{
-			pred:    NodeRef{Rank: rs.rank, Event: rs.eventIdx},
-			predD:   rs.startD,
-			kind:    EdgeLocal,
-			hasPred: true,
-		}
-	}
 	switch {
 	case rec.Kind == trace.KindMarker:
 		if rec.Tag != rs.region {
@@ -551,15 +528,6 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	if a.rec != nil {
 		a.rec.onEnd(rs, rec)
 	}
-	// The recorder has read the request and the transfer's tape index:
-	// retire the one and complete this side of the other.
-	if rec.Kind.IsCompletion() {
-		rs.retireReq(rec.Req)
-	}
-	if m := rs.myMsg; m != nil {
-		rs.myMsg = nil
-		a.sideDone(m)
-	}
 	if a.model.AllowNegative {
 		// Order preservation (§4.3): an event may not end before it
 		// begins under negative perturbations.
@@ -570,8 +538,16 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	}
 	a.nLocalEdges++ // the event-internal start→end edge
 	if a.crit != nil {
-		rs.critEnd.d = endD
-		a.crit.add(rs.rank, rs.eventIdx, critNode{start: rs.critStart, end: rs.critEnd})
+		a.crit.add(rs.rank, rs.eventIdx, newCritNode(rs.startD, endD, a.endWinner(rs), rs.ivState))
+	}
+	// The recorder and the critical-path log have read the request and
+	// the transfer: retire the one and complete this side of the other.
+	if rec.Kind.IsCompletion() {
+		rs.retireReq(rec.Req)
+	}
+	if m := rs.myMsg; m != nil {
+		rs.myMsg = nil
+		a.sideDone(m)
 	}
 	rs.started = true
 	rs.prevEnd = rec.End
@@ -801,19 +777,22 @@ func (a *analyzer) completeBlockingP2P(rs *rankState, rec trace.Record) (float64
 	return d, attr, true, nil
 }
 
-// critRemoteMsg records the transfer completion as the argmax
-// predecessor of the current record's end subevent: the sender's post
-// when the data path dominated cRecv, the receiver's post otherwise.
-// Either way the winning edge is a message edge.
-func (a *analyzer) critRemoteMsg(rs *rankState, m *msgState) {
-	if a.crit == nil {
-		return
+// endWinner names the start subevent whose path won the current
+// record's end merge, as its wait state tells: the record's own start
+// when the local path won, else the winning post of its transfer or the
+// winning participant of its collective.
+func (a *analyzer) endWinner(rs *rankState) NodeRef {
+	switch rs.ivState {
+	case WaitLateSender, WaitLateReceiver:
+		m := rs.myMsg
+		if sendPostWon(&m.xfer, rs.ivState, a.model.Propagation) {
+			return m.sendStartRef
+		}
+		return m.recvStartRef
+	case WaitCollective:
+		return rs.myColl.part(rs.rank).outPredRef
 	}
-	if m.cRecvFromData {
-		rs.critEnd = critStep{pred: m.sendStartRef, predD: m.sendStartD, kind: EdgeMessage, hasPred: true}
-	} else {
-		rs.critEnd = critStep{pred: m.recvStartRef, predD: m.recvPostD, kind: EdgeMessage, hasPred: true}
-	}
+	return NodeRef{Rank: rs.rank, Event: rs.eventIdx}
 }
 
 // sendCompletion applies Eq. 1's sender rule: the local path carries
@@ -831,7 +810,6 @@ func (a *analyzer) sendCompletion(rs *rankState, m *msgState, w int64) (float64,
 	// returned float for equality.
 	if remote > local {
 		rs.ivWait, rs.ivState = remote-local, WaitLateReceiver
-		a.critRemoteMsg(rs, m)
 		return remote, remoteAttr
 	}
 	return local, localAttr
@@ -848,15 +826,6 @@ func (a *analyzer) recvCompletion(rs *rankState, m *msgState, w int64) (float64,
 	rs.ivPeerEvent = m.sendStartRef.Event
 	if remote > local {
 		rs.ivWait, rs.ivState = remote-local, WaitLateSender
-		if a.model.Propagation == PropagationAnchored {
-			if a.crit != nil {
-				// Anchored receive: the remote path is always the data
-				// arrival (cData), never the receiver's own post.
-				rs.critEnd = critStep{pred: m.sendStartRef, predD: m.sendStartD, kind: EdgeMessage, hasPred: true}
-			}
-		} else {
-			a.critRemoteMsg(rs, m)
-		}
 		return remote, remoteAttr
 	}
 	return local, localAttr

@@ -58,27 +58,31 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 			}
 		}
 	}
-	// Find this rank's resolved contribution.
+	p := cs.part(rs.rank)
+	if p == nil {
+		return 0, Attribution{}, false, fmt.Errorf("core: rank %d lost its collective participation", rs.rank)
+	}
+	local := rs.startD
+	remote := p.outD
+	if a.model.Propagation == PropagationAnchored {
+		remote -= float64(p.dur)
+	}
+	a.merge(rs, local, remote)
+	if remote > local {
+		rs.ivWait, rs.ivState = remote-local, WaitCollective
+		return remote, p.outAttr, true, nil
+	}
+	return local, rs.startAttr, true, nil
+}
+
+// part returns the rank's participation in the collective, or nil.
+func (cs *collState) part(rank int) *collParticipant {
 	for i := range cs.parts {
-		p := &cs.parts[i]
-		if p.rank == rs.rank {
-			local := rs.startD
-			remote := p.outD
-			if a.model.Propagation == PropagationAnchored {
-				remote -= float64(p.dur)
-			}
-			a.merge(rs, local, remote)
-			if remote > local {
-				rs.ivWait, rs.ivState = remote-local, WaitCollective
-				if a.crit != nil {
-					rs.critEnd = critStep{pred: p.outPredRef, predD: p.outPredD, kind: EdgeCollective, hasPred: true}
-				}
-				return remote, p.outAttr, true, nil
-			}
-			return local, rs.startAttr, true, nil
+		if cs.parts[i].rank == rank {
+			return &cs.parts[i]
 		}
 	}
-	return 0, Attribution{}, false, fmt.Errorf("core: rank %d lost its collective participation", rs.rank)
+	return nil
 }
 
 // resolveCollective computes each participant's outbound delay
@@ -141,9 +145,7 @@ func applyCollOut(ordered []*collParticipant, outD []float64, outAttr []Attribut
 	for i, part := range ordered {
 		part.outD = outD[i]
 		part.outAttr = outAttr[i]
-		w := ordered[outPred[i]]
-		part.outPredRef = w.startRef
-		part.outPredD = w.startD
+		part.outPredRef = ordered[outPred[i]].startRef
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 type opCode uint8
 
 const (
-	// opBegin is a record's start subevent: compute-gap noise draw,
-	// order clamp, crit-path start step.
+	// opBegin is a record's start subevent: compute-gap noise draw and
+	// order clamp.
 	opBegin opCode = iota
 	// opEndLocal ends an Init/Finalize record: one osNoise draw folded
 	// by combineLocalKernel.

@@ -1,34 +1,61 @@
 package core
 
 // Critical-path extraction: when Options.RecordCritPath is set, the
-// analyzer records the argmax predecessor at every max() merge — the
-// local-vs-remote decision of Eq. 1/Eq. 2 completions and of the
-// collective hub — without touching the propagated delays themselves
-// (recording reads the same comparisons merge() already makes; no
-// sample is drawn and no delay is altered, so instrumented runs are
-// byte-identical to uninstrumented ones).
+// analyzer keeps one entry per record — the delays at its start and
+// end subevents and the start subevent whose path won the end merge
+// (the local-vs-remote decision of an Eq. 1/Eq. 2 completion or of the
+// collective hub). Recording reads the decisions the merges already
+// make: no sample is drawn and no delay is altered, so instrumented
+// runs are byte-identical to uninstrumented ones.
 //
-// After propagation, the recorded chain is walked backward from the
-// perturbed makespan sink. Each backward step carries the delay
-// increment of its winning edge (delta = D(node) − D(pred)), so the
-// per-step deltas telescope exactly to the sink's final delay in every
-// propagation mode; aggregating them per rank and per EdgeKind turns
-// "the run is N cycles slower" into "which edges caused it".
+// Everything else on the path is derived. A start subevent's only
+// inbound edge is the local one from the rank's previous end, and event
+// 0's start is the zero-delay source; a predecessor's delay is read from
+// the predecessor's own entry; and the winning edge's kind is the class
+// of the record's wait state. After propagation the chain is walked
+// backward from the perturbed makespan sink. Each backward step carries
+// the delay increment of its winning edge (delta = D(node) − D(pred)),
+// so the per-step deltas telescope exactly to the sink's final delay in
+// every propagation mode; aggregating them per rank and per EdgeKind
+// turns "the run is N cycles slower" into "which edges caused it".
 
-// critStep is the recorded argmax decision at one subevent: the
-// predecessor whose path won the merge, that predecessor's delay, this
-// subevent's delay, and the kind of the winning edge.
-type critStep struct {
-	pred    NodeRef
-	predD   float64
-	d       float64
-	kind    EdgeKind
-	hasPred bool
+// critNode is one record's entry: D at its start and end subevents,
+// the start subevent (winRank, winEvent) whose path won the end merge —
+// the record's own start, a transfer's post, or a collective winner's
+// start — and the record's wait state, which names the winning edge.
+type critNode struct {
+	startD, endD float64
+	winEvent     int64
+	winRank      int32
+	state        WaitState
 }
 
-// critNode holds both subevents of one record.
-type critNode struct {
-	start, end critStep
+// newCritNode builds a record's entry from the start subevent win
+// whose path won its end merge.
+func newCritNode(startD, endD float64, win NodeRef, state WaitState) critNode {
+	return critNode{startD: startD, endD: endD, winEvent: win.Event, winRank: int32(win.Rank), state: state}
+}
+
+// sendPostWon reports whether a transfer's remote completion path ran
+// through the sender's post rather than the receiver's: the data path
+// dominated the transfer completion, or the completion is an anchored
+// receive, whose remote path is always the data arrival.
+//
+//mpg:hotpath
+func sendPostWon(x *xfer, state WaitState, p PropagationMode) bool {
+	return x.cRecvFromData || state == WaitLateSender && p == PropagationAnchored
+}
+
+// edgeKind classifies the edge that won an end merge with this wait
+// state.
+func (s WaitState) edgeKind() EdgeKind {
+	switch s {
+	case WaitLateSender, WaitLateReceiver:
+		return EdgeMessage
+	case WaitCollective:
+		return EdgeCollective
+	}
+	return EdgeLocal
 }
 
 // The streaming analyzer's log is made of critBlockLen-node blocks,
@@ -39,8 +66,8 @@ const (
 	critSlabBlocks = 64
 )
 
-// critLog holds the recorded argmax decisions, one critNode per event
-// in per-rank record order. The replay engines know every rank's event
+// critLog holds the recorded entries, one critNode per event in
+// per-rank record order. The replay engines know every rank's event
 // count up front and fill flat, one preallocated slice per rank. The
 // streaming analyzer does not, so it fills blocks: per rank, a list of
 // fixed-size blocks taken from shared slabs. A node is written once
@@ -75,18 +102,12 @@ func (l *critLog) add(rank int, event int64, n critNode) {
 	blocks[b][event&(critBlockLen-1)] = n
 }
 
-// at looks up the recorded argmax decision for a subevent.
-func (l critLog) at(ref NodeRef) critStep {
-	var n *critNode
+// at returns the entry of the rank's event-th record.
+func (l critLog) at(rank int, event int64) *critNode {
 	if l.blocks != nil {
-		n = &l.blocks[ref.Rank][ref.Event>>critBlockShift][ref.Event&(critBlockLen-1)]
-	} else {
-		n = &l.flat[ref.Rank][ref.Event]
+		return &l.blocks[rank][event>>critBlockShift][event&(critBlockLen-1)]
 	}
-	if ref.End {
-		return n.end
-	}
-	return n.start
+	return &l.flat[rank][event]
 }
 
 // PathStep is one node of the extracted critical path with the delay
@@ -162,16 +183,26 @@ func buildCritPath(res *Result, crit critLog) *CriticalPath {
 	var rev []PathStep
 	cur := cp.Sink
 	for limit := 2*res.Events + 1; limit > 0; limit-- {
-		st := crit.at(cur)
-		if !st.hasPred {
-			rev = append(rev, PathStep{Node: cur, Kind: st.kind, Delta: 0, Delay: st.d})
+		n := crit.at(cur.Rank, cur.Event)
+		if !cur.End && cur.Event == 0 { // the zero-delay source
+			rev = append(rev, PathStep{Node: cur, Kind: EdgeLocal, Delay: n.startD})
 			break
 		}
-		delta := st.d - st.predD
-		rev = append(rev, PathStep{Node: cur, Kind: st.kind, Delta: delta, Delay: st.d})
-		cp.KindBlame[st.kind] += delta
-		cp.RankBlame[cur.Rank] += delta
-		cur = st.pred
+		var step PathStep
+		var pred NodeRef
+		if cur.End {
+			step = PathStep{Node: cur, Kind: n.state.edgeKind(), Delay: n.endD}
+			pred = NodeRef{Rank: int(n.winRank), Event: n.winEvent}
+			step.Delta = n.endD - crit.at(pred.Rank, pred.Event).startD
+		} else {
+			step = PathStep{Node: cur, Kind: EdgeLocal, Delay: n.startD}
+			pred = NodeRef{Rank: cur.Rank, Event: cur.Event - 1, End: true}
+			step.Delta = n.startD - crit.at(pred.Rank, pred.Event).endD
+		}
+		rev = append(rev, step)
+		cp.KindBlame[step.Kind] += step.Delta
+		cp.RankBlame[cur.Rank] += step.Delta
+		cur = pred
 	}
 	cp.Steps = make([]PathStep, len(rev))
 	for i, s := range rev {

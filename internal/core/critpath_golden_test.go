@@ -15,34 +15,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the critical-path golden")
 
-// critGoldenModels spans the propagation and collective modes and the
-// sampler paths that can move a merge decision: negative support with
-// order clamping, quantized gap noise, and a per-rank noise override.
-func critGoldenModels() []struct {
-	name  string
-	model *Model
-} {
-	noise := dist.Exponential{MeanValue: 400}
-	lat := dist.Exponential{MeanValue: 900}
-	pb := dist.Constant{C: 0.25}
-	straggler := make([]dist.Distribution, 8)
-	straggler[5] = dist.Exponential{MeanValue: 5000}
-	return []struct {
-		name  string
-		model *Model
-	}{
-		{"additive-approx", &Model{Seed: 3, OSNoise: noise, MsgLatency: lat, PerByte: pb}},
-		{"additive-explicit-collbytes", &Model{Seed: 4, OSNoise: noise, MsgLatency: lat, PerByte: pb,
-			Collectives: CollectiveExplicit, CollectiveBytes: true}},
-		{"anchored", &Model{Seed: 5, OSNoise: noise, MsgLatency: lat, PerByte: pb,
-			Propagation: PropagationAnchored}},
-		{"negative-normal", &Model{Seed: 6, OSNoise: dist.Normal{Mu: 0, Sigma: 600},
-			MsgLatency: dist.Normal{Mu: 100, Sigma: 800}, AllowNegative: true}},
-		{"noise-quantum", &Model{Seed: 7, OSNoise: noise, MsgLatency: lat, NoiseQuantum: 20_000}},
-		{"rank-straggler", &Model{Seed: 8, OSNoise: noise, MsgLatency: lat, RankOSNoise: straggler}},
-	}
-}
-
 // writeCritPath renders a critical path with every float in shortest
 // round-trip form, so that a one-bit drift changes the text.
 func writeCritPath(b *bytes.Buffer, cp *CriticalPath) {
@@ -62,6 +34,29 @@ func writeCritPath(b *bytes.Buffer, cp *CriticalPath) {
 // streaming analyzer and the compiled replay to agree on each one.
 // Regenerate with -update only when a path change is intended.
 func TestCritPathGolden(t *testing.T) {
+	// The models span the propagation and collective modes and the
+	// sampler paths that can move a merge decision: negative support
+	// with order clamping, quantized gap noise, and a per-rank noise
+	// override.
+	noise := dist.Exponential{MeanValue: 400}
+	lat := dist.Exponential{MeanValue: 900}
+	pb := dist.Constant{C: 0.25}
+	straggler := make([]dist.Distribution, 8)
+	straggler[5] = dist.Exponential{MeanValue: 5000}
+	models := []struct {
+		name  string
+		model Model
+	}{
+		{"additive-approx", Model{Seed: 3, OSNoise: noise, MsgLatency: lat, PerByte: pb}},
+		{"additive-explicit-collbytes", Model{Seed: 4, OSNoise: noise, MsgLatency: lat, PerByte: pb,
+			Collectives: CollectiveExplicit, CollectiveBytes: true}},
+		{"anchored", Model{Seed: 5, OSNoise: noise, MsgLatency: lat, PerByte: pb,
+			Propagation: PropagationAnchored}},
+		{"negative-normal", Model{Seed: 6, OSNoise: dist.Normal{Mu: 0, Sigma: 600},
+			MsgLatency: dist.Normal{Mu: 100, Sigma: 800}, AllowNegative: true}},
+		{"noise-quantum", Model{Seed: 7, OSNoise: noise, MsgLatency: lat, NoiseQuantum: 20_000}},
+		{"rank-straggler", Model{Seed: 8, OSNoise: noise, MsgLatency: lat, RankOSNoise: straggler}},
+	}
 	wls := []struct {
 		name string
 		opts workloads.Options
@@ -77,13 +72,13 @@ func TestCritPathGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range critGoldenModels() {
+		for _, m := range models {
 			name := wl.name + "/" + m.name
-			res, err := Analyze(snap.Set(), m.model, Options{RecordCritPath: true})
+			res, err := Analyze(snap.Set(), &m.model, Options{RecordCritPath: true})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			rep, err := ReplayCompiled(c, m.model, Options{RecordCritPath: true})
+			rep, err := ReplayCompiled(c, &m.model, Options{RecordCritPath: true})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

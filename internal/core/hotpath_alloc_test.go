@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mpgraph/internal/dist"
 	"mpgraph/internal/trace"
@@ -174,5 +176,46 @@ func TestAnalyzeAllocsPerEvent(t *testing.T) {
 	t.Logf("%.0f allocations per analysis of %d events: %.3f per event", allocs, snap.Events(), perEvent)
 	if perEvent > 0.6 {
 		t.Fatalf("Analyze allocates %.3f objects per event; want <= 0.6", perEvent)
+	}
+}
+
+// TestCritPathBytesPerEvent pins what critical-path recording costs
+// the streaming analyzer in memory: the bytes a run allocates with
+// RecordCritPath on, minus the bytes it allocates with it off, per
+// event. One 32-byte entry per record, holding two delays and the
+// winning start subevent, measures about 40 B per event here.
+func TestCritPathBytesPerEvent(t *testing.T) {
+	if sz := unsafe.Sizeof(critNode{}); sz > 48 {
+		t.Fatalf("critNode is %d bytes; want <= 48", sz)
+	}
+	snap := snapWorkload(t, "stencil2d", 64, workloads.Options{Iterations: 10})
+	model := &Model{
+		Seed:       9,
+		OSNoise:    dist.Exponential{MeanValue: 300},
+		MsgLatency: dist.Exponential{MeanValue: 500},
+		PerByte:    dist.Constant{C: 0.5},
+	}
+	// allocated returns the fewest bytes any of three runs allocated,
+	// so that a stray allocation elsewhere cannot inflate the figure.
+	allocated := func(crit bool) uint64 {
+		var best uint64
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Analyze(snap.Set(), model, Options{RecordCritPath: crit}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < best {
+				best = n
+			}
+		}
+		return best
+	}
+	off, on := allocated(false), allocated(true)
+	perEvent := (float64(on) - float64(off)) / float64(snap.Events())
+	t.Logf("critical-path recording adds %.1f B per event (%d events)", perEvent, snap.Events())
+	if perEvent > 56 {
+		t.Fatalf("critical-path recording allocates %.1f B per event; want <= 56", perEvent)
 	}
 }

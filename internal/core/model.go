@@ -190,7 +190,7 @@ type Options struct {
 	// observes only: no sample is drawn and no delay changes, so
 	// instrumented runs are byte-identical to uninstrumented ones.
 	Interval func(IntervalPoint)
-	// RecordCritPath records the argmax predecessor at every max()
+	// RecordCritPath records the winning predecessor of every end
 	// merge so Result.CritPath can name the edges behind the makespan
 	// delay. Recording never alters propagated delays (no sample is
 	// drawn and no comparison changes), at the cost of O(events)
@@ -278,10 +278,9 @@ type IntervalPoint struct {
 // structure of the machine model so that per-rank noise is independent
 // of messaging order on other ranks.
 type sampler struct {
-	model    *Model
-	rankRNG  []*dist.RNG
-	msgRNG   *dist.RNG
-	negative bool
+	model   *Model
+	rankRNG []*dist.RNG
+	msgRNG  *dist.RNG
 
 	// Sample counts for the metrics flush. Plain ints: a sampler
 	// belongs to one single-goroutine analysis, so the counts go

@@ -101,15 +101,6 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 			gi := c.evBase[rank] + o.event
 			st.startD[gi] = sD
 			st.startAttr[gi] = sA
-			if recordCrit {
-				cs := critStep{d: sD, kind: EdgeLocal}
-				if o.started {
-					cs.pred = NodeRef{Rank: rank, Event: o.event - 1, End: true}
-					cs.predD = st.prevD[rank]
-					cs.hasPred = true
-				}
-				st.critStart[rank] = cs
-			}
 
 		case opMatch:
 			m := &st.msgs[o.arg]
@@ -165,13 +156,8 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 			reg := &st.regions[o.region]
 			var endD float64
 			var endAttr Attribution
-			var critEnd critStep
 			var ivWait float64
 			var ivState WaitState
-			if recordCrit {
-				// Default argmax: the event's own start subevent.
-				critEnd = critStep{pred: NodeRef{Rank: rank, Event: o.event}, predD: sD, kind: EdgeLocal, hasPred: true}
-			}
 			switch o.code {
 			case opEndMarker, opEndImmediate:
 				endD, endAttr = sD, sA
@@ -209,9 +195,6 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 				if remote > local {
 					endD, endAttr = remote, remoteAttr
 					ivWait, ivState = remote-local, WaitLateReceiver
-					if recordCrit {
-						critEnd = st.msgCrit(c, o.arg)
-					}
 				} else {
 					endD, endAttr = local, localAttr
 				}
@@ -225,16 +208,6 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 				if remote > local {
 					endD, endAttr = remote, remoteAttr
 					ivWait, ivState = remote-local, WaitLateSender
-					if recordCrit {
-						if model.Propagation == PropagationAnchored {
-							// Anchored receive: the remote path is always the
-							// data arrival, never the receiver's own post.
-							cm := &c.msgs[o.arg]
-							critEnd = critStep{pred: NodeRef{Rank: int(cm.sendRank), Event: cm.sendEvent}, predD: m.sendStartD, kind: EdgeMessage, hasPred: true}
-						} else {
-							critEnd = st.msgCrit(c, o.arg)
-						}
-					}
 				} else {
 					endD, endAttr = local, localAttr
 				}
@@ -251,12 +224,6 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 				if remote > local {
 					endD, endAttr = remote, st.collOutAttr[pi]
 					ivWait, ivState = remote-local, WaitCollective
-					if recordCrit {
-						cc := &c.colls[pt.coll]
-						wp := &c.parts[cc.partOff+st.collOutPred[pi]]
-						wgi := c.evBase[wp.rank] + wp.event
-						critEnd = critStep{pred: NodeRef{Rank: int(wp.rank), Event: wp.event}, predD: st.startD[wgi], kind: EdgeCollective, hasPred: true}
-					}
 				} else {
 					endD, endAttr = local, sA
 				}
@@ -270,9 +237,9 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 				}
 			}
 			if recordCrit {
-				critEnd.d = endD
+				win := st.endWinner(c, o, ivState, model.Propagation)
 				//mpg:lint-ignore hotpathprop appends into pooled critBack backing whose cap is the rank's full event count; never grows
-				st.crit[rank] = append(st.crit[rank], critNode{start: st.critStart[rank], end: critEnd})
+				st.crit[rank] = append(st.crit[rank], newCritNode(sD, endD, win, ivState))
 			}
 			st.prevD[rank] = endD
 			st.prevAttr[rank] = endAttr
@@ -386,9 +353,8 @@ type replayState struct {
 	regions []RegionStats // dense, indexed like Compiled.regionKeys
 
 	// Critical-path recording (lazy; only when RecordCritPath).
-	critStart []critStep
-	crit      [][]critNode
-	critBack  []critNode
+	crit     [][]critNode
+	critBack []critNode
 }
 
 // poolGet and poolPut confine the analysis loader's stubbed sync.Pool
@@ -425,7 +391,6 @@ func newReplayState(c *Compiled) *replayState {
 		collOutAttr: make([]Attribution, len(c.parts)),
 		collOutPred: make([]int32, len(c.parts)),
 		regions:     make([]RegionStats, len(c.regionKeys)),
-		critStart:   make([]critStep, n),
 	}
 	st.smp.msgRNG = &st.rngBacking[0]
 	st.smp.rankRNG = make([]*dist.RNG, n)
@@ -468,7 +433,7 @@ func (st *replayState) reset(m *Model) {
 	}
 }
 
-// ensureCrit prepares the per-rank argmax recording slices over a
+// ensureCrit prepares the per-rank critical-path slices over a
 // single pooled backing array (full length is known from the program).
 func (st *replayState) ensureCrit(c *Compiled) {
 	if st.critBack == nil {
@@ -480,17 +445,23 @@ func (st *replayState) ensureCrit(c *Compiled) {
 	}
 }
 
-// msgCrit is critRemoteMsg for the compiled engine: the winning
-// message-edge predecessor of a transfer completion.
+// endWinner is analyzer.endWinner for the compiled engine: the start
+// subevent whose path won end op o's merge, as its wait state tells.
 //
 //mpg:hotpath
-func (st *replayState) msgCrit(c *Compiled, idx int32) critStep {
-	m := &st.msgs[idx]
-	cm := &c.msgs[idx]
-	if m.cRecvFromData {
-		return critStep{pred: NodeRef{Rank: int(cm.sendRank), Event: cm.sendEvent}, predD: m.sendStartD, kind: EdgeMessage, hasPred: true}
+func (st *replayState) endWinner(c *Compiled, o *op, state WaitState, p PropagationMode) NodeRef {
+	switch state {
+	case WaitLateSender, WaitLateReceiver:
+		cm := &c.msgs[o.arg]
+		if sendPostWon(&st.msgs[o.arg], state, p) {
+			return NodeRef{Rank: int(cm.sendRank), Event: cm.sendEvent}
+		}
+		return NodeRef{Rank: int(cm.recvRank), Event: cm.recvEvent}
+	case WaitCollective:
+		wp := &c.parts[c.colls[c.parts[o.arg].coll].partOff+st.collOutPred[o.arg]]
+		return NodeRef{Rank: int(wp.rank), Event: wp.event}
 	}
-	return critStep{pred: NodeRef{Rank: int(cm.recvRank), Event: cm.recvEvent}, predD: m.recvPostD, kind: EdgeMessage, hasPred: true}
+	return NodeRef{Rank: int(o.rank), Event: o.event}
 }
 
 // resolveColl runs the collective resolution kernel for one compiled

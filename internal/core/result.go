@@ -175,18 +175,6 @@ func (r *Result) finalize() {
 	sort.Strings(r.Warnings)
 }
 
-// PerturbedMakespan returns the perturbed schedule's makespan on the
-// traced clock: max over ranks of (traced final end + final delay).
-func (r *Result) PerturbedMakespan() float64 {
-	var m float64
-	for i := range r.Ranks {
-		if v := float64(r.Ranks[i].OrigEnd) + r.Ranks[i].FinalDelay; v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // RegionList returns the region keys in deterministic order.
 func (r *Result) RegionList() []RegionKey {
 	keys := make([]RegionKey, 0, len(r.Regions))

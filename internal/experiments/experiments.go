@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"mpgraph/internal/baseline"
 	"mpgraph/internal/core"
@@ -699,6 +698,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-// sortIDs is a helper for deterministic listings in tools.
-func sortIDs(ids []string) { sort.Strings(ids) }

@@ -95,11 +95,6 @@ func (s *Signature) NoiseEmpirical() dist.Distribution {
 	return dist.NewEmpirical(s.NoisePerQuantum)
 }
 
-// LatencyEmpirical returns the empirical one-way latency distribution.
-func (s *Signature) LatencyEmpirical() dist.Distribution {
-	return dist.NewEmpirical(s.OneWayLatency)
-}
-
 // LatencyJitterEmpirical returns the empirical distribution of latency
 // *in excess of the observed minimum* — the delta form the analyzer
 // injects on message edges (the traced run already contains the base

@@ -127,7 +127,6 @@ type World struct {
 	wildRecvs map[wildKey][]*wildRecv
 
 	nextCommID int32
-	splitSeq   int64
 
 	stats Stats
 }

@@ -14,7 +14,6 @@ package obsv
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -395,36 +394,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteText writes the snapshot as sorted "name value" lines, one
-// instrument per line (histograms render count/sum/mean).
-func (s Snapshot) WriteText(w io.Writer) error {
-	var lines []string
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %g", name, v))
-	}
-	for name, h := range s.Histograms {
-		mean := 0.0
-		if h.Count > 0 {
-			mean = h.Sum / float64(h.Count)
-		}
-		lines = append(lines, fmt.Sprintf("histogram %s count=%d sum=%g mean=%g p50=%g p90=%g p99=%g",
-			name, h.Count, h.Sum, mean, h.P50, h.P90, h.P99))
-	}
-	for name, t := range s.Timers {
-		lines = append(lines, fmt.Sprintf("timer %s count=%d total=%.3fms", name, t.Count, t.TotalMS))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSONFile writes the snapshot to a file (0644, truncating).

@@ -160,25 +160,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b").Inc()
-	r.Counter("a").Add(2)
-	r.Timer("t").Observe(time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	ia, ib := strings.Index(out, "counter a 2"), strings.Index(out, "counter b 1")
-	if ia < 0 || ib < 0 || ia > ib {
-		t.Fatalf("text output missing or unsorted:\n%s", out)
-	}
-	if !strings.Contains(out, "timer t count=1") {
-		t.Fatalf("timer line missing:\n%s", out)
-	}
-}
-
 func TestProgressReporter(t *testing.T) {
 	var buf lockedBuffer
 	p := NewProgress(&buf, "points", 4, time.Hour) // ticker never fires

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -114,21 +113,5 @@ func TestSpanStartDisabledAllocs(t *testing.T) {
 		nilReg.SpanStart("hot")()
 	}); allocs != 0 {
 		t.Errorf("nil-registry SpanStart allocates %.1f objects/call; want 0", allocs)
-	}
-}
-
-func TestSnapshotTextHistogramPercentiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{10, 100, 1000})
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i))
-	}
-	var sb strings.Builder
-	if err := r.Snapshot().WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "p50=") || !strings.Contains(out, "p90=") || !strings.Contains(out, "p99=") {
-		t.Fatalf("text snapshot missing percentiles:\n%s", out)
 	}
 }
