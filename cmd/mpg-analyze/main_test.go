@@ -156,7 +156,7 @@ func TestAnalyzeSelfTrace(t *testing.T) {
 	if msgs := timeline.Validate(data); len(msgs) > 0 {
 		t.Fatalf("self-trace invalid:\n%s", strings.Join(msgs, "\n"))
 	}
-	if !strings.Contains(string(data), `"analyze"`) {
+	if !strings.Contains(string(data), `"core_analyze"`) {
 		t.Fatalf("self-trace missing analyze span:\n%s", data)
 	}
 }

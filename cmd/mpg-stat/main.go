@@ -46,7 +46,7 @@ func run(args []string) error {
 	reg := obsv.NewRegistry()
 	nEvents := reg.Counter("stat_events_total")
 	nBytes := reg.Counter("stat_sent_bytes_total")
-	stopScan := reg.Timer("stat_scan").Start()
+	scan := reg.Time("stat_scan")
 
 	kindCounts := map[trace.Kind]int64{}
 	var msgBytes, gaps, durations []float64
@@ -90,7 +90,7 @@ func run(args []string) error {
 		}
 		perRank[rank].span = last - first
 	}
-	stopScan()
+	scan.End()
 
 	// Per-kind table, sorted by count.
 	type kc struct {

@@ -33,7 +33,7 @@ type ObsvFlags struct {
 // -pprof.
 func (o *ObsvFlags) Register(fs *flag.FlagSet, withPprof bool) {
 	fs.StringVar(&o.MetricsOut, "metrics-out", "", "write a JSON metrics snapshot (counters, gauges, phase timings) to this path at exit")
-	fs.StringVar(&o.SelfTrace, "selftrace", "", "record engine self-profiling spans (compile, replay, sweep points, verify scenarios) and write them as Perfetto trace-event JSON to this path at exit")
+	fs.StringVar(&o.SelfTrace, "selftrace", "", "record engine self-profiling spans (one per timed boundary, named after its phase timer: core_compile, core_replay_compiled, sweep_point, ...) and write them as Perfetto trace-event JSON to this path at exit")
 	if withPprof {
 		fs.StringVar(&o.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	}
@@ -48,7 +48,7 @@ func (o *ObsvFlags) Registry() *obsv.Registry {
 		o.reg = obsv.NewRegistry()
 		o.start = time.Now()
 		if o.SelfTrace != "" {
-			o.reg.EnableSpans(obsv.DefaultSpanCapacity)
+			o.reg.EnableSpans()
 		}
 	}
 	return o.reg

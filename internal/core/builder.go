@@ -13,8 +13,7 @@ import (
 // propagates the model's perturbations through it in a single
 // streaming pass, returning the per-rank delay outcome.
 func Analyze(set *trace.Set, model *Model, opts Options) (*Result, error) {
-	defer opts.Metrics.Timer("core_analyze").Start()()
-	defer opts.Metrics.SpanStart("analyze")()
+	defer opts.Metrics.Time("core_analyze").End()
 	a, err := newAnalyzer(set, model, opts)
 	if err != nil {
 		return nil, err

@@ -274,8 +274,7 @@ func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
 // RecordCritPath) are meaningless during the structural pass and are
 // ignored — pass them to ReplayCompiled instead.
 func Compile(set *trace.Set, opts Options) (*Compiled, error) {
-	defer opts.Metrics.Timer("core_compile").Start()()
-	defer opts.Metrics.SpanStart("compile")()
+	defer opts.Metrics.Time("core_compile").End()
 	opts.Interval = nil
 	opts.RecordCritPath = false
 	a, err := newAnalyzer(set, &Model{}, opts)

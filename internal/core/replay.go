@@ -21,10 +21,8 @@ import (
 //
 //mpg:hotpath
 func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
-	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: the registry observes the replay but never feeds results back, and the nil-registry fast path is allocation-free
-	defer opts.Metrics.Timer("core_replay_compiled").Start()()
-	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: spans observe the replay but never feed back into its results
-	defer opts.Metrics.SpanStart("replay")()
+	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: the timer and span observe the replay but never feed results back, and the nil-registry path is allocation-free
+	defer opts.Metrics.Time("core_replay_compiled").End()
 	if model == nil {
 		//mpg:lint-ignore hotpathprop nil-model fallback; Monte Carlo callers always pass a model
 		model = &Model{}

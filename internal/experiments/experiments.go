@@ -38,7 +38,8 @@ type Config struct {
 	// seeded from Config.Seed and the grid point alone, and rows are
 	// assembled in grid order after collection.
 	Workers int
-	// Metrics, when non-nil, receives pool observability from every
+	// Metrics, when non-nil, times each grid cell under
+	// "experiment_cell" and receives pool observability from every
 	// grid fan-out (out-of-band; tables and verdicts are unchanged).
 	Metrics *obsv.Registry
 }
@@ -169,7 +170,7 @@ func runFig2(cfg Config) (*Outcome, error) {
 	}
 	type fig2Row struct{ gotS, gotR, wantS, wantR float64 }
 	rows, err := parallel.Map(len(grid), cfg.pool(), func(i int) (fig2Row, error) {
-		defer cfg.Metrics.SpanStart("experiment_cell")()
+		defer cfg.Metrics.Time("experiment_cell").End()
 		osn, lat := grid[i].osn, grid[i].lat
 		pb := lat / 10
 		set, err := pairSet()
@@ -276,7 +277,7 @@ func runFig4(cfg Config) (*Outcome, error) {
 		"p", "approx (Fig.4 hub)", "explicit pattern", "approx/explicit")
 	modes := []core.CollectiveMode{core.CollectiveApprox, core.CollectiveExplicit}
 	delays, err := parallel.Map(len(sizes)*len(modes), cfg.pool(), func(t int) (float64, error) {
-		defer cfg.Metrics.SpanStart("experiment_cell")()
+		defer cfg.Metrics.Time("experiment_cell").End()
 		p, mode := sizes[t/len(modes)], modes[t%len(modes)]
 		set, err := traceWorkload("cg", p, workloads.Options{Iterations: cfg.pick(10, 3)}, cfg.Seed)
 		if err != nil {
@@ -390,7 +391,7 @@ func runAblA(cfg Config) (*Outcome, error) {
 		"iterations", "events", "window-high-water")
 	lengths := []int{10, 40, 160}
 	results, err := parallel.Map(len(lengths), cfg.pool(), func(i int) (*core.Result, error) {
-		defer cfg.Metrics.SpanStart("experiment_cell")()
+		defer cfg.Metrics.Time("experiment_cell").End()
 		set, err := traceWorkload("stencil1d", n, workloads.Options{Iterations: lengths[i]}, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -578,7 +579,7 @@ func runExtNeg(cfg Config) (*Outcome, error) {
 		return nil, err
 	}
 	results, err := parallel.Map(len(removed), cfg.pool(), func(i int) (*core.Result, error) {
-		defer cfg.Metrics.SpanStart("experiment_cell")()
+		defer cfg.Metrics.Time("experiment_cell").End()
 		return core.Analyze(snap.Set(), &core.Model{
 			Seed:          cfg.Seed,
 			OSNoise:       dist.Constant{C: -removed[i]},
@@ -659,7 +660,7 @@ func runExtTopo(cfg Config) (*Outcome, error) {
 	topos := []machine.Topology{machine.TopoFull, machine.TopoRing,
 		machine.TopoMesh2D, machine.TopoHypercube}
 	spans, err := parallel.Map(len(topos), cfg.pool(), func(i int) (int64, error) {
-		defer cfg.Metrics.SpanStart("experiment_cell")()
+		defer cfg.Metrics.Time("experiment_cell").End()
 		// Built per task: concurrent runs must not share program state.
 		prog, err := workloads.BuildByName("stencil2d", workloads.Options{Iterations: iters})
 		if err != nil {

@@ -1,8 +1,11 @@
 // Package obsv is the engine's zero-dependency observability layer: a
-// metrics registry of counters, gauges, fixed-bucket histograms and
-// monotonic phase timers, all lock-free on the hot path (atomics only;
-// the registry mutex is touched solely when an instrument is first
-// created), snapshot-exportable as JSON or text.
+// metrics registry of counters, gauges and monotonic phase timers, all
+// lock-free on the hot path (atomics only; the registry mutex is
+// touched solely when an instrument is first created), plus an opt-in
+// ring of self-profiling spans. Registry.Time is the one wall-time
+// instrument for a layer boundary: a single clock reading feeds both
+// the boundary's timer and, when spans are on, its span, so the timers
+// and the self-trace never disagree. Snapshots export as JSON.
 //
 // Every accessor and instrument method is nil-safe: a nil *Registry
 // hands out nil instruments and nil instruments no-op, so call sites
@@ -17,7 +20,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,78 +80,12 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets. Bounds are the
-// inclusive upper edges of the finite buckets; one implicit overflow
-// bucket catches everything above the last bound.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Int64 // len(bounds)+1; last is overflow
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		neu := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, neu) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// ExpBuckets returns n exponentially spaced bucket bounds starting at
-// start and growing by factor (the usual latency-histogram shape).
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // Timer accumulates wall time over phases or operations. Durations
 // come from time.Since, which uses the monotonic clock, so timers are
 // immune to wall-clock steps.
 type Timer struct {
 	ns    atomic.Int64
 	count atomic.Int64
-}
-
-// Start begins one timed span; the returned stop function commits it.
-func (t *Timer) Start() func() {
-	if t == nil {
-		return func() {}
-	}
-	//mpg:lint-ignore detreach out-of-band span timing (DESIGN §7): wall time feeds the registry only, never analysis results
-	begin := time.Now()
-	//mpg:lint-ignore detreach out-of-band span timing (DESIGN §7): wall time feeds the registry only, never analysis results
-	return func() { t.Observe(time.Since(begin)) }
 }
 
 // Observe adds one measured duration.
@@ -169,6 +105,34 @@ func (t *Timer) Total() time.Duration {
 	return time.Duration(t.ns.Load())
 }
 
+// Timing is one in-flight measurement handed out by Registry.Time; End
+// commits it. The zero Timing, from a nil registry, is inert.
+type Timing struct {
+	timer *Timer
+	spans *SpanBuffer
+	name  string
+	start time.Time
+}
+
+// End adds the elapsed wall time d to the boundary's timer and, when
+// spans are enabled, records the same interval (end−d to end, from the
+// one clock reading) as a span of the same name. It returns d (0 for
+// the inert Timing).
+func (t Timing) End() time.Duration {
+	if t.timer == nil {
+		return 0
+	}
+	//mpg:lint-ignore detreach out-of-band boundary timing (DESIGN §7): wall time feeds the registry only, never analysis results
+	end := time.Now()
+	d := end.Sub(t.start)
+	t.timer.Observe(d)
+	if t.spans != nil {
+		e := int64(end.Sub(t.spans.epoch))
+		t.spans.Record(t.name, e-int64(d), e)
+	}
+	return d
+}
+
 // Registry holds named instruments. Lookup lazily creates; an existing
 // name always returns the same instrument, so concurrent users share
 // state. The zero-value-adjacent nil *Registry is the disabled layer.
@@ -176,11 +140,10 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	timers   map[string]*Timer
 
 	// spans is the self-profiling ring, nil until EnableSpans; kept as
-	// an atomic pointer so SpanStart stays lock-free (see span.go).
+	// an atomic pointer so Time stays lock-free (see span.go).
 	spans atomic.Pointer[SpanBuffer]
 }
 
@@ -189,7 +152,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
 		timers:   map[string]*Timer{},
 	}
 }
@@ -225,24 +187,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bounds on first use (later callers' bounds are ignored; the first
-// registration wins). Bounds must be sorted ascending.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		b := append([]float64(nil), bounds...)
-		h = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Timer returns the named timer, creating it on first use.
 func (r *Registry) Timer(name string) *Timer {
 	if r == nil {
@@ -258,62 +202,16 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
-// HistogramSnapshot is one histogram's exported state. Counts has one
-// entry per finite bound plus a trailing overflow bucket. P50/P90/P99
-// are bucket-interpolated quantile estimates (see Quantile), computed
-// at snapshot time.
-type HistogramSnapshot struct {
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Bounds []float64 `json:"bounds,omitempty"`
-	Counts []int64   `json:"counts,omitempty"`
-	P50    float64   `json:"p50,omitempty"`
-	P90    float64   `json:"p90,omitempty"`
-	P99    float64   `json:"p99,omitempty"`
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) from the bucket
-// counts by linear interpolation inside the containing bucket, taking 0
-// as the first bucket's lower edge. Observations in the overflow bucket
-// have no finite upper edge, so a quantile landing there reports the
-// last finite bound (the estimate saturates). Returns 0 when the
-// histogram is empty.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count <= 0 || len(h.Counts) == 0 {
-		return 0
+// Time starts timing one pass through the boundary called name; call
+// End on the result, typically as defer r.Time(name).End(). A nil
+// registry returns an inert Timing without reading the clock, and
+// neither call allocates unless spans are enabled.
+func (r *Registry) Time(name string) Timing {
+	if r == nil {
+		return Timing{}
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.Count)
-	if target < 1 {
-		target = 1 // any quantile of one observation is that observation
-	}
-	var cum int64
-	for i, c := range h.Counts {
-		prev := float64(cum)
-		cum += c
-		if float64(cum) < target {
-			continue
-		}
-		if i < len(h.Bounds) {
-			lower := 0.0
-			if i > 0 {
-				lower = h.Bounds[i-1]
-			}
-			return lower + (target-prev)/float64(c)*(h.Bounds[i]-lower)
-		}
-		// Overflow bucket.
-		if len(h.Bounds) == 0 {
-			return h.Sum / float64(h.Count)
-		}
-		return h.Bounds[len(h.Bounds)-1]
-	}
-	// Unreachable: cum == Count >= target after the last bucket.
-	return h.Sum / float64(h.Count)
+	//mpg:lint-ignore detreach out-of-band boundary timing (DESIGN §7): wall time feeds the registry only, never analysis results
+	return Timing{timer: r.Timer(name), spans: r.spans.Load(), name: name, start: time.Now()}
 }
 
 // TimerSnapshot is one timer's exported state.
@@ -323,23 +221,21 @@ type TimerSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of every instrument, ready for
-// JSON (map keys marshal sorted, so output is deterministic given
-// deterministic values) or aligned-text export.
+// JSON export (map keys marshal sorted, so output is deterministic
+// given deterministic values).
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Timers     map[string]TimerSnapshot     `json:"timers,omitempty"`
+	Counters map[string]int64         `json:"counters,omitempty"`
+	Gauges   map[string]float64       `json:"gauges,omitempty"`
+	Timers   map[string]TimerSnapshot `json:"timers,omitempty"`
 }
 
 // Snapshot copies the registry's current state. A nil registry yields
 // an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-		Timers:     map[string]TimerSnapshot{},
+		Counters: map[string]int64{},
+		Gauges:   map[string]float64{},
+		Timers:   map[string]TimerSnapshot{},
 	}
 	if r == nil {
 		return s
@@ -351,21 +247,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		hs := HistogramSnapshot{
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-			Bounds: append([]float64(nil), h.bounds...),
-			Counts: make([]int64, len(h.counts)),
-		}
-		for i := range h.counts {
-			hs.Counts[i] = h.counts[i].Load()
-		}
-		hs.P50 = hs.Quantile(0.50)
-		hs.P90 = hs.Quantile(0.90)
-		hs.P99 = hs.Quantile(0.99)
-		s.Histograms[name] = hs
 	}
 	for name, t := range r.timers {
 		s.Timers[name] = TimerSnapshot{

@@ -34,50 +34,15 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)
 	r.Gauge("x").SetMax(1)
-	r.Histogram("x", ExpBuckets(1, 2, 4)).Observe(3)
-	stop := r.Timer("x").Start()
-	stop()
+	if d := r.Time("x").End(); d != 0 {
+		t.Fatalf("nil registry Time measured %v", d)
+	}
 	if v := r.Counter("x").Value(); v != 0 {
 		t.Fatalf("nil counter value %d", v)
 	}
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Timers) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", s)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 10, 50, 1000} {
-		h.Observe(v)
-	}
-	s := r.Snapshot().Histograms["lat"]
-	// Buckets are inclusive upper edges: [<=1, <=10, <=100, overflow].
-	want := []int64{2, 2, 1, 1}
-	if len(s.Counts) != len(want) {
-		t.Fatalf("bucket count %d, want %d", len(s.Counts), len(want))
-	}
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
-		}
-	}
-	if s.Count != 6 {
-		t.Fatalf("count = %d, want 6", s.Count)
-	}
-	if s.Sum != 0.5+1+5+10+50+1000 {
-		t.Fatalf("sum = %g", s.Sum)
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(1, 10, 3)
-	want := []float64{1, 10, 100}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", b, want)
-		}
 	}
 }
 
@@ -89,8 +54,7 @@ func TestTimerAccumulates(t *testing.T) {
 	if got := tm.Total(); got != 5*time.Millisecond {
 		t.Fatalf("total = %v, want 5ms", got)
 	}
-	stop := tm.Start()
-	stop()
+	r.Time("phase").End()
 	snap := r.Snapshot().Timers["phase"]
 	if snap.Count != 3 {
 		t.Fatalf("timer count = %d, want 3", snap.Count)
@@ -113,7 +77,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				r.Counter("n").Inc()
 				r.Gauge("g").SetMax(float64(i))
-				r.Histogram("h", ExpBuckets(1, 2, 8)).Observe(float64(i % 7))
 				r.Timer("t").Observe(time.Microsecond)
 			}
 		}()
@@ -126,9 +89,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	if s.Gauges["g"] != 999 {
 		t.Fatalf("gauge = %g, want 999", s.Gauges["g"])
 	}
-	if s.Histograms["h"].Count != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", s.Histograms["h"].Count)
-	}
 	if s.Timers["t"].Count != 8000 {
 		t.Fatalf("timer count = %d, want 8000", s.Timers["t"].Count)
 	}
@@ -138,7 +98,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("events_total").Add(42)
 	r.Gauge("window_high_water").Set(7)
-	r.Histogram("task_seconds", []float64{0.001, 0.1}).Observe(0.05)
 	r.Timer("analyze").Observe(1500 * time.Microsecond)
 
 	var buf bytes.Buffer
@@ -154,9 +113,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if back.Timers["analyze"].TotalMS <= 0 {
 		t.Fatalf("round-tripped timer = %+v", back.Timers["analyze"])
-	}
-	if back.Histograms["task_seconds"].Counts[1] != 1 {
-		t.Fatalf("round-tripped histogram = %+v", back.Histograms["task_seconds"])
 	}
 }
 

@@ -30,8 +30,7 @@ type SpanBuffer struct {
 	next  atomic.Uint64
 }
 
-// DefaultSpanCapacity is the ring size used when EnableSpans is given a
-// non-positive capacity.
+// DefaultSpanCapacity is the ring size EnableSpans allocates.
 const DefaultSpanCapacity = 4096
 
 // NewSpanBuffer returns a ring holding up to capacity completed spans
@@ -63,20 +62,6 @@ func (b *SpanBuffer) Record(name string, startNS, endNS int64) {
 	}
 	i := (b.next.Add(1) - 1) % uint64(len(b.slots))
 	b.slots[i].Store(&Span{Name: name, Start: startNS, End: endNS})
-}
-
-// noopEnd is the shared do-nothing stop function handed out by the
-// disabled span paths, so a disabled Start never allocates.
-var noopEnd = func() {}
-
-// Start begins one span; the returned stop function records it. A nil
-// buffer returns a shared no-op.
-func (b *SpanBuffer) Start(name string) func() {
-	if b == nil {
-		return noopEnd
-	}
-	start := b.Now()
-	return func() { b.Record(name, start, b.Now()) }
 }
 
 // Len returns the number of spans recorded so far, including any that
@@ -113,15 +98,15 @@ func (b *SpanBuffer) Snapshot() []Span {
 	return out
 }
 
-// EnableSpans switches on self-span recording with a ring of the given
-// capacity (DefaultSpanCapacity when not positive). Idempotent: the
-// first enable wins and later calls keep the existing buffer, so
-// already-recorded spans survive. No-op on a nil registry.
-func (r *Registry) EnableSpans(capacity int) {
+// EnableSpans switches on self-span recording into a ring of
+// DefaultSpanCapacity spans. Idempotent: the first enable wins and
+// later calls keep the existing buffer, so already-recorded spans
+// survive. No-op on a nil registry.
+func (r *Registry) EnableSpans() {
 	if r == nil {
 		return
 	}
-	r.spans.CompareAndSwap(nil, NewSpanBuffer(capacity))
+	r.spans.CompareAndSwap(nil, NewSpanBuffer(DefaultSpanCapacity))
 }
 
 // Spans returns the registry's span ring, or nil when disabled (or the
@@ -131,19 +116,4 @@ func (r *Registry) Spans() *SpanBuffer {
 		return nil
 	}
 	return r.spans.Load()
-}
-
-// SpanStart begins a named self-span; the returned stop function
-// records it. When the registry is nil or spans are not enabled it
-// returns a shared no-op without allocating, so hot paths can call it
-// unconditionally.
-func (r *Registry) SpanStart(name string) func() {
-	if r == nil {
-		return noopEnd
-	}
-	b := r.spans.Load()
-	if b == nil {
-		return noopEnd
-	}
-	return b.Start(name)
 }

@@ -13,7 +13,7 @@ import (
 
 // TestSpanRecordingConcurrent exercises the lock-free span ring from
 // the real parallel worker pool under -race: every task records
-// through the shared registry, some tasks race SpanStart against
+// through the shared registry, some tasks race Time against
 // EnableSpans, and the final snapshot must be complete and ordered.
 func TestSpanRecordingConcurrent(t *testing.T) {
 	reg := obsv.NewRegistry()
@@ -21,11 +21,11 @@ func TestSpanRecordingConcurrent(t *testing.T) {
 	_, err := parallel.Map(tasks, parallel.Options{Workers: 8}, func(i int) (struct{}, error) {
 		// Racing enables must be safe and must not drop spans: the
 		// first EnableSpans wins, later ones keep the buffer.
-		reg.EnableSpans(tasks * 2)
-		end := reg.SpanStart("task")
+		reg.EnableSpans()
+		tm := reg.Time("task")
 		b := reg.Spans()
 		b.Record("explicit", b.Now(), b.Now())
-		end()
+		tm.End()
 		return struct{}{}, nil
 	})
 	if err != nil {

@@ -1,9 +1,6 @@
 package obsv
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestSpanBufferRecordAndSnapshot(t *testing.T) {
 	b := NewSpanBuffer(8)
@@ -42,30 +39,15 @@ func TestSpanBufferWraps(t *testing.T) {
 	}
 }
 
-func TestSpanStartRecords(t *testing.T) {
-	b := NewSpanBuffer(8)
-	end := b.Start("work")
-	time.Sleep(time.Millisecond)
-	end()
-	got := b.Snapshot()
-	if len(got) != 1 || got[0].Name != "work" {
-		t.Fatalf("snapshot = %v", got)
-	}
-	if got[0].End < got[0].Start {
-		t.Fatalf("span ends before it starts: %+v", got[0])
-	}
-}
-
 func TestSpanNilSafety(t *testing.T) {
 	var b *SpanBuffer
 	b.Record("x", 0, 1)
-	b.Start("x")()
 	if b.Now() != 0 || b.Len() != 0 || b.Snapshot() != nil {
 		t.Fatal("nil buffer is not inert")
 	}
 	var r *Registry
-	r.EnableSpans(4)
-	r.SpanStart("x")()
+	r.EnableSpans()
+	r.Time("x").End()
 	if r.Spans() != nil {
 		t.Fatal("nil registry has spans")
 	}
@@ -76,18 +58,18 @@ func TestRegistrySpansDisabledByDefault(t *testing.T) {
 	if r.Spans() != nil {
 		t.Fatal("spans enabled without EnableSpans")
 	}
-	r.SpanStart("ignored")()
+	r.Time("ignored").End()
 	if r.Spans() != nil {
-		t.Fatal("SpanStart enabled recording")
+		t.Fatal("Time enabled recording")
 	}
 }
 
 func TestRegistryEnableSpansIdempotent(t *testing.T) {
 	r := NewRegistry()
-	r.EnableSpans(8)
-	r.SpanStart("kept")()
+	r.EnableSpans()
+	r.Time("kept").End()
 	first := r.Spans()
-	r.EnableSpans(8) // second enable must not drop recorded spans
+	r.EnableSpans() // second enable must not drop recorded spans
 	if r.Spans() != first {
 		t.Fatal("re-enable replaced the buffer")
 	}
@@ -97,21 +79,26 @@ func TestRegistryEnableSpansIdempotent(t *testing.T) {
 	}
 }
 
-// TestSpanStartDisabledAllocs pins the disabled-path contract: hot
-// paths call SpanStart unconditionally, so with spans off (or no
-// registry at all) it must hand out the shared no-op without
-// allocating.
-func TestSpanStartDisabledAllocs(t *testing.T) {
+// TestTimeAllocs pins the disabled-path contract: boundaries call
+// Time unconditionally, so with spans off (or no registry at all) a
+// Time(..).End() pair must not allocate.
+func TestTimeAllocs(t *testing.T) {
 	r := NewRegistry()
 	if allocs := testing.AllocsPerRun(100, func() {
-		r.SpanStart("hot")()
+		r.Time("hot").End()
 	}); allocs != 0 {
-		t.Errorf("disabled SpanStart allocates %.1f objects/call; want 0", allocs)
+		t.Errorf("Time with spans off allocates %.1f objects/call; want 0", allocs)
 	}
 	var nilReg *Registry
 	if allocs := testing.AllocsPerRun(100, func() {
-		nilReg.SpanStart("hot")()
+		nilReg.Time("hot").End()
 	}); allocs != 0 {
-		t.Errorf("nil-registry SpanStart allocates %.1f objects/call; want 0", allocs)
+		t.Errorf("nil-registry Time allocates %.1f objects/call; want 0", allocs)
+	}
+	r.EnableSpans()
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Time("hot").End()
+	}); allocs > 1 {
+		t.Errorf("Time with spans on allocates %.1f objects/call; want at most the one span", allocs)
 	}
 }

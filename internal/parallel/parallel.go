@@ -39,10 +39,11 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). The pool never exceeds the task count.
 	Workers int
 	// Metrics, when non-nil, receives pool observability: a
-	// parallel_task_ms latency histogram, tasks/failures counters, the
-	// effective pool size, and a parallel_pool_utilization gauge
-	// (busy time / (workers × wall time) of the last fan-out). Metrics
-	// are out-of-band: they never influence scheduling or results.
+	// parallel_map timer per fan-out, a parallel_task timer per task
+	// (its count is the task count), a failures counter, the effective
+	// pool size, and a parallel_pool_utilization gauge: the last
+	// fan-out's own task time / (workers × its wall time). Metrics are
+	// out-of-band: they never influence scheduling or results.
 	Metrics *obsv.Registry
 }
 
@@ -129,13 +130,14 @@ func Map[T any](n int, opts Options, fn func(task int) (T, error)) ([]T, error) 
 	// Instrument handles are nil when no registry is attached; every
 	// method on them is then a no-op, so the hot path never branches.
 	m := opts.Metrics
-	taskMS := m.Histogram("parallel_task_ms", obsv.ExpBuckets(0.01, 4, 12))
-	nTasks := m.Counter("parallel_tasks_total")
+	// Tasks feed a plain timer rather than Registry.Time: a span per
+	// task would duplicate the caller's own per-task span and flood the
+	// span ring on large fan-outs.
+	taskT := m.Timer("parallel_task")
 	nFails := m.Counter("parallel_task_failures_total")
-	//mpg:lint-ignore detreach out-of-band pool timing (DESIGN §7): wall time feeds metrics only, never task results or their order
-	mapStart := time.Now()
-	defer m.Timer("parallel_map").Start()()
+	mapT := m.Time("parallel_map")
 
+	var busy atomic.Int64  // this fan-out's summed task time, ns
 	var next atomic.Int64  // next unclaimed task index
 	var failed atomic.Bool // set on first observed failure
 	var wg sync.WaitGroup
@@ -160,8 +162,9 @@ func Map[T any](n int, opts Options, fn func(task int) (T, error)) ([]T, error) 
 			t0 := time.Now()
 			err := runTask(i, fn, &results[i])
 			//mpg:lint-ignore detreach out-of-band pool timing (DESIGN §7): wall time feeds metrics only, never task results or their order
-			taskMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-			nTasks.Inc()
+			d := time.Since(t0)
+			taskT.Observe(d)
+			busy.Add(int64(d))
 			if err != nil {
 				nFails.Inc()
 				errs[i] = err
@@ -177,12 +180,8 @@ func Map[T any](n int, opts Options, fn func(task int) (T, error)) ([]T, error) 
 		go worker()
 	}
 	wg.Wait()
-
-	if m != nil {
-		//mpg:lint-ignore detreach out-of-band pool timing (DESIGN §7): wall time feeds metrics only, never task results or their order
-		if wall := float64(time.Since(mapStart)) / float64(time.Millisecond); wall > 0 {
-			m.Gauge("parallel_pool_utilization").Set(taskMS.Sum() / (float64(w) * wall))
-		}
+	if wall := mapT.End(); wall > 0 {
+		m.Gauge("parallel_pool_utilization").Set(float64(busy.Load()) / (float64(w) * float64(wall)))
 	}
 
 	if failed.Load() {

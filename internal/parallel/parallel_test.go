@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"mpgraph/internal/obsv"
 )
 
 func TestMapOrderedResults(t *testing.T) {
@@ -185,5 +188,32 @@ func TestRunPropagatesSuccess(t *testing.T) {
 	}
 	if sum.Load() != 4950 {
 		t.Fatalf("sum = %d", sum.Load())
+	}
+}
+
+// TestPoolUtilizationPerFanOut: the utilization gauge describes the
+// last fan-out alone. A long fan-out followed by a short one on the
+// same registry must not charge the first one's task time to the
+// second one's wall time, so the gauge stays in (0, 1].
+func TestPoolUtilizationPerFanOut(t *testing.T) {
+	reg := obsv.NewRegistry()
+	opts := Options{Workers: 4, Metrics: reg}
+	for _, d := range []time.Duration{20 * time.Millisecond, time.Millisecond} {
+		if err := Run(4, opts, func(int) error {
+			time.Sleep(d)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	if u := snap.Gauges["parallel_pool_utilization"]; u <= 0 || u > 1 {
+		t.Errorf("parallel_pool_utilization = %g, want in (0, 1]", u)
+	}
+	if n := snap.Timers["parallel_task"].Count; n != 8 {
+		t.Errorf("parallel_task count = %d, want 8", n)
+	}
+	if n := snap.Timers["parallel_map"].Count; n != 2 {
+		t.Errorf("parallel_map count = %d, want 2", n)
 	}
 }

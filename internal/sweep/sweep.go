@@ -201,7 +201,7 @@ func (cfg Config) pointModel(v float64) (*core.Model, machine.Config, error) {
 // machines trace independently. The snapshot wraps the run's own
 // records; nothing is copied.
 func (cfg Config) tracePoint(v float64, mcfg machine.Config) (*trace.Snapshot, error) {
-	defer cfg.Metrics.Timer("sweep_trace").Start()()
+	defer cfg.Metrics.Time("sweep_trace").End()
 	prog, err := workloads.BuildByName(cfg.Workload, cfg.WorkloadOptions)
 	if err != nil {
 		return nil, err
@@ -317,7 +317,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Analyze.Metrics == nil {
 		cfg.Analyze.Metrics = cfg.Metrics
 	}
-	defer cfg.Metrics.Timer("sweep_run").Start()()
+	defer cfg.Metrics.Time("sweep_run").End()
 	cfg.Metrics.Counter("sweep_points_total").Add(int64(len(vals)))
 	g, err := cfg.plan(vals)
 	if err != nil {
@@ -329,7 +329,7 @@ func Run(cfg Config) (*Result, error) {
 		tick := cfg.progressTick(len(vals))
 		results, err := eachPoint(cfg, g, popts, func(i int, v float64, set *trace.Set) (*core.Result, error) {
 			defer tick()
-			defer cfg.Metrics.SpanStart("sweep_point")()
+			defer cfg.Metrics.Time("sweep_point").End()
 			res, err := core.Analyze(set, g.models[i], cfg.Analyze)
 			if err != nil {
 				return nil, fmt.Errorf("sweep: value %g: %w", v, err)
@@ -391,7 +391,7 @@ func (cfg Config) runTrials(g grid, popts parallel.Options) ([]Point, error) {
 	tick := cfg.progressTick(len(vals) * trials)
 	results, err := parallel.Map(len(vals)*trials, popts, func(t int) (*core.Result, error) {
 		defer tick()
-		defer cfg.Metrics.SpanStart("sweep_point")()
+		defer cfg.Metrics.Time("sweep_point").End()
 		p := t / trials
 		trial := g.models[p].Clone()
 		trial.Seed = parallel.TaskSeed(cfg.ModelSeed, t)

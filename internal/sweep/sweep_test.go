@@ -175,7 +175,6 @@ func TestMetricsAndProgress(t *testing.T) {
 		"sweep_points_total":          3,
 		"sweep_trials_total":          9,
 		"sweep_compiled_points_total": 1,
-		"parallel_tasks_total":        10,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -197,11 +196,60 @@ func TestMetricsAndProgress(t *testing.T) {
 		ms["core_compile"] <= 0 || ms["core_replay_compiled"] <= 0 {
 		t.Errorf("phase timings not all positive: %v", ms)
 	}
-	if h, ok := snap.Histograms["parallel_task_ms"]; !ok || h.Count != 10 {
-		t.Errorf("parallel_task_ms histogram = %+v", snap.Histograms["parallel_task_ms"])
+	if n := snap.Timers["parallel_task"].Count; n != 10 {
+		t.Errorf("parallel_task timer count = %d, want 10", n)
 	}
 	if w := snap.Gauges["parallel_pool_workers"]; w != 2 {
 		t.Errorf("pool workers gauge = %g, want 2", w)
+	}
+}
+
+// TestSpansMatchTimers: every timed boundary is one measurement, so
+// with spans on, each timer's spans (same name) must reproduce it
+// exactly: one span per timed pass and the same summed nanoseconds.
+// parallel_task is a timer only, so it has no spans to match.
+func TestSpansMatchTimers(t *testing.T) {
+	reg := obsv.NewRegistry()
+	reg.EnableSpans()
+	if _, err := Run(Config{
+		Workload:        "tokenring",
+		WorkloadOptions: workloads.Options{Iterations: 3},
+		Machine:         machine.Config{NRanks: 4, Seed: 5},
+		Param:           ParamLatency,
+		From:            0, To: 200, Step: 100,
+		Trials:  3,
+		Workers: 2,
+		Metrics: reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	type agg struct{ count, ns int64 }
+	spans := map[string]agg{}
+	for _, s := range reg.Spans().Snapshot() {
+		a := spans[s.Name]
+		a.count++
+		a.ns += s.End - s.Start
+		spans[s.Name] = a
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"sweep_run", "sweep_trace", "core_compile", "core_replay_compiled", "sweep_point", "parallel_map"} {
+		if snap.Timers[name].Count == 0 {
+			t.Errorf("timer %s never fired", name)
+		}
+	}
+	for name, tm := range snap.Timers {
+		if name == "parallel_task" {
+			continue
+		}
+		want := agg{tm.Count, int64(reg.Timer(name).Total())}
+		if got := spans[name]; got != want {
+			t.Errorf("%s: spans (count %d, %d ns) != timer (count %d, %d ns)", name, got.count, got.ns, want.count, want.ns)
+		}
+	}
+	for name := range spans {
+		if _, ok := snap.Timers[name]; !ok {
+			t.Errorf("span %s has no timer", name)
+		}
 	}
 }
 
