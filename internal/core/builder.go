@@ -61,6 +61,9 @@ type msgState struct {
 	// peers and the compiled transfer's endpoints.
 	sendStartRef NodeRef
 	recvStartRef NodeRef
+	// The posting ranks' critical-path frontiers, held until the
+	// transfer is recycled (−1 when not recording).
+	sendPred, recvPred int32
 
 	tapeIdx int32 // transfer index on the compile tape, once matched
 }
@@ -89,11 +92,13 @@ type collParticipant struct {
 	dur       int64
 	outD      float64     // resolved completion contribution
 	outAttr   Attribution // attribution of outD from this rank's view
-	// outPredRef anchors outD for critical-path extraction: the start
-	// subevent of the participant whose path won the collective's max
-	// (the hub argmax in approx mode, the adopt-chain origin in
-	// explicit mode).
-	outPredRef NodeRef
+	// pred is the rank's critical-path frontier at arrival, held until
+	// every participant finishes (−1 when not recording).
+	pred int32
+	// outWin anchors outD for critical-path extraction: the participant
+	// whose path won the collective's max (the hub argmax in approx
+	// mode, the adopt-chain origin in explicit mode).
+	outWin *collParticipant
 }
 
 // collState gathers a collective's participants until all arrive.
@@ -104,6 +109,7 @@ type collState struct {
 	root     int32
 	parts    []collParticipant
 	resolved bool
+	finished int   // participants whose record has finished
 	tapeIdx  int32 // collective index on the compile tape, once resolved
 }
 
@@ -253,9 +259,9 @@ type analyzer struct {
 	runnable []int
 	queued   []bool
 
-	// crit holds the recorded end-merge decisions in its block log; nil
-	// unless Options.RecordCritPath.
-	crit *critLog
+	// crit holds the recorded end-merge decisions that can still reach
+	// the critical path; nil unless Options.RecordCritPath.
+	crit *critPool
 
 	// rec, when non-nil, records the execution schedule as a compiled
 	// instruction tape (see compile.go). The recorder observes; it
@@ -296,7 +302,7 @@ func newAnalyzer(set *trace.Set, model *Model, opts Options) (*analyzer, error) 
 		queued: make([]bool, n),
 	}
 	if opts.RecordCritPath {
-		a.crit = newCritBlocks(n)
+		a.crit = newCritPool(n)
 	}
 	for r := 0; r < n; r++ {
 		a.ranks[r] = &rankState{
@@ -349,7 +355,7 @@ func (a *analyzer) run() (*Result, error) {
 	orderViolationWarning(a.res)
 	a.res.finalize()
 	if a.crit != nil {
-		a.res.CritPath = buildCritPath(a.res, *a.crit)
+		a.res.CritPath = buildCritPath(a.res, a.crit.nodes, a.crit.front)
 	}
 	if m := a.opts.Metrics; m != nil {
 		m.Counter("core_analyses_total").Inc()
@@ -537,16 +543,23 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	}
 	a.nLocalEdges++ // the event-internal start→end edge
 	if a.crit != nil {
-		a.crit.add(rs.rank, rs.eventIdx, newCritNode(rs.startD, endD, a.endWinner(rs), rs.ivState))
+		win, winD, pred := a.endWinner(rs)
+		a.crit.push(rs.rank, critNode{endD: endD, winStartD: winD, winEvent: win.Event,
+			winRank: int32(win.Rank), pred: pred, state: rs.ivState})
 	}
-	// The recorder and the critical-path log have read the request and
-	// the transfer: retire the one and complete this side of the other.
+	// The recorder and the critical-path log have read the request, the
+	// transfer and the collective: retire the one and complete this
+	// rank's side of the others.
 	if rec.Kind.IsCompletion() {
 		rs.retireReq(rec.Req)
 	}
 	if m := rs.myMsg; m != nil {
 		rs.myMsg = nil
 		a.sideDone(m)
+	}
+	if cs := rs.myColl; cs != nil {
+		rs.myColl = nil
+		a.collDone(cs)
 	}
 	rs.started = true
 	rs.prevEnd = rec.End
@@ -668,11 +681,13 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 		m.sendAttr = rs.startAttr
 		m.bytes = rec.Bytes
 		m.sendStartRef = NodeRef{Rank: rs.rank, Event: rs.eventIdx}
+		m.sendPred = a.holdFront(rs.rank)
 	} else {
 		m.recvSeen = true
 		m.recvPostD = startD
 		m.recvAttr = rs.startAttr
 		m.recvStartRef = NodeRef{Rank: rs.rank, Event: rs.eventIdx}
+		m.recvPred = a.holdFront(rs.rank)
 	}
 	if m.sendSeen && m.recvSeen && !m.matched {
 		a.resolveMatch(key, m, int(key.dst))
@@ -745,13 +760,37 @@ func (a *analyzer) newMsg() *msgState {
 }
 
 // sideDone completes one side of a matched transfer. After the second,
-// no queue, request or rank refers to the transfer any more, so it is
-// zeroed onto the free list.
+// no queue, request or rank refers to the transfer any more, so it
+// drops its critical-path references and is zeroed onto the free list.
 func (a *analyzer) sideDone(m *msgState) {
 	if m.sidesDone++; m.sidesDone == 2 {
+		if a.crit != nil {
+			a.crit.release(m.sendPred)
+			a.crit.release(m.recvPred)
+		}
 		*m = msgState{next: a.msgFree}
 		a.msgFree = m
 	}
+}
+
+// collDone counts one participant's finished collective record. After
+// the last, the participants' critical-path references go.
+func (a *analyzer) collDone(cs *collState) {
+	if cs.finished++; cs.finished == len(cs.parts) && a.crit != nil {
+		for i := range cs.parts {
+			a.crit.release(cs.parts[i].pred)
+		}
+	}
+}
+
+// holdFront takes a reference to the rank's critical-path frontier for
+// a post or an arrival that its record's end merge may name as winner;
+// −1 when not recording.
+func (a *analyzer) holdFront(rank int) int32 {
+	if a.crit == nil {
+		return -1
+	}
+	return a.crit.hold(a.crit.front[rank])
 }
 
 // completeBlockingP2P resolves a blocking Send or Recv end subevent.
@@ -777,21 +816,23 @@ func (a *analyzer) completeBlockingP2P(rs *rankState, rec trace.Record) (float64
 }
 
 // endWinner names the start subevent whose path won the current
-// record's end merge, as its wait state tells: the record's own start
+// record's end merge, as its wait state tells — the record's own start
 // when the local path won, else the winning post of its transfer or the
-// winning participant of its collective.
-func (a *analyzer) endWinner(rs *rankState) NodeRef {
+// winning participant of its collective — with D there and the
+// critical-path node of the end just before it.
+func (a *analyzer) endWinner(rs *rankState) (NodeRef, float64, int32) {
 	switch rs.ivState {
 	case WaitLateSender, WaitLateReceiver:
 		m := rs.myMsg
 		if sendPostWon(&m.xfer, rs.ivState, a.model.Propagation) {
-			return m.sendStartRef
+			return m.sendStartRef, m.sendStartD, m.sendPred
 		}
-		return m.recvStartRef
+		return m.recvStartRef, m.recvPostD, m.recvPred
 	case WaitCollective:
-		return rs.myColl.part(rs.rank).outPredRef
+		w := rs.myColl.part(rs.rank).outWin
+		return w.startRef, w.startD, w.pred
 	}
-	return NodeRef{Rank: rs.rank, Event: rs.eventIdx}
+	return NodeRef{Rank: rs.rank, Event: rs.eventIdx}, rs.startD, a.crit.front[rs.rank]
 }
 
 // sendCompletion applies Eq. 1's sender rule: the local path carries

@@ -41,6 +41,7 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 			startAttr: rs.startAttr,
 			startRef:  NodeRef{Rank: rs.rank, Event: rs.eventIdx},
 			dur:       rec.Duration(),
+			pred:      a.holdFront(rs.rank),
 		})
 		rs.posted = true
 		rs.myColl = cs
@@ -119,6 +120,14 @@ func (a *analyzer) resolveCollective(cs *collState) {
 		a.resolveApprox(cs, ordered)
 	case CollectiveExplicit:
 		a.resolveExplicit(cs, ordered)
+	default:
+		// An unknown mode resolves nothing: zero contributions, won by
+		// the lowest rank, as in the compiled replay.
+		_, outD, outAttr, outPred := a.collBufs(ordered)
+		clear(outD)
+		clear(outAttr)
+		clear(outPred)
+		applyCollOut(ordered, outD, outAttr, outPred)
 	}
 }
 
@@ -140,12 +149,12 @@ func (a *analyzer) collBufs(ordered []*collParticipant) (in []collIn, outD []flo
 }
 
 // applyCollOut copies the kernel outputs back onto the participants,
-// resolving winner indices to node references.
+// resolving winner indices to the winning participants.
 func applyCollOut(ordered []*collParticipant, outD []float64, outAttr []Attribution, outPred []int32) {
 	for i, part := range ordered {
 		part.outD = outD[i]
 		part.outAttr = outAttr[i]
-		part.outPredRef = ordered[outPred[i]].startRef
+		part.outWin = ordered[outPred[i]]
 	}
 }
 

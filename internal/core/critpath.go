@@ -1,39 +1,45 @@
 package core
 
 // Critical-path extraction: when Options.RecordCritPath is set, the
-// analyzer keeps one entry per record — the delays at its start and
-// end subevents and the start subevent whose path won the end merge
-// (the local-vs-remote decision of an Eq. 1/Eq. 2 completion or of the
-// collective hub). Recording reads the decisions the merges already
-// make: no sample is drawn and no delay is altered, so instrumented
-// runs are byte-identical to uninstrumented ones.
+// analyzer keeps one entry per record — D at its end subevent and the
+// start subevent whose path won the end merge (the local-vs-remote
+// decision of an Eq. 1/Eq. 2 completion or of the collective hub), with
+// D there. Recording reads the decisions the merges already make: no
+// sample is drawn and no delay is altered, so instrumented runs are
+// byte-identical to uninstrumented ones.
 //
 // Everything else on the path is derived. A start subevent's only
 // inbound edge is the local one from the rank's previous end, and event
-// 0's start is the zero-delay source; a predecessor's delay is read from
-// the predecessor's own entry; and the winning edge's kind is the class
-// of the record's wait state. After propagation the chain is walked
-// backward from the perturbed makespan sink. Each backward step carries
-// the delay increment of its winning edge (delta = D(node) − D(pred)),
-// so the per-step deltas telescope exactly to the sink's final delay in
+// 0's start is the zero-delay source, so each entry links to the entry
+// of the end just before its winning start; a predecessor's delay is
+// read from that entry; and the winning edge's kind is the class of the
+// record's wait state. After propagation the chain is walked backward
+// from the perturbed makespan sink. Each backward step carries the
+// delay increment of its winning edge (delta = D(node) − D(pred)), so
+// the per-step deltas telescope exactly to the sink's final delay in
 // every propagation mode; aggregating them per rank and per EdgeKind
 // turns "the run is N cycles slower" into "which edges caused it".
+//
+// The compiled replay keeps every entry in one flat array indexed like
+// its events. The streaming analyzer counts references instead and
+// keeps only the entries some chain can still reach (critPool).
 
-// critNode is one record's entry: D at its start and end subevents,
-// the start subevent (winRank, winEvent) whose path won the end merge —
-// the record's own start, a transfer's post, or a collective winner's
-// start — and the record's wait state, which names the winning edge.
+// critNode is one record's entry: D at its end subevent; the start
+// subevent (winRank, winEvent) whose path won the end merge — the
+// record's own start, a transfer's post, or a collective winner's start
+// — and D there, the value the merge compared; the record's wait state,
+// which names the winning edge; and pred, the node of the end subevent
+// just before the winning start (−1 when that start is a rank's event
+// 0, the zero-delay source). The chain end → pred → pred… is the
+// critical path. refs counts the references that keep a streaming
+// node live; the compiled replay leaves it 0.
 type critNode struct {
-	startD, endD float64
-	winEvent     int64
-	winRank      int32
-	state        WaitState
-}
-
-// newCritNode builds a record's entry from the start subevent win
-// whose path won its end merge.
-func newCritNode(startD, endD float64, win NodeRef, state WaitState) critNode {
-	return critNode{startD: startD, endD: endD, winEvent: win.Event, winRank: int32(win.Rank), state: state}
+	endD, winStartD float64
+	winEvent        int64
+	winRank         int32
+	pred            int32
+	refs            int32
+	state           WaitState
 }
 
 // sendPostWon reports whether a transfer's remote completion path ran
@@ -58,56 +64,67 @@ func (s WaitState) edgeKind() EdgeKind {
 	return EdgeLocal
 }
 
-// The streaming analyzer's log is made of critBlockLen-node blocks,
-// carved up to critSlabBlocks at a time from shared slabs.
-const (
-	critBlockShift = 6
-	critBlockLen   = 1 << critBlockShift
-	critSlabBlocks = 64
-)
-
-// critLog holds the recorded entries, one critNode per event in
-// per-rank record order. The replay engines know every rank's event
-// count up front and fill flat, one preallocated slice per rank. The
-// streaming analyzer does not, so it fills blocks: per rank, a list of
-// fixed-size blocks taken from shared slabs. A node is written once
-// and never copied by slice growth.
-type critLog struct {
-	flat   [][]critNode
-	blocks [][][]critNode
-
-	slab       []critNode
-	slabBlocks int
+// critPool is the streaming analyzer's critical-path log: a pool of
+// reference-counted nodes. A node is referenced by its rank's frontier
+// (the rank's latest finished record), by each posted side of a
+// transfer and each collective participant that began right after it,
+// and by the pred of every live node. When the last reference goes, the
+// node joins the free list (linked through pred) and drops its own
+// pred. What stays live is the argmax chains that can still win: the
+// path behind each rank's frontier plus the window of in-flight
+// operations, not the trace. Nodes are appended only when the free
+// list is empty, so len(nodes) is the live high-water mark.
+type critPool struct {
+	nodes []critNode
+	free  int32   // head of the free list, −1 when empty
+	front []int32 // per rank, the latest finished record's node; −1 before it
 }
 
-// newCritBlocks returns an empty block log for n ranks. A slab holds
-// one block per rank, up to critSlabBlocks, so small traces stay small.
-func newCritBlocks(n int) *critLog {
-	return &critLog{blocks: make([][][]critNode, n), slabBlocks: min(n, critSlabBlocks)}
+func newCritPool(nranks int) *critPool {
+	p := &critPool{free: -1, front: make([]int32, nranks)}
+	for r := range p.front {
+		p.front[r] = -1
+	}
+	return p
 }
 
-// add stores the node of the rank's event-th record; events arrive in
-// record order.
-func (l *critLog) add(rank int, event int64, n critNode) {
-	blocks := l.blocks[rank]
-	b := event >> critBlockShift
-	if b == int64(len(blocks)) {
-		if len(l.slab) == 0 {
-			l.slab = make([]critNode, l.slabBlocks*critBlockLen)
+// hold takes a reference to node i (none when i is −1) and returns i.
+func (p *critPool) hold(i int32) int32 {
+	if i >= 0 {
+		p.nodes[i].refs++
+	}
+	return i
+}
+
+// release drops a reference to node i. A node left with none goes on
+// the free list and releases its pred in turn, iteratively. A count
+// driven below zero by a double release stops there instead of freeing
+// the node twice.
+func (p *critPool) release(i int32) {
+	for i >= 0 {
+		n := &p.nodes[i]
+		if n.refs--; n.refs != 0 {
+			return
 		}
-		blocks = append(blocks, l.slab[:critBlockLen:critBlockLen])
-		l.slab = l.slab[critBlockLen:]
-		l.blocks[rank] = blocks
+		i, n.pred, p.free = n.pred, p.free, i
 	}
-	blocks[b][event&(critBlockLen-1)] = n
 }
 
-// at returns the entry of the rank's event-th record.
-func (l critLog) at(rank int, event int64) *critNode {
-	if l.blocks != nil {
-		return &l.blocks[rank][event>>critBlockShift][event&(critBlockLen-1)]
+// push makes n the rank's frontier: n holds its pred, the frontier
+// holds n, and the previous frontier loses the frontier's reference.
+func (p *critPool) push(rank int, n critNode) {
+	p.hold(n.pred)
+	n.refs = 1
+	i := p.free
+	if i >= 0 {
+		p.free = p.nodes[i].pred
+		p.nodes[i] = n
+	} else {
+		i = int32(len(p.nodes))
+		p.nodes = append(p.nodes, n)
 	}
-	return &l.flat[rank][event]
+	p.release(p.front[rank])
+	p.front[rank] = i
 }
 
 // PathStep is one node of the extracted critical path with the delay
@@ -155,8 +172,9 @@ type CriticalPath struct {
 
 // buildCritPath walks the recorded argmax chain backward from the
 // makespan sink and aggregates blame. res.Ranks must hold the final
-// per-rank event counts.
-func buildCritPath(res *Result, crit critLog) *CriticalPath {
+// per-rank event counts, and top[r] must be the node of rank r's last
+// record.
+func buildCritPath(res *Result, nodes []critNode, top []int32) *CriticalPath {
 	sinkRank := 0
 	best := 0.0
 	var origMax int64
@@ -177,32 +195,27 @@ func buildCritPath(res *Result, crit critLog) *CriticalPath {
 		RankBlame:  make([]float64, res.NRanks),
 	}
 
-	// Backward walk. The chain is acyclic (every predecessor is
-	// causally earlier), so it terminates at a first-event start; the
-	// step bound is a defensive backstop only.
+	// Backward walk, two steps per node: its end subevent, then the
+	// winning start. The chain is acyclic (every predecessor is causally
+	// earlier), so it terminates at a first-event start; the step bound
+	// is a defensive backstop only.
 	var rev []PathStep
-	cur := cp.Sink
-	for limit := 2*res.Events + 1; limit > 0; limit-- {
-		n := crit.at(cur.Rank, cur.Event)
-		if !cur.End && cur.Event == 0 { // the zero-delay source
-			rev = append(rev, PathStep{Node: cur, Kind: EdgeLocal, Delay: n.startD})
+	add := func(s PathStep) {
+		rev = append(rev, s)
+		cp.KindBlame[s.Kind] += s.Delta
+		cp.RankBlame[s.Node.Rank] += s.Delta
+	}
+	cur, i := cp.Sink, top[sinkRank]
+	for limit := res.Events + 1; limit > 0; limit-- {
+		n := &nodes[i]
+		add(PathStep{Node: cur, Kind: n.state.edgeKind(), Delta: n.endD - n.winStartD, Delay: n.endD})
+		start := NodeRef{Rank: int(n.winRank), Event: n.winEvent}
+		if start.Event == 0 { // the zero-delay source
+			rev = append(rev, PathStep{Node: start, Kind: EdgeLocal, Delay: n.winStartD})
 			break
 		}
-		var step PathStep
-		var pred NodeRef
-		if cur.End {
-			step = PathStep{Node: cur, Kind: n.state.edgeKind(), Delay: n.endD}
-			pred = NodeRef{Rank: int(n.winRank), Event: n.winEvent}
-			step.Delta = n.endD - crit.at(pred.Rank, pred.Event).startD
-		} else {
-			step = PathStep{Node: cur, Kind: EdgeLocal, Delay: n.startD}
-			pred = NodeRef{Rank: cur.Rank, Event: cur.Event - 1, End: true}
-			step.Delta = n.startD - crit.at(pred.Rank, pred.Event).endD
-		}
-		rev = append(rev, step)
-		cp.KindBlame[step.Kind] += step.Delta
-		cp.RankBlame[cur.Rank] += step.Delta
-		cur = pred
+		add(PathStep{Node: start, Kind: EdgeLocal, Delta: n.winStartD - nodes[n.pred].endD, Delay: n.winStartD})
+		cur, i = NodeRef{Rank: start.Rank, Event: start.Event - 1, End: true}, n.pred
 	}
 	cp.Steps = make([]PathStep, len(rev))
 	for i, s := range rev {

@@ -155,8 +155,8 @@ func TestReplayStateResetAllocs(t *testing.T) {
 // TestAnalyzeAllocsPerEvent pins the streaming analyzer's per-record
 // bookkeeping: region stats come from a per-rank cache, requests from
 // a dense table, transfers from slabs, and critical-path nodes from a
-// block log, so allocations grow with slabs and blocks, not with
-// records. Before those changes the analyzer made ~1.4 allocations per
+// pool that reuses freed nodes, so allocations grow with slabs and the
+// pool, not with records. Before those changes the analyzer made ~1.4 allocations per
 // event on this trace; the budget is 0.6.
 func TestAnalyzeAllocsPerEvent(t *testing.T) {
 	snap := snapWorkload(t, "stencil2d", 64, workloads.Options{Iterations: 10})
@@ -182,8 +182,9 @@ func TestAnalyzeAllocsPerEvent(t *testing.T) {
 // TestCritPathBytesPerEvent pins what critical-path recording costs
 // the streaming analyzer in memory: the bytes a run allocates with
 // RecordCritPath on, minus the bytes it allocates with it off, per
-// event. One 32-byte entry per record, holding two delays and the
-// winning start subevent, measures about 40 B per event here.
+// event. The pool keeps a 40-byte node only while a chain can still
+// reach it and reuses the rest, which measures about 11 B per event
+// here; one node per record measured about 40.
 func TestCritPathBytesPerEvent(t *testing.T) {
 	if sz := unsafe.Sizeof(critNode{}); sz > 48 {
 		t.Fatalf("critNode is %d bytes; want <= 48", sz)
@@ -215,7 +216,7 @@ func TestCritPathBytesPerEvent(t *testing.T) {
 	off, on := allocated(false), allocated(true)
 	perEvent := (float64(on) - float64(off)) / float64(snap.Events())
 	t.Logf("critical-path recording adds %.1f B per event (%d events)", perEvent, snap.Events())
-	if perEvent > 56 {
-		t.Fatalf("critical-path recording allocates %.1f B per event; want <= 56", perEvent)
+	if perEvent > 20 {
+		t.Fatalf("critical-path recording allocates %.1f B per event; want <= 20", perEvent)
 	}
 }

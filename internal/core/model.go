@@ -193,8 +193,9 @@ type Options struct {
 	// RecordCritPath records the winning predecessor of every end
 	// merge so Result.CritPath can name the edges behind the makespan
 	// delay. Recording never alters propagated delays (no sample is
-	// drawn and no comparison changes), at the cost of O(events)
-	// memory.
+	// drawn and no comparison changes). It costs the critical path
+	// plus the window in memory in Analyze, and O(events) in
+	// ReplayCompiled.
 	RecordCritPath bool
 	// Metrics, when non-nil, receives engine counters (events, edges,
 	// matches, samples drawn, window high-water) and the analyze phase

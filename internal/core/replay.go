@@ -235,9 +235,9 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 				}
 			}
 			if recordCrit {
-				win := st.endWinner(c, o, ivState, model.Propagation)
-				//mpg:lint-ignore hotpathprop appends into pooled critBack backing whose cap is the rank's full event count; never grows
-				st.crit[rank] = append(st.crit[rank], newCritNode(sD, endD, win, ivState))
+				win, winD, pred := st.endWinner(c, o, ivState, model.Propagation)
+				st.critBack[gi] = critNode{endD: endD, winStartD: winD, winEvent: win.Event,
+					winRank: int32(win.Rank), pred: pred, state: ivState}
 			}
 			st.prevD[rank] = endD
 			st.prevAttr[rank] = endAttr
@@ -301,7 +301,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 	}
 	if recordCrit {
 		//mpg:lint-ignore hotpathprop once-per-replay path reconstruction after the event loop
-		res.CritPath = buildCritPath(res, critLog{flat: st.crit})
+		res.CritPath = buildCritPath(res, st.critBack, st.critTop)
 	}
 	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: recorded after the event loop, never feeds back into replay results
 	if m := opts.Metrics; m != nil {
@@ -350,9 +350,10 @@ type replayState struct {
 
 	regions []RegionStats // dense, indexed like Compiled.regionKeys
 
-	// Critical-path recording (lazy; only when RecordCritPath).
-	crit     [][]critNode
+	// Critical-path recording (lazy; only when RecordCritPath): one node
+	// per event, indexed like startD, and each rank's last node.
 	critBack []critNode
+	critTop  []int32
 }
 
 // poolGet and poolPut confine the analysis loader's stubbed sync.Pool
@@ -431,35 +432,43 @@ func (st *replayState) reset(m *Model) {
 	}
 }
 
-// ensureCrit prepares the per-rank critical-path slices over a
-// single pooled backing array (full length is known from the program).
+// ensureCrit allocates the pooled critical-path log on first use; its
+// length is known from the program, and every replay overwrites it.
 func (st *replayState) ensureCrit(c *Compiled) {
 	if st.critBack == nil {
 		st.critBack = make([]critNode, c.evBase[c.nranks])
-		st.crit = make([][]critNode, c.nranks)
-	}
-	for r := 0; r < c.nranks; r++ {
-		st.crit[r] = st.critBack[c.evBase[r]:c.evBase[r]:c.evBase[r+1]]
+		st.critTop = make([]int32, c.nranks)
+		for r := range st.critTop {
+			st.critTop[r] = int32(c.evBase[r+1] - 1)
+		}
 	}
 }
 
 // endWinner is analyzer.endWinner for the compiled engine: the start
-// subevent whose path won end op o's merge, as its wait state tells.
+// subevent whose path won end op o's merge, as its wait state tells,
+// with D there and the node of the end just before it (−1 at event 0).
 //
 //mpg:hotpath
-func (st *replayState) endWinner(c *Compiled, o *op, state WaitState, p PropagationMode) NodeRef {
+func (st *replayState) endWinner(c *Compiled, o *op, state WaitState, p PropagationMode) (NodeRef, float64, int32) {
+	rank, event := o.rank, o.event
 	switch state {
 	case WaitLateSender, WaitLateReceiver:
 		cm := &c.msgs[o.arg]
 		if sendPostWon(&st.msgs[o.arg], state, p) {
-			return NodeRef{Rank: int(cm.sendRank), Event: cm.sendEvent}
+			rank, event = cm.sendRank, cm.sendEvent
+		} else {
+			rank, event = cm.recvRank, cm.recvEvent
 		}
-		return NodeRef{Rank: int(cm.recvRank), Event: cm.recvEvent}
 	case WaitCollective:
 		wp := &c.parts[c.colls[c.parts[o.arg].coll].partOff+st.collOutPred[o.arg]]
-		return NodeRef{Rank: int(wp.rank), Event: wp.event}
+		rank, event = wp.rank, wp.event
 	}
-	return NodeRef{Rank: int(o.rank), Event: o.event}
+	gi := c.evBase[rank] + event
+	pred := int32(gi - 1)
+	if event == 0 {
+		pred = -1
+	}
+	return NodeRef{Rank: int(rank), Event: event}, st.startD[gi], pred
 }
 
 // resolveColl runs the collective resolution kernel for one compiled
