@@ -89,7 +89,6 @@ type collParticipant struct {
 	startD    float64
 	startAttr Attribution
 	startRef  NodeRef
-	dur       int64
 	outD      float64     // resolved completion contribution
 	outAttr   Attribution // attribution of outD from this rank's view
 	// pred is the rank's critical-path frontier at arrival, held until
@@ -278,8 +277,7 @@ type analyzer struct {
 
 	// Engine counters, flushed to Options.Metrics at the end of the
 	// run. Plain ints: the analyzer is single-goroutine.
-	nLocalEdges, nMsgEdges, nCollEdges int64
-	nMatches, nColls                   int64
+	cnt engineCounts
 }
 
 func newAnalyzer(set *trace.Set, model *Model, opts Options) (*analyzer, error) {
@@ -357,18 +355,7 @@ func (a *analyzer) run() (*Result, error) {
 	if a.crit != nil {
 		a.res.CritPath = buildCritPath(a.res, a.crit.nodes, a.crit.front)
 	}
-	if m := a.opts.Metrics; m != nil {
-		m.Counter("core_analyses_total").Inc()
-		m.Counter("core_events_total").Add(a.res.Events)
-		m.Counter("core_edges_local_total").Add(a.nLocalEdges)
-		m.Counter("core_edges_message_total").Add(a.nMsgEdges)
-		m.Counter("core_edges_collective_total").Add(a.nCollEdges)
-		m.Counter("core_matches_total").Add(a.nMatches)
-		m.Counter("core_collectives_total").Add(a.nColls)
-		m.Counter("core_samples_noise_total").Add(a.smp.nNoise)
-		m.Counter("core_samples_message_total").Add(a.smp.nMsg)
-		m.Gauge("core_window_high_water").SetMax(float64(a.res.WindowHighWater))
-	}
+	flushMetrics(a.opts.Metrics, "core_analyses_total", a.res, &a.cnt, a.smp)
 	return a.res, nil
 }
 
@@ -432,8 +419,15 @@ func (a *analyzer) beginRecord(rs *rankState, rec trace.Record) error {
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("core: rank %d record %d: %w", rs.rank, rs.eventIdx, err)
 	}
-	if rs.started && rec.Begin < rs.prevEnd {
-		return fmt.Errorf("core: rank %d: record %d overlaps its predecessor", rs.rank, rs.eventIdx)
+	gap := int64(0)
+	if rs.started {
+		if rec.Begin < rs.prevEnd {
+			return fmt.Errorf("core: rank %d: record %d overlaps its predecessor", rs.rank, rs.eventIdx)
+		}
+		if gap = rec.Begin - rs.prevEnd; gap < 0 {
+			return fmt.Errorf("core: rank %d: compute gap before record %d (begin %d after the previous end %d) overflows int64",
+				rs.rank, rs.eventIdx, rec.Begin, rs.prevEnd)
+		}
 	}
 	rs.cur = rec
 	rs.posted = false
@@ -445,28 +439,12 @@ func (a *analyzer) beginRecord(rs *rankState, rec trace.Record) error {
 	rs.ivPeerEvent = 0
 	rs.ph = phaseComplete
 
-	gap := int64(0)
-	if rs.started {
-		gap = rec.Begin - rs.prevEnd
-	}
 	if a.rec != nil {
 		a.rec.onBegin(rs, gap)
 	}
-	delta := a.smp.computeNoise(rs.rank, gap)
-	rs.startD = rs.prevD + delta
-	rs.startAttr = rs.prevAttr.addOwn(delta)
-	a.res.Ranks[rs.rank].InjectedLocal += delta
-	if a.model.AllowNegative && rs.started {
-		// Order preservation (§4.3): an event may not begin before its
-		// predecessor's perturbed end.
-		if floor := rs.prevD - float64(gap); rs.startD < floor {
-			rs.startD = floor
-			a.res.OrderViolations++
-		}
-	}
-
+	rs.startD, rs.startAttr = beginKernel(a.smp, a.res, rs.rank, gap, rs.prevD, rs.prevAttr)
 	if rs.started {
-		a.nLocalEdges++ // compute-gap edge
+		a.cnt.localEdges++ // compute-gap edge
 	}
 	return nil
 }
@@ -489,9 +467,7 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 		endAttr = rs.startAttr
 
 	case rec.Kind == trace.KindInit || rec.Kind == trace.KindFinalize:
-		delta := a.smp.osNoise(rs.rank)
-		a.res.Ranks[rs.rank].InjectedLocal += delta
-		endD, endAttr = a.combineLocal(rs, delta, rec.Duration())
+		endD, endAttr = localEndKernel(a.smp, &a.res.Ranks[rs.rank], rs.rank, rs.startD, rs.startAttr, rec.Duration())
 
 	case rec.Kind == trace.KindSend || rec.Kind == trace.KindRecv:
 		d, attr, ok, err := a.completeBlockingP2P(rs, rec)
@@ -533,15 +509,8 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	if a.rec != nil {
 		a.rec.onEnd(rs, rec)
 	}
-	if a.model.AllowNegative {
-		// Order preservation (§4.3): an event may not end before it
-		// begins under negative perturbations.
-		if floor := rs.startD - float64(rec.Duration()); endD < floor {
-			endD = floor
-			a.res.OrderViolations++
-		}
-	}
-	a.nLocalEdges++ // the event-internal start→end edge
+	endD = commitKernel(a.res, &a.res.Ranks[rs.rank], a.region(rs), a.model.AllowNegative, rs.startD, endD, rec.Duration())
+	a.cnt.localEdges++ // the event-internal start→end edge
 	if a.crit != nil {
 		win, winD, pred := a.endWinner(rs)
 		a.crit.push(rs.rank, critNode{endD: endD, winStartD: winD, winEvent: win.Event,
@@ -567,11 +536,6 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	rs.prevAttr = endAttr
 	rs.eventIdx++
 	rs.ph = phaseFetch
-
-	rr := &a.res.Ranks[rs.rank]
-	rr.Events++
-	a.res.Events++
-	a.res.DelayStats.Add(endD)
 	if a.opts.Interval != nil {
 		a.opts.Interval(IntervalPoint{
 			Rank:       rs.rank,
@@ -588,14 +552,6 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 			Region:     rs.region,
 		})
 	}
-
-	reg := a.region(rs)
-	if !reg.firstSeen {
-		reg.firstSeen = true
-		reg.firstDelay = endD
-	}
-	reg.Events++
-	reg.DelayGrowth = endD - reg.firstDelay
 }
 
 // finishRank handles EOF on one rank.
@@ -616,14 +572,6 @@ func (a *analyzer) finishRank(rs *rankState) {
 	}
 }
 
-// --- combination rules --------------------------------------------------
-
-// combineLocal folds a local-edge delta into the running delay
-// (compute.go kernel; shared with the compiled replayer).
-func (a *analyzer) combineLocal(rs *rankState, delta float64, w int64) (float64, Attribution) {
-	return combineLocalKernel(a.model.Propagation, rs.startD, rs.startAttr, delta, w)
-}
-
 // region returns (creating if needed) the stats bucket of the rank's
 // current marker region, through the rank's cache.
 func (a *analyzer) region(rs *rankState) *RegionStats {
@@ -636,12 +584,6 @@ func (a *analyzer) region(rs *rankState) *RegionStats {
 		}
 	}
 	return rs.reg
-}
-
-// merge folds one remote contribution into the local one, recording
-// absorbed/propagated statistics for the rank and its current region.
-func (a *analyzer) merge(rs *rankState, local, remote float64) float64 {
-	return mergeStats(&a.res.Ranks[rs.rank], a.region(rs), local, remote)
 }
 
 // --- point-to-point -----------------------------------------------------
@@ -695,20 +637,13 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 	return m
 }
 
-// resolveMatch samples the transfer's deltas and computes the shared
-// path contributions (paper Fig. 2 / Eq. 1 structure):
-//
-//	cData = D(send start) + δ_λ1 + δ_t(d)   — the data path
-//	cRecv = max(cData, D(recv post))        — transfer completion
+// resolveMatch samples the transfer's deltas (sampler.sampleMatch),
+// drops it from its queue and reschedules the ranks stalled on it.
 func (a *analyzer) resolveMatch(key msgKey, m *msgState, recvRank int) {
-	m.dLat1 = a.smp.latency()
-	m.dPerByte = a.smp.perByte(m.bytes)
-	m.dLat2 = a.smp.latency()
-	m.dOS2 = a.smp.osNoise(recvRank)
-	m.resolveCompletion()
+	a.smp.sampleMatch(&m.xfer, m.bytes, recvRank)
 	m.matched = true
-	a.nMatches++
-	a.nMsgEdges += 2 // data + acknowledgment edges
+	a.cnt.matches++
+	a.cnt.msgEdges += 2 // data + acknowledgment edges
 	if a.rec != nil {
 		a.rec.onMatch(m)
 	}
@@ -805,13 +740,7 @@ func (a *analyzer) completeBlockingP2P(rs *rankState, rec trace.Record) (float64
 		m.waiters = append(m.waiters, rs.rank)
 		return 0, Attribution{}, false, nil
 	}
-	var d float64
-	var attr Attribution
-	if isSend {
-		d, attr = a.sendCompletion(rs, m, rec.Duration())
-	} else {
-		d, attr = a.recvCompletion(rs, m, rec.Duration())
-	}
+	d, attr := a.p2pCompletion(rs, m, isSend, rec.Duration())
 	return d, attr, true, nil
 }
 
@@ -835,40 +764,20 @@ func (a *analyzer) endWinner(rs *rankState) (NodeRef, float64, int32) {
 	return NodeRef{Rank: rs.rank, Event: rs.eventIdx}, rs.startD, a.crit.front[rs.rank]
 }
 
-// sendCompletion applies Eq. 1's sender rule: the local path carries
-// δ_os1, the remote path is the transfer completion plus the
-// acknowledgment latency δ_λ2 (and, anchored, the receiver-side noise
-// that Eq. 1's third term includes).
-func (a *analyzer) sendCompletion(rs *rankState, m *msgState, w int64) (float64, Attribution) {
-	dOS1 := a.smp.osNoise(rs.rank)
-	a.res.Ranks[rs.rank].InjectedLocal += dOS1
-	local, remote, localAttr, remoteAttr := sendCompletionKernel(
-		a.model.Propagation, rs.startD, rs.startAttr, dOS1, w, &m.xfer)
-	a.merge(rs, local, remote)
-	// mergeStats adopts the remote path exactly when remote > local,
-	// so the branch repeats its comparison instead of re-testing the
-	// returned float for equality.
-	if remote > local {
-		rs.ivWait, rs.ivState = remote-local, WaitLateReceiver
-		return remote, remoteAttr
+// p2pCompletion resolves the end subevent of a send or receive
+// completion by Eq. 1 (sendCompletionKernel, recvCompletionKernel),
+// keeping the merge's wait and, for a receive, the matched sender
+// subevent for the interval hook.
+func (a *analyzer) p2pCompletion(rs *rankState, m *msgState, isSend bool, w int64) (d float64, attr Attribution) {
+	rr, reg := &a.res.Ranks[rs.rank], a.region(rs)
+	if isSend {
+		d, attr, rs.ivWait, rs.ivState = sendCompletionKernel(a.smp, rr, reg, rs.rank, rs.startD, rs.startAttr, w, &m.xfer)
+		return d, attr
 	}
-	return local, localAttr
-}
-
-// recvCompletion applies Eq. 1's receiver rule: the local path carries
-// δ_os2, the remote path is the data arrival.
-func (a *analyzer) recvCompletion(rs *rankState, m *msgState, w int64) (float64, Attribution) {
-	a.res.Ranks[rs.rank].InjectedLocal += m.dOS2
-	local, remote, localAttr, remoteAttr := recvCompletionKernel(
-		a.model.Propagation, rs.startD, rs.startAttr, w, &m.xfer)
-	a.merge(rs, local, remote)
 	rs.ivPeerRank = m.sendStartRef.Rank
 	rs.ivPeerEvent = m.sendStartRef.Event
-	if remote > local {
-		rs.ivWait, rs.ivState = remote-local, WaitLateSender
-		return remote, remoteAttr
-	}
-	return local, localAttr
+	d, attr, rs.ivWait, rs.ivState = recvCompletionKernel(a.model.Propagation, rr, reg, rs.startD, rs.startAttr, w, &m.xfer)
+	return d, attr
 }
 
 // postNonblocking registers an Isend/Irecv post; the end subevent is
@@ -901,13 +810,7 @@ func (a *analyzer) completeWait(rs *rankState, rec trace.Record) (float64, Attri
 	if ref.isSend {
 		rs.waitedSends++
 	}
-	var d float64
-	var attr Attribution
-	if ref.isSend {
-		d, attr = a.sendCompletion(rs, m, rec.Duration())
-	} else {
-		d, attr = a.recvCompletion(rs, m, rec.Duration())
-	}
+	d, attr := a.p2pCompletion(rs, m, ref.isSend, rec.Duration())
 	return d, attr, true, nil
 }
 

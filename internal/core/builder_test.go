@@ -339,6 +339,35 @@ func TestOverlappingRecordsRejected(t *testing.T) {
 	}
 }
 
+// TestOverflowingTimesRejected feeds records whose traced span, or
+// whose compute gap from the previous record, does not fit in an
+// int64. Both engines' front end must reject them: a wrapped span or
+// gap would propagate a delay of ~9.2e18 cycles from a zero model.
+func TestOverflowingTimesRejected(t *testing.T) {
+	for name, tc := range map[string]struct {
+		recs []trace.Record
+		want string
+	}{
+		"span": {
+			[]trace.Record{rec(trace.KindInit, math.MinInt64, 0), rec(trace.KindFinalize, 0, 0)},
+			"span [-9223372036854775808,0] overflows int64",
+		},
+		"gap": {
+			[]trace.Record{rec(trace.KindInit, math.MinInt64, math.MinInt64), rec(trace.KindFinalize, 1, 1)},
+			"compute gap before record 1 (begin 1 after the previous end -9223372036854775808) overflows int64",
+		},
+	} {
+		_, err := Analyze(mkset(t, tc.recs), &Model{Propagation: PropagationAnchored}, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Analyze error %v, want %q", name, err, tc.want)
+		}
+		_, err = Compile(mkset(t, tc.recs), Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Compile error %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
 func TestMaxWindowEnforced(t *testing.T) {
 	// Rank 0 posts many isends before rank 1 receives any; a tiny
 	// window must trip.
@@ -535,10 +564,38 @@ func TestNoiseQuantumScalesWithGapLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	// gap1: 1 quantum -> 3; gap2: 100 quanta -> 300. Zero-length gap to
-	// finalize: 0. Init duration 0: internal edge has w=0 but os noise
-	// applies to init's internal edge via combineLocal... duration 0,
-	// additive: +3.
+	// finalize: 0. Init and Finalize each draw one osNoise on their
+	// internal edge (localEndKernel), additive: +3 each.
 	wantDelay(t, "quantized noise", res.Ranks[0].FinalDelay, 3+3+300+3)
+}
+
+// TestNoiseQuantumNearMaxInt64 quantizes a compute gap of MaxInt64−1
+// cycles: ceil(gap/4) = 2^61 quanta, drawn as MaxNoiseSamplesPerEdge
+// samples and scaled up. A ceiling formed as gap+q−1 wraps negative
+// there and drops the gap's noise entirely.
+func TestNoiseQuantumNearMaxInt64(t *testing.T) {
+	set := func() *trace.Set {
+		return mkset(t, []trace.Record{
+			rec(trace.KindInit, 0, 0),
+			rec(trace.KindFinalize, math.MaxInt64-1, math.MaxInt64-1),
+		})
+	}
+	model := &Model{OSNoise: dist.Constant{C: 1}, NoiseQuantum: 4}
+	want := float64(1<<61) + 2 // the gap's quanta plus Init's and Finalize's draws
+	res, err := Analyze(set(), model, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDelay(t, "Analyze", res.Ranks[0].FinalDelay, want)
+	c, err := Compile(set(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = ReplayCompiled(c, model, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDelay(t, "ReplayCompiled", res.Ranks[0].FinalDelay, want)
 }
 
 func TestModeStrings(t *testing.T) {

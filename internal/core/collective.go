@@ -40,7 +40,6 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 			startD:    rs.startD,
 			startAttr: rs.startAttr,
 			startRef:  NodeRef{Rank: rs.rank, Event: rs.eventIdx},
-			dur:       rec.Duration(),
 			pred:      a.holdFront(rs.rank),
 		})
 		rs.posted = true
@@ -63,17 +62,11 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 	if p == nil {
 		return 0, Attribution{}, false, fmt.Errorf("core: rank %d lost its collective participation", rs.rank)
 	}
-	local := rs.startD
-	remote := p.outD
-	if a.model.Propagation == PropagationAnchored {
-		remote -= float64(p.dur)
-	}
-	a.merge(rs, local, remote)
-	if remote > local {
-		rs.ivWait, rs.ivState = remote-local, WaitCollective
-		return remote, p.outAttr, true, nil
-	}
-	return local, rs.startAttr, true, nil
+	var d float64
+	var attr Attribution
+	d, attr, rs.ivWait, rs.ivState = collEndKernel(a.model.Propagation, &a.res.Ranks[rs.rank], a.region(rs),
+		rs.startD, rs.startAttr, rec.Duration(), p.outD, p.outAttr)
+	return d, attr, true, nil
 }
 
 // part returns the rank's participation in the collective, or nil.
@@ -91,8 +84,8 @@ func (cs *collState) part(rank int) *collParticipant {
 // in ascending world-rank order so sampling is deterministic.
 func (a *analyzer) resolveCollective(cs *collState) {
 	cs.resolved = true
-	a.nColls++
-	a.nCollEdges += int64(2*len(cs.parts) - 1) // Fig. 4 hub in/out edges
+	a.cnt.colls++
+	a.cnt.collEdges += int64(2*len(cs.parts) - 1) // Fig. 4 hub in/out edges
 	// Sort participants by rank for deterministic sampling; arrival
 	// order depends on scheduling.
 	ordered := a.collOrder[:0]
@@ -108,32 +101,6 @@ func (a *analyzer) resolveCollective(cs *collState) {
 	if a.rec != nil {
 		a.rec.onCollResolve(cs, ordered)
 	}
-	if cs.kind == trace.KindScan {
-		// Scan's forward-only dependence has no Fig. 4 hub analog (the
-		// hub would let later ranks delay earlier ones); the explicit
-		// prefix chain is already compact (O(p)), so both modes use it.
-		a.resolveExplicit(cs, ordered)
-		return
-	}
-	switch a.model.Collectives {
-	case CollectiveApprox:
-		a.resolveApprox(cs, ordered)
-	case CollectiveExplicit:
-		a.resolveExplicit(cs, ordered)
-	default:
-		// An unknown mode resolves nothing: zero contributions, won by
-		// the lowest rank, as in the compiled replay.
-		_, outD, outAttr, outPred := a.collBufs(ordered)
-		clear(outD)
-		clear(outAttr)
-		clear(outPred)
-		applyCollOut(ordered, outD, outAttr, outPred)
-	}
-}
-
-// collBufs sizes the analyzer's reusable kernel buffers for a
-// p-participant collective and loads the inbound view.
-func (a *analyzer) collBufs(ordered []*collParticipant) (in []collIn, outD []float64, outAttr []Attribution, outPred []int32) {
 	p := len(ordered)
 	if cap(a.collIn) < p {
 		a.collIn = make([]collIn, p)
@@ -141,40 +108,16 @@ func (a *analyzer) collBufs(ordered []*collParticipant) (in []collIn, outD []flo
 		a.collOutAttr = make([]Attribution, p)
 		a.collOutPred = make([]int32, p)
 	}
-	in = a.collIn[:p]
+	in, outD, outAttr, outPred := a.collIn[:p], a.collOutD[:p], a.collOutAttr[:p], a.collOutPred[:p]
 	for i, part := range ordered {
 		in[i] = collIn{rank: part.rank, startD: part.startD, startAttr: part.startAttr}
 	}
-	return in, a.collOutD[:p], a.collOutAttr[:p], a.collOutPred[:p]
-}
-
-// applyCollOut copies the kernel outputs back onto the participants,
-// resolving winner indices to the winning participants.
-func applyCollOut(ordered []*collParticipant, outD []float64, outAttr []Attribution, outPred []int32) {
+	resolveCollKernel(a.smp, cs.kind, cs.bytes, cs.root, in, &a.csc, outD, outAttr, outPred)
 	for i, part := range ordered {
 		part.outD = outD[i]
 		part.outAttr = outAttr[i]
 		part.outWin = ordered[outPred[i]]
 	}
-}
-
-// resolveApprox is the paper's Fig. 4 model (compute.go kernel,
-// shared with the compiled replayer): every participant's inbound
-// delay plus l_δ feeds a max that is propagated back to everyone.
-func (a *analyzer) resolveApprox(cs *collState, ordered []*collParticipant) {
-	in, outD, outAttr, outPred := a.collBufs(ordered)
-	resolveApproxKernel(a.smp, cs.kind, cs.bytes, in, outD, outAttr, outPred)
-	applyCollOut(ordered, outD, outAttr, outPred)
-}
-
-// resolveExplicit builds the collective's actual communication
-// pattern in delay space (compute.go kernel): dissemination rounds
-// for the symmetric collectives, binomial trees for Bcast/Reduce,
-// linear exchanges for Gather/Scatter.
-func (a *analyzer) resolveExplicit(cs *collState, ordered []*collParticipant) {
-	in, outD, outAttr, outPred := a.collBufs(ordered)
-	resolveExplicitKernel(a.smp, cs.kind, cs.bytes, cs.root, in, &a.csc, outD, outAttr, outPred)
-	applyCollOut(ordered, outD, outAttr, outPred)
 }
 
 // CollectiveRounds is the number of rounds the compact (Fig. 4) model

@@ -23,11 +23,9 @@ import (
 type opCode uint8
 
 const (
-	// opBegin is a record's start subevent: compute-gap noise draw and
-	// order clamp.
+	// opBegin is a record's start subevent (beginKernel).
 	opBegin opCode = iota
-	// opEndLocal ends an Init/Finalize record: one osNoise draw folded
-	// by combineLocalKernel.
+	// opEndLocal ends an Init/Finalize record (localEndKernel).
 	opEndLocal
 	// opEndMarker ends a Marker record: no draw, end = start.
 	opEndMarker
@@ -43,7 +41,7 @@ const (
 	// opEndColl ends a collective record; arg is the global
 	// participant index.
 	opEndColl
-	// opMatch resolves a point-to-point match (four sample draws);
+	// opMatch resolves a point-to-point match (sampler.sampleMatch);
 	// arg is the transfer index.
 	opMatch
 	// opCollResolve resolves a complete collective (per-participant
@@ -91,7 +89,6 @@ type compiledCollPart struct {
 	coll  int32
 	rank  int32
 	event int64
-	dur   int64
 }
 
 // Compiled is an immutable, flat graph program: the structural half of
@@ -124,9 +121,7 @@ type Compiled struct {
 	highWater  int
 	warnings   []string // sorted; value-independent caveats (§4.3)
 
-	// Structure-only engine counters for the metrics flush.
-	nLocalEdges, nMsgEdges, nCollEdges int64
-	nMatches, nColls                   int64
+	cnt engineCounts // for the metrics flush
 
 	pool sync.Pool // of *replayState
 }
@@ -207,7 +202,6 @@ func (r *compileRecorder) onCollResolve(cs *collState, ordered []*collParticipan
 			coll:  idx,
 			rank:  int32(p.rank),
 			event: p.startRef.Event,
-			dur:   p.dur,
 		})
 	}
 	if len(ordered) > r.maxParts {
@@ -288,24 +282,20 @@ func Compile(set *trace.Set, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{
-		nranks:      res.NRanks,
-		evBase:      make([]int64, res.NRanks+1),
-		ops:         rec.ops,
-		msgs:        rec.msgs,
-		colls:       rec.colls,
-		parts:       rec.parts,
-		maxParts:    rec.maxParts,
-		regionKeys:  rec.regionKeys,
-		events:      res.Events,
-		rankEvents:  make([]int64, res.NRanks),
-		origEnd:     make([]int64, res.NRanks),
-		highWater:   res.WindowHighWater,
-		warnings:    res.Warnings,
-		nLocalEdges: a.nLocalEdges,
-		nMsgEdges:   a.nMsgEdges,
-		nCollEdges:  a.nCollEdges,
-		nMatches:    a.nMatches,
-		nColls:      a.nColls,
+		nranks:     res.NRanks,
+		evBase:     make([]int64, res.NRanks+1),
+		ops:        rec.ops,
+		msgs:       rec.msgs,
+		colls:      rec.colls,
+		parts:      rec.parts,
+		maxParts:   rec.maxParts,
+		regionKeys: rec.regionKeys,
+		events:     res.Events,
+		rankEvents: make([]int64, res.NRanks),
+		origEnd:    make([]int64, res.NRanks),
+		highWater:  res.WindowHighWater,
+		warnings:   res.Warnings,
+		cnt:        a.cnt,
 	}
 	for r := 0; r < res.NRanks; r++ {
 		c.rankEvents[r] = res.Ranks[r].Events

@@ -9,6 +9,7 @@ import (
 	"mpgraph/internal/dist"
 	"mpgraph/internal/machine"
 	"mpgraph/internal/mpi"
+	"mpgraph/internal/obsv"
 	"mpgraph/internal/parallel"
 	"mpgraph/internal/trace"
 	"mpgraph/internal/workloads"
@@ -65,8 +66,8 @@ func collZoo(r *mpi.Rank) error {
 // equivalenceModels is the model grid the byte-identity tests sweep:
 // sampled continuous noise, quantized noise with a per-rank override,
 // heavy per-byte terms with collective payload charging, negative
-// perturbations exercising the §4.3 clamps, and the laws ReplayCompiled
-// draws inline.
+// perturbations exercising the §4.3 clamps, and the concrete laws the
+// sampler draws on its devirtualized fast paths.
 func equivalenceModels() []*Model {
 	base := []*Model{
 		{Seed: 3}, // zero model
@@ -92,9 +93,9 @@ func equivalenceModels() []*Model {
 			AllowNegative: true,
 		},
 		{
-			// The only laws ReplayCompiled draws inline at both op
-			// sites (fastNoise and fastMatch): exponential noise and
-			// latency, constant per-byte, no per-rank or quantum noise.
+			// Exponential noise and latency and constant per-byte, with
+			// no per-rank or quantum noise: every draw takes one of the
+			// sampler's concrete-type fast cases.
 			Seed:       14,
 			OSNoise:    dist.Exponential{MeanValue: 300},
 			MsgLatency: dist.Exponential{MeanValue: 500},
@@ -124,7 +125,9 @@ func modelLabel(m *Model) string {
 // over every workload shape and model in the grid, ReplayCompiled must
 // be byte-identical to Analyze — delays, attribution, region stats,
 // order-violation clamps, warnings, critical path, and the interval
-// stream. Each model replays twice so the pooled-state reuse path is
+// stream — and report the same engine metrics: events, edges by kind,
+// matches, collectives, noise and message samples, and window high
+// water. Each model replays twice so the pooled-state reuse path is
 // exercised, not just the cold path.
 func TestReplayCompiledMatchesAnalyze(t *testing.T) {
 	snaps := map[string]*trace.Snapshot{
@@ -145,18 +148,22 @@ func TestReplayCompiledMatchesAnalyze(t *testing.T) {
 			for _, model := range equivalenceModels() {
 				t.Run(modelLabel(model), func(t *testing.T) {
 					var ivA []IntervalPoint
+					regA := obsv.NewRegistry()
 					want, err := Analyze(snap.Set(), model, Options{
 						RecordCritPath: true,
 						Interval:       func(p IntervalPoint) { ivA = append(ivA, p) },
+						Metrics:        regA,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					for i := 0; i < 2; i++ {
 						var ivB []IntervalPoint
+						regB := obsv.NewRegistry()
 						got, err := ReplayCompiled(c, model, Options{
 							RecordCritPath: true,
 							Interval:       func(p IntervalPoint) { ivB = append(ivB, p) },
+							Metrics:        regB,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -167,11 +174,27 @@ func TestReplayCompiledMatchesAnalyze(t *testing.T) {
 						if !reflect.DeepEqual(ivA, ivB) {
 							t.Fatalf("replay %d interval stream diverged (%d vs %d points)", i, len(ivA), len(ivB))
 						}
+						if a, b := engineMetrics(regA), engineMetrics(regB); !reflect.DeepEqual(a, b) {
+							t.Fatalf("replay %d engine metrics diverged:\n analyze %v\n replay  %v", i, a, b)
+						}
 					}
 				})
 			}
 		})
 	}
+}
+
+// engineMetrics is the part of a run's metrics both engines must
+// agree on: the counters and gauges, less the ones that count runs
+// and pool traffic. The timers time the engine, not the graph.
+func engineMetrics(r *obsv.Registry) obsv.Snapshot {
+	snap := r.Snapshot()
+	for _, name := range []string{"core_analyses_total", "core_replays_total",
+		"core_replay_pool_hits_total", "core_replay_pool_misses_total"} {
+		delete(snap.Counters, name)
+	}
+	snap.Timers = nil
+	return snap
 }
 
 // diffResults renders an actionable summary of the first fields that

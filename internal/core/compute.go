@@ -1,20 +1,84 @@
 package core
 
 import (
+	"mpgraph/internal/obsv"
 	"mpgraph/internal/trace"
 )
 
-// Shared propagation kernels.
+// Propagation steps.
 //
 // The streaming analyzer (Analyze) and the compiled replayer
 // (ReplayCompiled) must produce byte-identical results: same delays,
 // same attribution, same critical path. Floating-point arithmetic is
 // deterministic but not associative, so "the same math" is not
 // enough — both engines must execute the same operation sequences in
-// the same order. Every delay/attribution computation both engines
-// perform therefore lives here as pure functions; the engines differ
-// only in how they discover the graph structure (streamed matching vs
-// a precompiled instruction tape).
+// the same order. Each propagation step is therefore one function
+// here that both engines call: the begin step, the match draws, the
+// collective resolution, the end step of every record kind with its
+// merge, the commit and the metrics flush. Every draw goes through the
+// sampler. The engines differ only in how they find a step's operands
+// (streamed matching vs a precompiled instruction tape), and in the
+// two things that read engine-specific structure: the critical-path
+// winner of an end merge (endWinner) and IntervalPoint assembly.
+
+// engineCounts are the structure-only engine counters: the graph's
+// edges by kind, the matched transfers and the collectives. The
+// streaming analyzer counts them; Compile copies them onto the
+// program, since every replay walks the same graph.
+type engineCounts struct {
+	localEdges, msgEdges, collEdges int64
+	matches, colls                  int64
+}
+
+// flushMetrics records one run's engine counters and sample counts;
+// runs names the counter of completed runs (analyses or replays).
+func flushMetrics(m *obsv.Registry, runs string, res *Result, cnt *engineCounts, smp *sampler) {
+	if m == nil {
+		return
+	}
+	m.Counter(runs).Inc()
+	m.Counter("core_events_total").Add(res.Events)
+	m.Counter("core_edges_local_total").Add(cnt.localEdges)
+	m.Counter("core_edges_message_total").Add(cnt.msgEdges)
+	m.Counter("core_edges_collective_total").Add(cnt.collEdges)
+	m.Counter("core_matches_total").Add(cnt.matches)
+	m.Counter("core_collectives_total").Add(cnt.colls)
+	m.Counter("core_samples_noise_total").Add(smp.nNoise)
+	m.Counter("core_samples_message_total").Add(smp.nMsg)
+	m.Gauge("core_window_high_water").SetMax(float64(res.WindowHighWater))
+}
+
+// beginKernel is a record's start subevent: the compute gap since the
+// previous end draws its noise (one δ_os draw, or one per started
+// Model.NoiseQuantum of the gap), and under negative perturbations the
+// §4.3 clamp keeps the event from beginning before its predecessor's
+// perturbed end. A rank's first record has gap 0 and prevD 0, so it
+// draws nothing and never clamps. The begin step is the most frequent
+// one, so its exponential draw is inlined here rather than taken
+// through osNoise's frame (DESIGN §8.2 measures the difference).
+//
+//mpg:hotpath
+func beginKernel(smp *sampler, res *Result, rank int, gap int64, prevD float64, prevAttr Attribution) (float64, Attribution) {
+	var delta float64
+	switch {
+	case gap <= 0:
+	case smp.model.NoiseQuantum > 0:
+		delta = smp.quantizedNoise(rank, gap)
+	case smp.expNoise:
+		delta = smp.expNoiseDraw(rank)
+	default:
+		delta = smp.osNoise(rank)
+	}
+	res.Ranks[rank].InjectedLocal += delta
+	d := prevD + delta
+	if smp.model.AllowNegative {
+		if floor := prevD - float64(gap); d < floor {
+			d = floor
+			res.OrderViolations++
+		}
+	}
+	return d, prevAttr.addOwn(delta)
+}
 
 // xfer is the value half of one point-to-point transfer: everything
 // that depends on the perturbation model's samples. The structural
@@ -35,15 +99,27 @@ type xfer struct {
 	cRecvFromData bool
 }
 
-// resolveCompletion computes the shared path contributions (paper
-// Fig. 2 / Eq. 1 structure) once both posts and all four deltas are
-// known:
+// sampleMatch draws a matched transfer's deltas once both posts are
+// known — δ_λ1, δ_t(d), δ_λ2, then the receiver's δ_os2, in that
+// order — and resolves its completion (paper Fig. 2 / Eq. 1
+// structure):
 //
 //	cData = D(send start) + δ_λ1 + δ_t(d)   — the data path
 //	cRecv = max(cData, D(recv post))        — transfer completion
 //
 //mpg:hotpath
-func (x *xfer) resolveCompletion() {
+func (s *sampler) sampleMatch(x *xfer, bytes int64, recvRank int) {
+	if s.expLat && s.constPerByte && s.expNoise {
+		x.dLat1 = s.expLatencyDraw()
+		x.dPerByte = s.constPerByteDraw(bytes)
+		x.dLat2 = s.expLatencyDraw()
+		x.dOS2 = s.expNoiseDraw(recvRank)
+	} else {
+		x.dLat1 = s.latency()
+		x.dPerByte = s.perByte(bytes)
+		x.dLat2 = s.latency()
+		x.dOS2 = s.osNoise(recvRank)
+	}
 	x.cData = x.sendStartD + x.dLat1 + x.dPerByte
 	x.cRecv = x.cData
 	x.cRecvFromData = true
@@ -77,15 +153,58 @@ func (x *xfer) sendPerspective() Attribution {
 	return x.recvAttr.asRemote()
 }
 
-// sendCompletionKernel applies Eq. 1's sender rule: the local path
-// carries δ_os1, the remote path is the transfer completion plus the
-// acknowledgment latency δ_λ2 (and, anchored, the receiver-side noise
-// that Eq. 1's third term includes). Both candidate attributions are
-// returned; the caller merges and picks.
+// mergeEnd is the max() merge of an end subevent: it folds the remote
+// path into the local one, records absorbed/propagated statistics for
+// the rank and its current region, and returns the winner. The remote
+// path wins only when strictly later; its excess over the local path
+// is then the wait, classified as state.
 //
 //mpg:hotpath
-func sendCompletionKernel(mode PropagationMode, startD float64, startAttr Attribution, dOS1 float64, w int64, x *xfer) (local, remote float64, localAttr, remoteAttr Attribution) {
-	if mode == PropagationAnchored {
+func mergeEnd(rr *RankResult, reg *RegionStats, local, remote float64, localAttr, remoteAttr Attribution, state WaitState) (float64, Attribution, float64, WaitState) {
+	if remote > local {
+		rr.Propagated++
+		reg.Propagated++
+		rr.DelayInduced += remote - local
+		return remote, remoteAttr, remote - local, state
+	}
+	rr.Absorbed++
+	reg.Absorbed++
+	rr.SlackAbsorbed += local - remote
+	return local, localAttr, 0, WaitNone
+}
+
+// localEndKernel ends an Init or Finalize record: one δ_os draw folded
+// into the running delay. Additive: D(end) = D(start) + δ. Anchored:
+// the event's traced duration w absorbs the delta:
+// D(end) = max(D(start), D(start)+δ−w).
+//
+//mpg:hotpath
+func localEndKernel(smp *sampler, rr *RankResult, rank int, startD float64, startAttr Attribution, w int64) (float64, Attribution) {
+	delta := smp.osNoise(rank)
+	rr.InjectedLocal += delta
+	if smp.model.Propagation == PropagationAnchored {
+		v := startD + delta - float64(w)
+		if v < startD {
+			return startD, startAttr
+		}
+		return v, startAttr.addOwn(delta - float64(w))
+	}
+	return startD + delta, startAttr.addOwn(delta)
+}
+
+// sendCompletionKernel ends a blocking Send or a wait on an Isend by
+// Eq. 1's sender rule: the local path draws and carries δ_os1, the
+// remote path is the transfer completion plus the acknowledgment
+// latency δ_λ2 (and, anchored, the receiver-side noise that Eq. 1's
+// third term includes). A remote win is a late receiver.
+//
+//mpg:hotpath
+func sendCompletionKernel(smp *sampler, rr *RankResult, reg *RegionStats, rank int, startD float64, startAttr Attribution, w int64, x *xfer) (float64, Attribution, float64, WaitState) {
+	dOS1 := smp.osNoise(rank)
+	rr.InjectedLocal += dOS1
+	var local, remote float64
+	var localAttr, remoteAttr Attribution
+	if smp.model.Propagation == PropagationAnchored {
 		local = startD
 		localAttr = startAttr
 		if v := startD + dOS1 - float64(w); v > local {
@@ -96,20 +215,25 @@ func sendCompletionKernel(mode PropagationMode, startD float64, startAttr Attrib
 		remoteAttr = x.sendPerspective()
 		remoteAttr.RemoteNoise += x.dOS2
 		remoteAttr.MsgDelta += x.dLat2 - float64(w)
-		return local, remote, localAttr, remoteAttr
+	} else {
+		local = startD + dOS1
+		remote = x.cRecv + x.dLat2
+		localAttr = startAttr.addOwn(dOS1)
+		remoteAttr = x.sendPerspective().addMsg(x.dLat2)
 	}
-	local = startD + dOS1
-	remote = x.cRecv + x.dLat2
-	localAttr = startAttr.addOwn(dOS1)
-	remoteAttr = x.sendPerspective().addMsg(x.dLat2)
-	return local, remote, localAttr, remoteAttr
+	return mergeEnd(rr, reg, local, remote, localAttr, remoteAttr, WaitLateReceiver)
 }
 
-// recvCompletionKernel applies Eq. 1's receiver rule: the local path
-// carries δ_os2, the remote path is the data arrival.
+// recvCompletionKernel ends a blocking Recv or a wait on an Irecv by
+// Eq. 1's receiver rule: the local path carries the δ_os2 drawn at
+// match time, the remote path is the data arrival. A remote win is a
+// late sender.
 //
 //mpg:hotpath
-func recvCompletionKernel(mode PropagationMode, startD float64, startAttr Attribution, w int64, x *xfer) (local, remote float64, localAttr, remoteAttr Attribution) {
+func recvCompletionKernel(mode PropagationMode, rr *RankResult, reg *RegionStats, startD float64, startAttr Attribution, w int64, x *xfer) (float64, Attribution, float64, WaitState) {
+	rr.InjectedLocal += x.dOS2
+	var local, remote float64
+	var localAttr, remoteAttr Attribution
 	if mode == PropagationAnchored {
 		local = startD
 		localAttr = startAttr
@@ -120,47 +244,51 @@ func recvCompletionKernel(mode PropagationMode, startD float64, startAttr Attrib
 		remote = x.cData + x.dOS2 - float64(w)
 		remoteAttr = x.sendAttr.asRemote().addMsg(x.dLat1 + x.dPerByte - float64(w))
 		remoteAttr.OwnNoise += x.dOS2
-		return local, remote, localAttr, remoteAttr
+	} else {
+		local = startD + x.dOS2
+		remote = x.cRecv
+		localAttr = startAttr.addOwn(x.dOS2)
+		remoteAttr = x.recvPerspective()
 	}
-	local = startD + x.dOS2
-	remote = x.cRecv
-	localAttr = startAttr.addOwn(x.dOS2)
-	remoteAttr = x.recvPerspective()
-	return local, remote, localAttr, remoteAttr
+	return mergeEnd(rr, reg, local, remote, localAttr, remoteAttr, WaitLateSender)
 }
 
-// combineLocalKernel folds a local-edge delta into the running delay.
-// Additive: D(end) = D(start) + δ. Anchored: the event's traced
-// duration absorbs the delta: D(end) = max(D(start), D(start)+δ−w).
+// collEndKernel ends a collective record: the local path is the start
+// subevent, the remote path the participant's resolved contribution
+// (less the traced duration w when anchored). A remote win is
+// collective imbalance.
 //
 //mpg:hotpath
-func combineLocalKernel(mode PropagationMode, startD float64, startAttr Attribution, delta float64, w int64) (float64, Attribution) {
+func collEndKernel(mode PropagationMode, rr *RankResult, reg *RegionStats, startD float64, startAttr Attribution, w int64, outD float64, outAttr Attribution) (float64, Attribution, float64, WaitState) {
 	if mode == PropagationAnchored {
-		v := startD + delta - float64(w)
-		if v < startD {
-			return startD, startAttr
-		}
-		return v, startAttr.addOwn(delta - float64(w))
+		outD -= float64(w)
 	}
-	return startD + delta, startAttr.addOwn(delta)
+	return mergeEnd(rr, reg, startD, outD, startAttr, outAttr, WaitCollective)
 }
 
-// mergeStats folds one remote contribution into the local one,
-// recording absorbed/propagated statistics for the rank and its
-// current region.
+// commitKernel commits a record's end subevent and returns D there:
+// under negative perturbations the §4.3 clamp keeps the event from
+// ending before it begins; then the event counts, the delay statistics
+// and the region's first-seen delay and growth take the value.
 //
 //mpg:hotpath
-func mergeStats(rr *RankResult, reg *RegionStats, local, remote float64) float64 {
-	if remote > local {
-		rr.Propagated++
-		reg.Propagated++
-		rr.DelayInduced += remote - local
-		return remote
+func commitKernel(res *Result, rr *RankResult, reg *RegionStats, allowNegative bool, startD, endD float64, w int64) float64 {
+	if allowNegative {
+		if floor := startD - float64(w); endD < floor {
+			endD = floor
+			res.OrderViolations++
+		}
 	}
-	rr.Absorbed++
-	reg.Absorbed++
-	rr.SlackAbsorbed += local - remote
-	return local
+	rr.Events++
+	res.Events++
+	res.DelayStats.Add(endD)
+	if !reg.firstSeen {
+		reg.firstSeen = true
+		reg.firstDelay = endD
+	}
+	reg.Events++
+	reg.DelayGrowth = endD - reg.firstDelay
+	return endD
 }
 
 // collIn is one collective participant's inbound state as the
@@ -171,12 +299,37 @@ type collIn struct {
 	startAttr Attribution
 }
 
+// resolveCollKernel resolves a complete collective under the model's
+// collective mode. outPred[i] is the index (into in) of the
+// participant whose start subevent anchors member i's winning path.
+// Scan's forward-only dependence has no Fig. 4 hub analog (the hub
+// would let later ranks delay earlier ones); the explicit prefix chain
+// is already compact (O(p)), so both modes use it. An unknown mode
+// resolves nothing: zero contributions, won by the lowest rank.
+//
+//mpg:hotpath
+func resolveCollKernel(smp *sampler, kind trace.Kind, bytes int64, root int32, in []collIn, sc *collScratch, outD []float64, outAttr []Attribution, outPred []int32) {
+	mode := smp.model.Collectives
+	if kind == trace.KindScan {
+		mode = CollectiveExplicit
+	}
+	switch mode {
+	case CollectiveApprox:
+		resolveApproxKernel(smp, kind, bytes, in, outD, outAttr, outPred)
+	case CollectiveExplicit:
+		resolveExplicitKernel(smp, kind, bytes, root, in, sc, outD, outAttr, outPred)
+	default:
+		clear(outD)
+		clear(outAttr)
+		clear(outPred)
+	}
+}
+
 // resolveApproxKernel is the paper's Fig. 4 model: every participant's
 // inbound delay plus l_δ (ceil(log2 p) samples of noise+latency for
 // the symmetric collectives; a single sample for the rooted ones, the
 // paper's Reduce simplification) feeds a max that is propagated back
-// to all participants. outPred[i] is the index (into in) of the
-// participant whose start subevent anchors the winning path.
+// to all participants.
 //
 //mpg:hotpath
 func resolveApproxKernel(smp *sampler, kind trace.Kind, bytes int64, in []collIn, outD []float64, outAttr []Attribution, outPred []int32) {

@@ -102,7 +102,7 @@ func TestFinishedTransfersRecycled(t *testing.T) {
 			carved[k] = free + len(a.msgSlab)
 			if free == 0 || carved[k]%msgSlabLen != 0 {
 				t.Fatalf("%s, %d iterations: %d transfers recycled and %d unused, of %d matched; want every carved transfer back",
-					wl, iters, free, len(a.msgSlab), a.nMatches)
+					wl, iters, free, len(a.msgSlab), a.cnt.matches)
 			}
 		}
 		if carved[1] != carved[0] {

@@ -82,27 +82,29 @@ func TestResolveApproxKernelAllocs(t *testing.T) {
 	}
 }
 
-// TestCompletionKernelAllocs covers the point-to-point kernels and the
-// merge/attribution helpers in both propagation modes.
+// TestCompletionKernelAllocs covers the begin, match, end-step, merge
+// and commit kernels in both propagation modes.
 func TestCompletionKernelAllocs(t *testing.T) {
 	x := &xfer{
 		sendStartD: 100, recvPostD: 250,
 		sendAttr: Attribution{OwnNoise: 30},
 		recvAttr: Attribution{OwnNoise: 50},
-		dLat1:    40, dPerByte: 10, dLat2: 25, dOS2: 5,
 	}
-	var rr RankResult
+	res := &Result{Ranks: make([]RankResult, 2)}
+	rr := &res.Ranks[1]
 	var reg RegionStats
 	for _, mode := range []PropagationMode{PropagationAdditive, PropagationAnchored} {
-		mode := mode
+		smp := kernelSampler(2)
+		smp.model.Propagation = mode
+		smp.model.NoiseQuantum = 50
 		allocs := testing.AllocsPerRun(50, func() {
-			x.resolveCompletion()
-			local, remote, la, ra := sendCompletionKernel(mode, 120, Attribution{OwnNoise: 20}, 7, 90, x)
-			_ = mergeStats(&rr, &reg, local, remote)
-			local, remote, la, ra = recvCompletionKernel(mode, 140, Attribution{OwnNoise: 25}, 80, x)
-			_ = mergeStats(&rr, &reg, local, remote)
-			d, a := combineLocalKernel(mode, local, ra, 12, 60)
-			_, _, _ = d, a, la
+			d, a := beginKernel(smp, res, 1, 400, 90, Attribution{OwnNoise: 20})
+			smp.sampleMatch(x, 64, 1)
+			d, a, _, _ = sendCompletionKernel(smp, rr, &reg, 1, d, a, 90, x)
+			d, a, _, _ = recvCompletionKernel(mode, rr, &reg, d, a, 80, x)
+			d, a, _, _ = collEndKernel(mode, rr, &reg, d, a, 70, 300, Attribution{MsgDelta: 9})
+			d, _ = localEndKernel(smp, rr, 1, d, a, 60)
+			_ = commitKernel(res, rr, &reg, true, 120, d, 60)
 		})
 		if allocs != 0 {
 			t.Errorf("completion kernels (%v) allocate %.1f objects/iteration; want 0", mode, allocs)

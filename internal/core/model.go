@@ -257,7 +257,7 @@ type IntervalPoint struct {
 	// interval is [OrigBegin+StartDelay, OrigEnd+EndDelay].
 	StartDelay, EndDelay float64
 	// Wait is the excess of the winning remote path over the event's
-	// local path (remote − local, exactly the amount mergeStats adds to
+	// local path (remote − local, exactly the amount mergeEnd adds to
 	// RankResult.DelayInduced), zero when the local path won or the
 	// event performed no merge. Per rank, the Waits accumulated in
 	// point order sum bitwise to that rank's DelayInduced.
@@ -283,6 +283,16 @@ type sampler struct {
 	rankRNG []*dist.RNG
 	msgRNG  *dist.RNG
 
+	// The model's draw laws, resolved once per run by bind. Exponential
+	// noise with no per-rank override, exponential latency and a
+	// constant per-byte cost, each with a non-negative parameter, draw
+	// through the small inlined helpers below: one direct call into the
+	// ziggurat (or a multiply), with no law lookup, type switch or
+	// clamp per draw, since such a draw is never negative.
+	expNoise, expLat, constPerByte bool
+	noiseExp, latExp               dist.Exponential
+	perByteC                       float64
+
 	// Sample counts for the metrics flush. Plain ints: a sampler
 	// belongs to one single-goroutine analysis, so the counts go
 	// through the shared registry only once, at the end of the run.
@@ -292,14 +302,53 @@ type sampler struct {
 func newSampler(m *Model, nranks int) *sampler {
 	root := dist.NewRNG(m.Seed)
 	s := &sampler{
-		model:   m,
 		rankRNG: make([]*dist.RNG, nranks),
 		msgRNG:  root.ForkNamed("messages"),
 	}
 	for r := 0; r < nranks; r++ {
 		s.rankRNG[r] = root.ForkNamed(fmt.Sprintf("rank-%d", r))
 	}
+	s.bind(m)
 	return s
+}
+
+// bind points the sampler at a model, resolves its draw laws and
+// clears the sample counts.
+//
+//mpg:hotpath
+func (s *sampler) bind(m *Model) {
+	s.model = m
+	s.noiseExp, s.expNoise = m.OSNoise.(dist.Exponential)
+	s.expNoise = s.expNoise && !(s.noiseExp.MeanValue < 0) && len(m.RankOSNoise) == 0
+	s.latExp, s.expLat = m.MsgLatency.(dist.Exponential)
+	s.expLat = s.expLat && !(s.latExp.MeanValue < 0)
+	pb, ok := m.PerByte.(dist.Constant)
+	s.perByteC, s.constPerByte = pb.C, ok && !(pb.C < 0)
+	s.nNoise, s.nMsg = 0, 0
+}
+
+// expNoiseDraw, expLatencyDraw and constPerByteDraw draw from the laws
+// bind resolved; callers check the matching flag first.
+//
+//mpg:hotpath
+func (s *sampler) expNoiseDraw(rank int) float64 {
+	s.nNoise++
+	return s.noiseExp.Sample(s.rankRNG[rank])
+}
+
+//mpg:hotpath
+func (s *sampler) expLatencyDraw() float64 {
+	s.nMsg++
+	return s.latExp.Sample(s.msgRNG)
+}
+
+//mpg:hotpath
+func (s *sampler) constPerByteDraw(bytes int64) float64 {
+	if bytes <= 0 {
+		return 0
+	}
+	s.nMsg++
+	return s.perByteC * float64(bytes)
 }
 
 // sampleFast draws one value from d, devirtualizing the common
@@ -353,36 +402,32 @@ func (s *sampler) noiseDist(rank int) dist.Distribution {
 //
 //mpg:hotpath
 func (s *sampler) osNoise(rank int) float64 {
+	if s.expNoise {
+		return s.expNoiseDraw(rank)
+	}
 	d := s.noiseDist(rank)
 	if d == nil {
 		return 0
 	}
 	s.nNoise++
-	// Exponential is the common noise law; asserting it here inlines
-	// its Sample so the draw is one call (stdExp) deep instead of
-	// going through sampleFast's extra frame.
-	if e, ok := d.(dist.Exponential); ok {
-		return s.clamp(e.Sample(s.rankRNG[rank]))
-	}
 	return s.clamp(sampleFast(d, s.rankRNG[rank]))
 }
 
-// computeNoise samples the delta for a compute gap of w cycles; a
-// zero-length gap (back-to-back events) accrues no noise.
+// quantizedNoise samples the delta for a compute gap of w > 0 cycles
+// under a positive Model.NoiseQuantum q: one draw per started quantum.
 //
 //mpg:hotpath
-func (s *sampler) computeNoise(rank int, w int64) float64 {
-	d := s.noiseDist(rank)
-	if d == nil || w <= 0 {
-		return 0
-	}
+func (s *sampler) quantizedNoise(rank int, w int64) float64 {
 	q := s.model.NoiseQuantum
-	if q <= 0 {
-		return s.osNoise(rank)
-	}
-	quanta := (w + q - 1) / q
-	if quanta == 0 {
+	d := s.noiseDist(rank)
+	if d == nil {
 		return 0
+	}
+	// ceil(w/q) without forming w+q−1, which wraps for a gap within q
+	// of MaxInt64.
+	quanta := w / q
+	if w%q != 0 {
+		quanta++
 	}
 	n := quanta
 	if n > MaxNoiseSamplesPerEdge {
@@ -403,13 +448,13 @@ func (s *sampler) computeNoise(rank int, w int64) float64 {
 //
 //mpg:hotpath
 func (s *sampler) latency() float64 {
+	if s.expLat {
+		return s.expLatencyDraw()
+	}
 	if s.model.MsgLatency == nil {
 		return 0
 	}
 	s.nMsg++
-	if e, ok := s.model.MsgLatency.(dist.Exponential); ok {
-		return s.clamp(e.Sample(s.msgRNG))
-	}
 	return s.clamp(sampleFast(s.model.MsgLatency, s.msgRNG))
 }
 
@@ -417,12 +462,12 @@ func (s *sampler) latency() float64 {
 //
 //mpg:hotpath
 func (s *sampler) perByte(bytes int64) float64 {
+	if s.constPerByte {
+		return s.constPerByteDraw(bytes)
+	}
 	if s.model.PerByte == nil || bytes <= 0 {
 		return 0
 	}
 	s.nMsg++
-	if c, ok := s.model.PerByte.(dist.Constant); ok {
-		return s.clamp(c.C * float64(bytes))
-	}
 	return s.clamp(sampleFast(s.model.PerByte, s.msgRNG) * float64(bytes))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpgraph/internal/dist"
-	"mpgraph/internal/trace"
 )
 
 // ReplayCompiled propagates a perturbation model over a compiled graph
@@ -53,97 +52,26 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 		WindowHighWater: c.highWater,
 	}
 
-	// Per-replay draw specialization: when the model's laws are the
-	// common concrete families (exponential noise and latency with no
-	// per-rank overrides or quantization, constant per-byte), the op
-	// sites below draw inline — the ziggurat fast path is then the only
-	// call per draw, instead of threading every draw through the
-	// sampler wrappers' per-draw dispatch. Both paths consume identical
-	// RNG bits in identical order and keep identical draw counts, so
-	// specialization is invisible to the result.
 	smp := &st.smp
-	noiseExp, fastNoise := model.OSNoise.(dist.Exponential)
-	fastNoise = fastNoise && len(model.RankOSNoise) == 0 && model.NoiseQuantum <= 0
-	latExp, fastLat := model.MsgLatency.(dist.Exponential)
-	pbConst, fastPB := model.PerByte.(dist.Constant)
-	fastMatch := fastNoise && fastLat && fastPB
-	negOK := model.AllowNegative
-
 	for i := range c.ops {
 		o := &c.ops[i]
 		switch o.code {
 		case opBegin:
 			rank := int(o.rank)
-			var delta float64
-			if fastNoise {
-				if o.aux > 0 {
-					smp.nNoise++
-					delta = noiseExp.Sample(smp.rankRNG[rank])
-					if delta < 0 && !negOK {
-						delta = 0
-					}
-				}
-			} else {
-				delta = smp.computeNoise(rank, o.aux)
-			}
-			sD := st.prevD[rank] + delta
-			sA := st.prevAttr[rank].addOwn(delta)
-			res.Ranks[rank].InjectedLocal += delta
-			if model.AllowNegative && o.started {
-				// Order preservation (§4.3), as in beginRecord.
-				if floor := st.prevD[rank] - float64(o.aux); sD < floor {
-					sD = floor
-					res.OrderViolations++
-				}
-			}
 			gi := c.evBase[rank] + o.event
-			st.startD[gi] = sD
-			st.startAttr[gi] = sA
+			st.startD[gi], st.startAttr[gi] = beginKernel(smp, res, rank, o.aux, st.prevD[rank], st.prevAttr[rank])
 
 		case opMatch:
 			m := &st.msgs[o.arg]
 			cm := &c.msgs[o.arg]
 			sgi := c.evBase[cm.sendRank] + cm.sendEvent
 			rgi := c.evBase[cm.recvRank] + cm.recvEvent
-			m.sendStartD = st.startD[sgi]
-			m.sendAttr = st.startAttr[sgi]
-			m.recvPostD = st.startD[rgi]
-			m.recvAttr = st.startAttr[rgi]
-			// Same draw order as resolveMatch.
-			if fastMatch {
-				smp.nMsg += 2
-				v1 := latExp.Sample(smp.msgRNG)
-				if v1 < 0 && !negOK {
-					v1 = 0
-				}
-				var vb float64
-				if cm.bytes > 0 {
-					smp.nMsg++
-					vb = pbConst.C * float64(cm.bytes)
-					if vb < 0 && !negOK {
-						vb = 0
-					}
-				}
-				v2 := latExp.Sample(smp.msgRNG)
-				if v2 < 0 && !negOK {
-					v2 = 0
-				}
-				smp.nNoise++
-				os2 := noiseExp.Sample(smp.rankRNG[cm.recvRank])
-				if os2 < 0 && !negOK {
-					os2 = 0
-				}
-				m.dLat1, m.dPerByte, m.dLat2, m.dOS2 = v1, vb, v2, os2
-			} else {
-				m.dLat1 = st.smp.latency()
-				m.dPerByte = st.smp.perByte(cm.bytes)
-				m.dLat2 = st.smp.latency()
-				m.dOS2 = st.smp.osNoise(int(cm.recvRank))
-			}
-			m.resolveCompletion()
+			m.sendStartD, m.sendAttr = st.startD[sgi], st.startAttr[sgi]
+			m.recvPostD, m.recvAttr = st.startD[rgi], st.startAttr[rgi]
+			smp.sampleMatch(m, cm.bytes, int(cm.recvRank))
 
 		case opCollResolve:
-			st.resolveColl(c, o.arg, model)
+			st.resolveColl(c, o.arg)
 
 		default: // end ops
 			rank := int(o.rank)
@@ -159,81 +87,16 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 			switch o.code {
 			case opEndMarker, opEndImmediate:
 				endD, endAttr = sD, sA
-
 			case opEndLocal:
-				var delta float64
-				if fastNoise {
-					smp.nNoise++
-					delta = noiseExp.Sample(smp.rankRNG[rank])
-					if delta < 0 && !negOK {
-						delta = 0
-					}
-				} else {
-					delta = smp.osNoise(rank)
-				}
-				rr.InjectedLocal += delta
-				endD, endAttr = combineLocalKernel(model.Propagation, sD, sA, delta, o.aux)
-
+				endD, endAttr = localEndKernel(smp, rr, rank, sD, sA, o.aux)
 			case opEndSend:
-				m := &st.msgs[o.arg]
-				var dOS1 float64
-				if fastNoise {
-					smp.nNoise++
-					dOS1 = noiseExp.Sample(smp.rankRNG[rank])
-					if dOS1 < 0 && !negOK {
-						dOS1 = 0
-					}
-				} else {
-					dOS1 = smp.osNoise(rank)
-				}
-				rr.InjectedLocal += dOS1
-				local, remote, localAttr, remoteAttr := sendCompletionKernel(
-					model.Propagation, sD, sA, dOS1, o.aux, m)
-				mergeStats(rr, reg, local, remote)
-				if remote > local {
-					endD, endAttr = remote, remoteAttr
-					ivWait, ivState = remote-local, WaitLateReceiver
-				} else {
-					endD, endAttr = local, localAttr
-				}
-
+				endD, endAttr, ivWait, ivState = sendCompletionKernel(smp, rr, reg, rank, sD, sA, o.aux, &st.msgs[o.arg])
 			case opEndRecv:
-				m := &st.msgs[o.arg]
-				rr.InjectedLocal += m.dOS2
-				local, remote, localAttr, remoteAttr := recvCompletionKernel(
-					model.Propagation, sD, sA, o.aux, m)
-				mergeStats(rr, reg, local, remote)
-				if remote > local {
-					endD, endAttr = remote, remoteAttr
-					ivWait, ivState = remote-local, WaitLateSender
-				} else {
-					endD, endAttr = local, localAttr
-				}
-
+				endD, endAttr, ivWait, ivState = recvCompletionKernel(model.Propagation, rr, reg, sD, sA, o.aux, &st.msgs[o.arg])
 			case opEndColl:
-				pi := o.arg
-				pt := &c.parts[pi]
-				local := sD
-				remote := st.collOutD[pi]
-				if model.Propagation == PropagationAnchored {
-					remote -= float64(pt.dur)
-				}
-				mergeStats(rr, reg, local, remote)
-				if remote > local {
-					endD, endAttr = remote, st.collOutAttr[pi]
-					ivWait, ivState = remote-local, WaitCollective
-				} else {
-					endD, endAttr = local, sA
-				}
+				endD, endAttr, ivWait, ivState = collEndKernel(model.Propagation, rr, reg, sD, sA, o.aux, st.collOutD[o.arg], st.collOutAttr[o.arg])
 			}
-
-			// Commit, mirroring finishRecord.
-			if model.AllowNegative {
-				if floor := sD - float64(o.aux); endD < floor {
-					endD = floor
-					res.OrderViolations++
-				}
-			}
+			endD = commitKernel(res, rr, reg, model.AllowNegative, sD, endD, o.aux)
 			if recordCrit {
 				win, winD, pred := st.endWinner(c, o, ivState, model.Propagation)
 				st.critBack[gi] = critNode{endD: endD, winStartD: winD, winEvent: win.Event,
@@ -241,9 +104,6 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 			}
 			st.prevD[rank] = endD
 			st.prevAttr[rank] = endAttr
-			rr.Events++
-			res.Events++
-			res.DelayStats.Add(endD)
 			//mpg:lint-ignore hotpathprop caller-supplied observation hook, invoked only when the caller opted in
 			if opts.Interval != nil {
 				p := IntervalPoint{
@@ -266,12 +126,6 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 				}
 				opts.Interval(p)
 			}
-			if !reg.firstSeen {
-				reg.firstSeen = true
-				reg.firstDelay = endD
-			}
-			reg.Events++
-			reg.DelayGrowth = endD - reg.firstDelay
 		}
 	}
 
@@ -304,18 +158,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 		res.CritPath = buildCritPath(res, st.critBack, st.critTop)
 	}
 	//mpg:lint-ignore hotpathprop out-of-band metrics boundary: recorded after the event loop, never feeds back into replay results
-	if m := opts.Metrics; m != nil {
-		m.Counter("core_replays_total").Inc()
-		m.Counter("core_events_total").Add(res.Events)
-		m.Counter("core_edges_local_total").Add(c.nLocalEdges)
-		m.Counter("core_edges_message_total").Add(c.nMsgEdges)
-		m.Counter("core_edges_collective_total").Add(c.nCollEdges)
-		m.Counter("core_matches_total").Add(c.nMatches)
-		m.Counter("core_collectives_total").Add(c.nColls)
-		m.Counter("core_samples_noise_total").Add(st.smp.nNoise)
-		m.Counter("core_samples_message_total").Add(st.smp.nMsg)
-		m.Gauge("core_window_high_water").SetMax(float64(c.highWater))
-	}
+	flushMetrics(opts.Metrics, "core_replays_total", res, &c.cnt, smp)
 	return res, nil
 }
 
@@ -420,8 +263,7 @@ func replayForkLabels(n int) []string {
 //
 //mpg:hotpath
 func (st *replayState) reset(m *Model) {
-	st.smp.model = m
-	st.smp.nNoise, st.smp.nMsg = 0, 0
+	st.smp.bind(m)
 	dist.ForkHierarchyInto(m.Seed, st.forkLabels, st.rngBacking)
 	for r := range st.prevD {
 		st.prevD[r] = 0
@@ -471,38 +313,19 @@ func (st *replayState) endWinner(c *Compiled, o *op, state WaitState, p Propagat
 	return NodeRef{Rank: int(rank), Event: event}, st.startD[gi], pred
 }
 
-// resolveColl runs the collective resolution kernel for one compiled
-// collective, mirroring resolveCollective's mode dispatch.
+// resolveColl loads one compiled collective's inbound view and runs
+// the collective resolution kernel over it.
 //
 //mpg:hotpath
-func (st *replayState) resolveColl(c *Compiled, idx int32, model *Model) {
+func (st *replayState) resolveColl(c *Compiled, idx int32) {
 	cc := &c.colls[idx]
-	p := int(cc.partN)
-	in := st.collIn[:p]
-	for j := 0; j < p; j++ {
-		pt := &c.parts[int(cc.partOff)+j]
+	lo, hi := int(cc.partOff), int(cc.partOff+cc.partN)
+	in := st.collIn[:hi-lo]
+	for j := range in {
+		pt := &c.parts[lo+j]
 		gi := c.evBase[pt.rank] + pt.event
 		in[j] = collIn{rank: int(pt.rank), startD: st.startD[gi], startAttr: st.startAttr[gi]}
 	}
-	outD := st.collOutD[cc.partOff : int(cc.partOff)+p]
-	outAttr := st.collOutAttr[cc.partOff : int(cc.partOff)+p]
-	outPred := st.collOutPred[cc.partOff : int(cc.partOff)+p]
-	if cc.kind == trace.KindScan {
-		// Scan always uses the explicit prefix chain (see
-		// resolveCollective).
-		resolveExplicitKernel(&st.smp, cc.kind, cc.bytes, cc.root, in, &st.csc, outD, outAttr, outPred)
-		return
-	}
-	switch model.Collectives {
-	case CollectiveApprox:
-		resolveApproxKernel(&st.smp, cc.kind, cc.bytes, in, outD, outAttr, outPred)
-	case CollectiveExplicit:
-		resolveExplicitKernel(&st.smp, cc.kind, cc.bytes, cc.root, in, &st.csc, outD, outAttr, outPred)
-	default:
-		// Unknown mode: the streaming engine resolves nothing; clear the
-		// reused buffers so stale values from a prior replay can't leak.
-		for j := range outD {
-			outD[j], outAttr[j], outPred[j] = 0, Attribution{}, 0
-		}
-	}
+	resolveCollKernel(&st.smp, cc.kind, cc.bytes, cc.root, in, &st.csc,
+		st.collOutD[lo:hi], st.collOutAttr[lo:hi], st.collOutPred[lo:hi])
 }

@@ -46,7 +46,7 @@ type Event struct {
 	End       float64 // float64(OrigEnd) + EndDelay, exactly
 
 	// Wait is the delay the completion merge charged to a remote path:
-	// exactly the increment mergeStats added to DelayInduced (zero when
+	// exactly the increment mergeEnd added to DelayInduced (zero when
 	// the local path won or the event has no merge).
 	Wait  float64
 	State core.WaitState

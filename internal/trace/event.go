@@ -207,6 +207,9 @@ func (r Record) Validate() error {
 	if r.End < r.Begin {
 		return fmt.Errorf("trace: %s record with End %d < Begin %d", r.Kind, r.End, r.Begin)
 	}
+	if r.Duration() < 0 {
+		return fmt.Errorf("trace: %s record span [%d,%d] overflows int64", r.Kind, r.Begin, r.End)
+	}
 	if r.Kind.IsPointToPoint() {
 		if r.Peer < 0 {
 			return fmt.Errorf("trace: %s record without peer", r.Kind)

@@ -92,6 +92,7 @@ func TestRecordValidate(t *testing.T) {
 		{Kind: KindInvalid, Peer: NoRank, Root: NoRank},
 		{Kind: Kind(99), Peer: NoRank, Root: NoRank},
 		{Kind: KindInit, Begin: 10, End: 5, Peer: NoRank, Root: NoRank},
+		{Kind: KindInit, Begin: -1 << 63, End: 0, Peer: NoRank, Root: NoRank},                // span overflows int64
 		{Kind: KindSend, Begin: 0, End: 1, Peer: NoRank, Root: NoRank},                       // pt2pt without peer
 		{Kind: KindSend, Begin: 0, End: 1, Peer: 1, Bytes: -1, Root: NoRank},                 // negative size
 		{Kind: KindIsend, Begin: 0, End: 1, Peer: 1, Root: NoRank},                           // missing req

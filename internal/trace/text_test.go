@@ -93,6 +93,7 @@ func TestTextErrors(t *testing.T) {
 		"bad header":   "# mpgt-text 1\nheader rank=5 nranks=1\n",
 		"bad meta":     "# mpgt-text 1\nheader rank=0 nranks=1\nmeta keyonly\n",
 		"invalid time": "# mpgt-text 1\nheader rank=0 nranks=1\ninit begin=10 end=5\n",
+		"wrapped span": "# mpgt-text 1\nheader rank=0 nranks=1\ninit begin=-9223372036854775808 end=0\n",
 	}
 	for name, src := range cases {
 		if _, _, err := ReadText(strings.NewReader(src)); err == nil {
