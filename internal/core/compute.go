@@ -109,17 +109,10 @@ type xfer struct {
 //
 //mpg:hotpath
 func (s *sampler) sampleMatch(x *xfer, bytes int64, recvRank int) {
-	if s.expLat && s.constPerByte && s.expNoise {
-		x.dLat1 = s.expLatencyDraw()
-		x.dPerByte = s.constPerByteDraw(bytes)
-		x.dLat2 = s.expLatencyDraw()
-		x.dOS2 = s.expNoiseDraw(recvRank)
-	} else {
-		x.dLat1 = s.latency()
-		x.dPerByte = s.perByte(bytes)
-		x.dLat2 = s.latency()
-		x.dOS2 = s.osNoise(recvRank)
-	}
+	x.dLat1 = s.latency()
+	x.dPerByte = s.perByte(bytes)
+	x.dLat2 = s.latency()
+	x.dOS2 = s.osNoise(recvRank)
 	x.cData = x.sendStartD + x.dLat1 + x.dPerByte
 	x.cRecv = x.cData
 	x.cRecvFromData = true

@@ -286,7 +286,7 @@ type sampler struct {
 	// The model's draw laws, resolved once per run by bind. Exponential
 	// noise with no per-rank override, exponential latency and a
 	// constant per-byte cost, each with a non-negative parameter, draw
-	// through the small inlined helpers below: one direct call into the
+	// directly in osNoise, latency and perByte: one call into the
 	// ziggurat (or a multiply), with no law lookup, type switch or
 	// clamp per draw, since such a draw is never negative.
 	expNoise, expLat, constPerByte bool
@@ -327,28 +327,13 @@ func (s *sampler) bind(m *Model) {
 	s.nNoise, s.nMsg = 0, 0
 }
 
-// expNoiseDraw, expLatencyDraw and constPerByteDraw draw from the laws
-// bind resolved; callers check the matching flag first.
+// expNoiseDraw draws from the noise law bind resolved; callers check
+// expNoise first.
 //
 //mpg:hotpath
 func (s *sampler) expNoiseDraw(rank int) float64 {
 	s.nNoise++
 	return s.noiseExp.Sample(s.rankRNG[rank])
-}
-
-//mpg:hotpath
-func (s *sampler) expLatencyDraw() float64 {
-	s.nMsg++
-	return s.latExp.Sample(s.msgRNG)
-}
-
-//mpg:hotpath
-func (s *sampler) constPerByteDraw(bytes int64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	s.nMsg++
-	return s.perByteC * float64(bytes)
 }
 
 // sampleFast draws one value from d, devirtualizing the common
@@ -449,7 +434,8 @@ func (s *sampler) quantizedNoise(rank int, w int64) float64 {
 //mpg:hotpath
 func (s *sampler) latency() float64 {
 	if s.expLat {
-		return s.expLatencyDraw()
+		s.nMsg++
+		return s.latExp.Sample(s.msgRNG)
 	}
 	if s.model.MsgLatency == nil {
 		return 0
@@ -463,7 +449,11 @@ func (s *sampler) latency() float64 {
 //mpg:hotpath
 func (s *sampler) perByte(bytes int64) float64 {
 	if s.constPerByte {
-		return s.constPerByteDraw(bytes)
+		if bytes <= 0 {
+			return 0
+		}
+		s.nMsg++
+		return s.perByteC * float64(bytes)
 	}
 	if s.model.PerByte == nil || bytes <= 0 {
 		return 0
