@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,6 +49,24 @@ func TestAnalyzeRejectsBadModel(t *testing.T) {
 	dir := writeTraces(t)
 	if err := run([]string{"-traces", dir, "-os-noise", "bad"}); err == nil {
 		t.Fatal("bad model spec accepted")
+	}
+	// Non-finite parameters would turn every delay into NaN or ±Inf.
+	for _, args := range [][]string{
+		{"-os-noise", "exponential:NaN"},
+		{"-latency", "constant:Inf"},
+		{"-per-byte", "uniform:0,-Inf"},
+	} {
+		err := run(append([]string{"-traces", dir}, args...))
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%v: got %v, want a non-finite number error", args, err)
+		}
+	}
+	sc := filepath.Join(t.TempDir(), "nan.json")
+	if err := os.WriteFile(sc, []byte(`{"rank_os_noise": {"1": "exponential:NaN"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-traces", dir, "-scenario", sc}); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Errorf("scenario with a NaN parameter: got %v", err)
 	}
 }
 
@@ -193,9 +212,18 @@ func TestAnalyzeWithHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := report.LoadHistory(hist)
+	f, err := os.Open(hist)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	var entries []report.HistoryEntry
+	for dec := json.NewDecoder(f); dec.More(); {
+		var e report.HistoryEntry
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
 	}
 	if len(entries) != 2 {
 		t.Fatalf("history entries = %d", len(entries))

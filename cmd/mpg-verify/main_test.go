@@ -151,7 +151,11 @@ func TestVerifyLintJSON(t *testing.T) {
 
 func TestVerifyScenarioRerun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sc.json")
-	if err := verify.SaveScenario(unitScenario(), path); err != nil {
+	data, err := json.MarshalIndent(unitScenario(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

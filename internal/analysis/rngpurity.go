@@ -9,7 +9,7 @@ const distPkg = "mpgraph/internal/dist"
 // RNGPurityAnalyzer enforces the ownership discipline that makes the
 // random streams sample-invariant (§4.1): every dist.RNG belongs to
 // exactly one simulated component and is obtained through the
-// approved constructors (NewRNG, Fork, ForkNamed, or the in-place
+// approved constructors (NewRNG, ForkNamed, or the in-place
 // Reseed / ForkNamedInto used by pooled replay state). Concretely:
 //
 //   - an RNG-typed variable must not be captured by a goroutine
@@ -90,7 +90,7 @@ func runRNGPurity(pass *Pass) {
 				}
 			case *ast.CompositeLit:
 				if isRNGValue(pass, x) {
-					pass.Report(x.Pos(), "dist.RNG composite literal bypasses the approved constructors (NewRNG/Fork/ForkNamed/Reseed/ForkNamedInto)")
+					pass.Report(x.Pos(), "dist.RNG composite literal bypasses the approved constructors (NewRNG/ForkNamed/Reseed/ForkNamedInto)")
 					return true
 				}
 				for _, el := range x.Elts {
@@ -167,7 +167,7 @@ func checkSharedStore(pass *Pass, as *ast.AssignStmt) {
 		}
 		switch rhs.(type) {
 		case *ast.CallExpr:
-			// NewRNG/Fork/ForkNamed result: a fresh stream.
+			// NewRNG/ForkNamed result: a fresh stream.
 		case *ast.UnaryExpr:
 			// &owned-backing: ownership transfer, not sharing.
 		case *ast.CompositeLit:

@@ -132,12 +132,6 @@ func (c *Compiled) NRanks() int { return c.nranks }
 // Events returns the total record count across ranks.
 func (c *Compiled) Events() int64 { return c.events }
 
-// Messages returns the number of matched point-to-point transfers.
-func (c *Compiled) Messages() int { return len(c.msgs) }
-
-// Collectives returns the number of collective instances.
-func (c *Compiled) Collectives() int { return len(c.colls) }
-
 // compileRecorder observes the streaming analyzer from inside
 // (builder.go/collective.go hooks) and assembles the tape. It never
 // alters control flow; the compile pass runs a zero model, so no

@@ -257,63 +257,3 @@ func (t Truncated) Mean() float64 {
 func (t Truncated) String() string {
 	return fmt.Sprintf("truncated[%g,%g](%s)", t.Low, t.High, t.Inner)
 }
-
-// Mixture draws from one of several component distributions with the
-// given weights (which need not be normalized).
-type Mixture struct {
-	Weights    []float64
-	Components []Distribution
-}
-
-// NewMixture builds a mixture; it panics if the slice lengths differ,
-// are empty, or any weight is negative.
-func NewMixture(weights []float64, comps []Distribution) Mixture {
-	if len(weights) != len(comps) || len(comps) == 0 {
-		panic("dist: mixture needs equal, non-zero numbers of weights and components")
-	}
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("dist: mixture weight must be non-negative")
-		}
-	}
-	return Mixture{Weights: weights, Components: comps}
-}
-
-func (m Mixture) total() float64 {
-	t := 0.0
-	for _, w := range m.Weights {
-		t += w
-	}
-	return t
-}
-
-// Sample implements Distribution.
-func (m Mixture) Sample(r *RNG) float64 {
-	u := r.Float64() * m.total()
-	acc := 0.0
-	for i, w := range m.Weights {
-		acc += w
-		if u < acc {
-			return m.Components[i].Sample(r)
-		}
-	}
-	return m.Components[len(m.Components)-1].Sample(r)
-}
-
-// Mean implements Distribution.
-func (m Mixture) Mean() float64 {
-	t := m.total()
-	if t == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i, w := range m.Weights {
-		sum += w * m.Components[i].Mean()
-	}
-	return sum / t
-}
-
-// String implements Distribution.
-func (m Mixture) String() string {
-	return fmt.Sprintf("mixture(%d components)", len(m.Components))
-}

@@ -169,48 +169,6 @@ func TestShiftedScaledTruncated(t *testing.T) {
 	}
 }
 
-func TestMixtureMeanAndComponents(t *testing.T) {
-	m := NewMixture(
-		[]float64{1, 3},
-		[]Distribution{Constant{C: 0}, Constant{C: 100}},
-	)
-	wantClose(t, "mixture mean", m.Mean(), 75, 1e-12)
-	r := NewRNG(13)
-	const n = 100000
-	hi := 0
-	for i := 0; i < n; i++ {
-		v := m.Sample(r)
-		if v != 0 && v != 100 {
-			t.Fatalf("mixture sample %g not from components", v)
-		}
-		if v == 100 {
-			hi++
-		}
-	}
-	wantClose(t, "mixture weight", float64(hi)/n, 0.75, 0.02)
-}
-
-func TestMixturePanics(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"mismatched", func() { NewMixture([]float64{1}, nil) }},
-		{"negative weight", func() {
-			NewMixture([]float64{-1}, []Distribution{Constant{}})
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			tc.fn()
-		})
-	}
-}
-
 func TestSampleDeterminismAcrossDistributions(t *testing.T) {
 	// Property: every distribution type, sampled with identically
 	// seeded RNGs, yields identical streams.

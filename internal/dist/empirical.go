@@ -96,101 +96,3 @@ func (e *Empirical) CDF(x float64) float64 {
 	}
 	return float64(i) / float64(n)
 }
-
-// Histogram summarizes samples into fixed-width bins, the form in which
-// microbenchmark output is reported and persisted. It is both a
-// summary statistic and (via Distribution) a sampleable object, so a
-// persisted histogram can parameterize later analysis runs without
-// keeping raw samples.
-type Histogram struct {
-	Low       float64  // left edge of the first bin
-	Width     float64  // bin width (> 0)
-	Counts    []uint64 // one count per bin
-	Total     uint64   // sum of Counts
-	Underflow uint64   // samples below Low
-	Overflow  uint64   // samples at or above Low + Width*len(Counts)
-}
-
-// NewHistogram creates an empty histogram with the given geometry.
-// It panics if width <= 0 or bins <= 0.
-func NewHistogram(low, width float64, bins int) *Histogram {
-	if width <= 0 || bins <= 0 {
-		panic("dist: histogram needs positive width and bin count")
-	}
-	return &Histogram{Low: low, Width: width, Counts: make([]uint64, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	if x < h.Low {
-		h.Underflow++
-		return
-	}
-	i := int((x - h.Low) / h.Width)
-	if i >= len(h.Counts) {
-		h.Overflow++
-		return
-	}
-	h.Counts[i]++
-	h.Total++
-}
-
-// AddAll records a batch of samples.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Low + h.Width*(float64(i)+0.5)
-}
-
-// Mean implements Distribution using bin centers; under/overflow are
-// excluded.
-func (h *Histogram) Mean() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i, c := range h.Counts {
-		sum += float64(c) * h.BinCenter(i)
-	}
-	return sum / float64(h.Total)
-}
-
-// Sample implements Distribution: a bin is chosen with probability
-// proportional to its count, then a point is drawn uniformly within the
-// bin. An empty histogram samples zero.
-func (h *Histogram) Sample(r *RNG) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	target := r.Uint64() % h.Total
-	var acc uint64
-	for i, c := range h.Counts {
-		acc += c
-		if target < acc {
-			return h.Low + h.Width*(float64(i)+r.Float64())
-		}
-	}
-	// Unreachable when Total == sum(Counts); defend anyway.
-	return h.BinCenter(len(h.Counts) - 1)
-}
-
-// String implements Distribution.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("histogram(bins=%d,n=%d)", len(h.Counts), h.Total)
-}
-
-// NonEmptyBins returns the number of bins with at least one sample.
-func (h *Histogram) NonEmptyBins() int {
-	n := 0
-	for _, c := range h.Counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -96,7 +96,7 @@ func TestEmpiricalApproachesAnalytic(t *testing.T) {
 		// fresh draw from the truth.
 		resampled := SampleN(emp, NewRNG(1), 20000)
 		fresh := SampleN(truth, NewRNG(2), 20000)
-		ks := KSStatistic(resampled, fresh)
+		ks := KSStatTwo(resampled, fresh)
 		if n >= 10000 && ks > 0.03 {
 			t.Errorf("n=%d: KS distance %g too large", n, ks)
 		}
@@ -110,81 +110,6 @@ func TestEmpiricalApproachesAnalytic(t *testing.T) {
 		}
 		wantClose(t, "empirical mean", emp.Mean(), 100, 5/math.Sqrt(float64(n)))
 	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // bins [0,10) [10,20) ... [40,50)
-	h.AddAll([]float64{-1, 0, 5, 9.999, 10, 45, 50, 1000})
-	if h.Underflow != 1 {
-		t.Fatalf("underflow = %d, want 1", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Fatalf("overflow = %d, want 2 (50 and 1000)", h.Overflow)
-	}
-	if h.Counts[0] != 3 {
-		t.Fatalf("bin0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("bins = %v", h.Counts)
-	}
-	if h.Total != 5 {
-		t.Fatalf("total = %d, want 5", h.Total)
-	}
-	if h.NonEmptyBins() != 3 {
-		t.Fatalf("NonEmptyBins = %d, want 3", h.NonEmptyBins())
-	}
-}
-
-func TestHistogramPanicsOnBadGeometry(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestHistogramSampleWithinBins(t *testing.T) {
-	h := NewHistogram(100, 50, 4)
-	h.AddAll([]float64{110, 120, 260, 260, 260})
-	r := NewRNG(3)
-	lowBin, highBin := 0, 0
-	for i := 0; i < 10000; i++ {
-		v := h.Sample(r)
-		switch {
-		case v >= 100 && v < 150:
-			lowBin++
-		case v >= 250 && v < 300:
-			highBin++
-		default:
-			t.Fatalf("sample %g fell in an empty bin", v)
-		}
-	}
-	frac := float64(highBin) / float64(lowBin+highBin)
-	wantClose(t, "bin weighting", frac, 0.6, 0.05)
-}
-
-func TestHistogramEmptySamplesZero(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	if v := h.Sample(NewRNG(4)); v != 0 {
-		t.Fatalf("empty histogram sampled %g", v)
-	}
-	if h.Mean() != 0 {
-		t.Fatalf("empty histogram mean %g", h.Mean())
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.AddAll([]float64{5, 5, 25}) // centers 5,5,25 -> mean ~11.67
-	wantClose(t, "histogram mean", h.Mean(), 35.0/3, 1e-9)
 }
 
 func TestQuickEmpiricalQuantileMonotone(t *testing.T) {

@@ -73,26 +73,3 @@ func (g Gamma) Mean() float64 { return g.K * g.Theta }
 func (g Gamma) String() string {
 	return fmt.Sprintf("gamma(k=%g,theta=%g)", g.K, g.Theta)
 }
-
-// Bernoulli yields Value with probability P and zero otherwise — the
-// scalar special case of Spike, convenient in specs.
-type Bernoulli struct {
-	P     float64
-	Value float64
-}
-
-// Sample implements Distribution.
-func (b Bernoulli) Sample(r *RNG) float64 {
-	if r.Float64() < b.P {
-		return b.Value
-	}
-	return 0
-}
-
-// Mean implements Distribution.
-func (b Bernoulli) Mean() float64 { return b.P * b.Value }
-
-// String implements Distribution.
-func (b Bernoulli) String() string {
-	return fmt.Sprintf("bernoulli(p=%g,value=%g)", b.P, b.Value)
-}

@@ -24,7 +24,7 @@ func TestWeibullK1MatchesExponential(t *testing.T) {
 	// distributions' sampled CDFs should be close.
 	w := SampleN(Weibull{Lambda: 100, K: 1}, NewRNG(2), 30000)
 	e := SampleN(Exponential{MeanValue: 100}, NewRNG(3), 30000)
-	if ks := KSStatistic(w, e); ks > 0.02 {
+	if ks := KSStatTwo(w, e); ks > 0.02 {
 		t.Fatalf("Weibull(k=1) vs exponential KS = %g", ks)
 	}
 }
@@ -67,7 +67,7 @@ func TestGammaVariance(t *testing.T) {
 func TestGammaK1MatchesExponential(t *testing.T) {
 	g := SampleN(Gamma{K: 1, Theta: 100}, NewRNG(7), 30000)
 	e := SampleN(Exponential{MeanValue: 100}, NewRNG(8), 30000)
-	if ks := KSStatistic(g, e); ks > 0.02 {
+	if ks := KSStatTwo(g, e); ks > 0.02 {
 		t.Fatalf("Gamma(k=1) vs exponential KS = %g", ks)
 	}
 }
@@ -83,7 +83,12 @@ func TestGammaPositive(t *testing.T) {
 }
 
 func TestBernoulli(t *testing.T) {
-	b := Bernoulli{P: 0.25, Value: 400}
+	// The bernoulli keyword is shorthand for a spike of constant
+	// magnitude.
+	b := MustParse("bernoulli:0.25,400")
+	if _, ok := b.(Spike); !ok {
+		t.Fatalf("bernoulli parsed to %T, want Spike", b)
+	}
 	wantClose(t, "bernoulli mean", b.Mean(), 100, 1e-12)
 	r := NewRNG(10)
 	hits := 0
@@ -130,7 +135,7 @@ func TestExtraFamiliesDeterministic(t *testing.T) {
 	for _, d := range []Distribution{
 		Weibull{Lambda: 10, K: 2},
 		Gamma{K: 3, Theta: 7},
-		Bernoulli{P: 0.5, Value: 9},
+		MustParse("bernoulli:0.5,9"),
 	} {
 		a, b := NewRNG(42), NewRNG(42)
 		for i := 0; i < 200; i++ {

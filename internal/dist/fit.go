@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // FitExponential estimates an Exponential distribution from samples by
 // maximum likelihood (the MLE of the mean is the sample mean). This is
@@ -21,92 +18,6 @@ func FitExponential(samples []float64) (Exponential, error) {
 		sum += v
 	}
 	return Exponential{MeanValue: sum / float64(len(samples))}, nil
-}
-
-// FitNormal estimates a Normal distribution from samples by maximum
-// likelihood (sample mean, biased sample standard deviation).
-func FitNormal(samples []float64) (Normal, error) {
-	n := len(samples)
-	if n < 2 {
-		return Normal{}, fmt.Errorf("dist: normal fit needs >= 2 samples, got %d", n)
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	mu := sum / float64(n)
-	ss := 0.0
-	for _, v := range samples {
-		d := v - mu
-		ss += d * d
-	}
-	return Normal{Mu: mu, Sigma: math.Sqrt(ss / float64(n))}, nil
-}
-
-// FitLogNormal estimates a LogNormal distribution by fitting a normal
-// to the logarithms of the samples. All samples must be positive.
-func FitLogNormal(samples []float64) (LogNormal, error) {
-	if len(samples) < 2 {
-		return LogNormal{}, fmt.Errorf("dist: lognormal fit needs >= 2 samples")
-	}
-	logs := make([]float64, len(samples))
-	for i, v := range samples {
-		if v <= 0 {
-			return LogNormal{}, fmt.Errorf("dist: lognormal fit saw non-positive sample %g", v)
-		}
-		logs[i] = math.Log(v)
-	}
-	n, err := FitNormal(logs)
-	if err != nil {
-		return LogNormal{}, err
-	}
-	return LogNormal{Mu: n.Mu, Sigma: n.Sigma}, nil
-}
-
-// FitSpike estimates a Spike distribution from samples where "zero"
-// (quiet quanta) dominate: the firing probability is the fraction of
-// samples above the threshold, and the magnitude is the empirical
-// distribution of the above-threshold samples. This matches how
-// FTQ-style noise data is usually reduced.
-func FitSpike(samples []float64, threshold float64) (Spike, error) {
-	if len(samples) == 0 {
-		return Spike{}, fmt.Errorf("dist: cannot fit spike to empty sample")
-	}
-	var hot []float64
-	for _, v := range samples {
-		if v > threshold {
-			hot = append(hot, v)
-		}
-	}
-	if len(hot) == 0 {
-		return Spike{P: 0, Magnitude: Constant{C: 0}}, nil
-	}
-	return Spike{
-		P:         float64(len(hot)) / float64(len(samples)),
-		Magnitude: NewEmpirical(hot),
-	}, nil
-}
-
-// KSStatistic computes the two-sample Kolmogorov–Smirnov statistic
-// between sample sets a and b: the maximum distance between their
-// empirical CDFs. Used in tests and ablations to quantify how close an
-// empirical parameterization is to the analytic family it was drawn
-// from.
-func KSStatistic(a, b []float64) float64 {
-	ea := NewEmpirical(a)
-	eb := NewEmpirical(b)
-	maxD := 0.0
-	probe := func(xs []float64) {
-		for _, x := range xs {
-			d := math.Abs(ea.CDF(x) - eb.CDF(x))
-			if d > maxD {
-				maxD = d
-			}
-		}
-	}
-	probe(a)
-	probe(b)
-	return maxD
 }
 
 // SampleN draws n samples from d into a fresh slice.

@@ -24,76 +24,9 @@ func TestFitExponentialErrors(t *testing.T) {
 	}
 }
 
-func TestFitNormalRecoversParams(t *testing.T) {
-	truth := Normal{Mu: 42, Sigma: 7}
-	data := SampleN(truth, NewRNG(2), 50000)
-	got, err := FitNormal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantClose(t, "mu", got.Mu, 42, 0.01)
-	wantClose(t, "sigma", got.Sigma, 7, 0.03)
-}
-
-func TestFitNormalErrors(t *testing.T) {
-	if _, err := FitNormal([]float64{1}); err == nil {
-		t.Fatal("expected error on single sample")
-	}
-}
-
-func TestFitLogNormalRecoversParams(t *testing.T) {
-	truth := LogNormal{Mu: 2, Sigma: 0.5}
-	data := SampleN(truth, NewRNG(3), 50000)
-	got, err := FitLogNormal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantClose(t, "mu", got.Mu, 2, 0.02)
-	wantClose(t, "sigma", got.Sigma, 0.5, 0.03)
-}
-
-func TestFitLogNormalRejectsNonPositive(t *testing.T) {
-	if _, err := FitLogNormal([]float64{1, 0}); err == nil {
-		t.Fatal("expected error on zero sample")
-	}
-	if _, err := FitLogNormal([]float64{5}); err == nil {
-		t.Fatal("expected error on single sample")
-	}
-}
-
-func TestFitSpike(t *testing.T) {
-	truth := Spike{P: 0.2, Magnitude: Constant{C: 500}}
-	data := SampleN(truth, NewRNG(4), 20000)
-	got, err := FitSpike(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantClose(t, "p", got.P, 0.2, 0.05)
-	wantClose(t, "magnitude mean", got.Magnitude.Mean(), 500, 0.01)
-}
-
-func TestFitSpikeAllQuiet(t *testing.T) {
-	got, err := FitSpike([]float64{0, 0, 0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.P != 0 {
-		t.Fatalf("quiet fit has p = %g", got.P)
-	}
-	if got.Sample(NewRNG(1)) != 0 {
-		t.Fatal("quiet spike sampled non-zero")
-	}
-}
-
-func TestFitSpikeEmptyErrors(t *testing.T) {
-	if _, err := FitSpike(nil, 0); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestKSStatisticIdentical(t *testing.T) {
 	data := SampleN(Uniform{Low: 0, High: 1}, NewRNG(5), 1000)
-	if ks := KSStatistic(data, data); ks != 0 {
+	if ks := KSStatTwo(data, data); ks != 0 {
 		t.Fatalf("KS of identical samples = %g", ks)
 	}
 }
@@ -101,7 +34,7 @@ func TestKSStatisticIdentical(t *testing.T) {
 func TestKSStatisticDisjoint(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{100, 200, 300}
-	if ks := KSStatistic(a, b); ks != 1 {
+	if ks := KSStatTwo(a, b); ks != 1 {
 		t.Fatalf("KS of disjoint samples = %g, want 1", ks)
 	}
 }
@@ -109,11 +42,11 @@ func TestKSStatisticDisjoint(t *testing.T) {
 func TestKSStatisticSameFamily(t *testing.T) {
 	a := SampleN(Exponential{MeanValue: 10}, NewRNG(6), 20000)
 	b := SampleN(Exponential{MeanValue: 10}, NewRNG(7), 20000)
-	if ks := KSStatistic(a, b); ks > 0.03 {
+	if ks := KSStatTwo(a, b); ks > 0.03 {
 		t.Fatalf("KS between same-family samples = %g, want small", ks)
 	}
 	c := SampleN(Exponential{MeanValue: 30}, NewRNG(8), 20000)
-	if ks := KSStatistic(a, c); ks < 0.2 {
+	if ks := KSStatTwo(a, c); ks < 0.2 {
 		t.Fatalf("KS between different means = %g, want large", ks)
 	}
 }
@@ -163,6 +96,13 @@ func TestParseErrors(t *testing.T) {
 		"truncated:1,0,constant:0",
 		"truncated:1,2",
 		"scaled:x,constant:1",
+		"exponential:NaN",
+		"constant:Inf",
+		"constant:-inf",
+		"uniform:0,+Inf",
+		"bernoulli:NaN,1",
+		"spike:0.5,exponential:Infinity",
+		"truncated:0,inf,constant:1",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", spec)

@@ -120,14 +120,6 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Fork derives an independent generator from this one. The child's
-// stream is a deterministic function of the parent's state at the time
-// of the call, so forking in a fixed order yields reproducible
-// hierarchies of generators (one per rank, per link, and so on).
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // ForkNamed derives an independent generator whose stream depends on
 // both the parent state and the given label, so components created in
 // any order still receive stable streams as long as their labels are

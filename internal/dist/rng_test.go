@@ -106,10 +106,11 @@ func TestInt63nBounds(t *testing.T) {
 }
 
 func TestForkIndependence(t *testing.T) {
+	// Each fork advances the parent, so two children forked under the
+	// same label still get distinct streams.
 	parent := NewRNG(5)
-	c1 := parent.Fork()
-	c2 := parent.Fork()
-	// The two children must have distinct streams.
+	c1 := parent.ForkNamed("rank")
+	c2 := parent.ForkNamed("rank")
 	same := 0
 	for i := 0; i < 100; i++ {
 		if c1.Uint64() == c2.Uint64() {
@@ -122,12 +123,19 @@ func TestForkIndependence(t *testing.T) {
 }
 
 func TestForkReproducible(t *testing.T) {
-	mk := func() uint64 {
-		p := NewRNG(99)
-		return p.Fork().Uint64()
-	}
-	if mk() != mk() {
-		t.Fatal("fork of identically-seeded parents differs")
+	// ForkHierarchyInto must reproduce NewRNG(seed) followed by one
+	// ForkNamed per label, in order.
+	labels := []string{"clocks", "latency", "noise-0"}
+	want := NewRNG(99)
+	got := make([]RNG, len(labels))
+	ForkHierarchyInto(99, labels, got)
+	for i, l := range labels {
+		c := want.ForkNamed(l)
+		for j := 0; j < 8; j++ {
+			if a, b := c.Uint64(), got[i].Uint64(); a != b {
+				t.Fatalf("label %q draw %d: ForkHierarchyInto %d, ForkNamed %d", l, j, b, a)
+			}
+		}
 	}
 }
 

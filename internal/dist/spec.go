@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -9,12 +10,16 @@ import (
 // Parse builds a Distribution from a compact textual specification, the
 // format the command-line tools accept for perturbation scenarios:
 //
-//	constant:250
+//	zero                       (constant 0)
+//	constant:250               (alias const)
 //	uniform:0,500
-//	exponential:250            (mean)
-//	normal:250,50              (mu, sigma)
+//	exponential:250            (mean; alias exp)
+//	normal:250,50              (mu, sigma; alias gaussian)
 //	lognormal:5.0,0.4          (mu, sigma of underlying normal)
 //	pareto:100,2.5             (xm, alpha)
+//	weibull:100,1.5            (lambda, k)
+//	gamma:4,25                 (k, theta)
+//	bernoulli:0.01,5000        (p, v: shorthand for spike:p,constant:v)
 //	spike:0.01,exponential:5000
 //	shifted:100,exponential:50
 //	scaled:2,uniform:0,10
@@ -22,7 +27,9 @@ import (
 //
 // Composite specs nest after their scalar arguments, so the final
 // argument of spike/shifted/scaled/truncated is itself a spec and may
-// contain further colons and commas.
+// contain further colons and commas. Every number must be finite: NaN
+// and ±Inf are rejected, since a non-finite parameter turns every
+// delay it touches into NaN or ±Inf.
 func Parse(spec string) (Distribution, error) {
 	spec = strings.TrimSpace(spec)
 	name, rest, _ := strings.Cut(spec, ":")
@@ -107,7 +114,7 @@ func Parse(spec string) (Distribution, error) {
 		if p < 0 || p > 1 {
 			return nil, fmt.Errorf("dist: bernoulli: probability %g outside [0,1]", p)
 		}
-		return Bernoulli{P: p, Value: v}, nil
+		return Spike{P: p, Magnitude: Constant{C: v}}, nil
 	case "spike":
 		p, inner, err := scalarThenSpec(rest)
 		if err != nil {
@@ -171,6 +178,9 @@ func one(s string) (float64, error) {
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad number %q", s)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite number %q", s)
 	}
 	return v, nil
 }

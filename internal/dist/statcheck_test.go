@@ -91,39 +91,6 @@ func statCases() []statCase {
 	}
 	empMean /= float64(len(empSamples) - 1)
 
-	hist := NewHistogram(0, 10, 8)
-	histSamples := []float64{3, 7, 12, 12, 18, 25, 31, 33, 47, 52, 55, 61, 74, 74, 79}
-	hist.AddAll(histSamples)
-	histCDF := func(x float64) float64 {
-		if x <= hist.Low {
-			return 0
-		}
-		var acc float64
-		for i, c := range hist.Counts {
-			lo := hist.Low + hist.Width*float64(i)
-			if x >= lo+hist.Width {
-				acc += float64(c)
-				continue
-			}
-			acc += float64(c) * (x - lo) / hist.Width
-			break
-		}
-		f := acc / float64(hist.Total)
-		if f > 1 {
-			return 1
-		}
-		return f
-	}
-	histMean := 0.0
-	for i, c := range hist.Counts {
-		histMean += float64(c) * hist.BinCenter(i)
-	}
-	histMean /= float64(hist.Total)
-
-	mix := NewMixture([]float64{1, 3}, []Distribution{Uniform{Low: 0, High: 1}, Exponential{MeanValue: 200}})
-	mixMean := 0.25*0.5 + 0.75*200
-	mixM2 := 0.25*(1.0/3) + 0.75*(2*200*200) // E[X²]
-
 	weibull := Weibull{Lambda: 100, K: 1.5}
 	wg1 := math.Gamma(1 + 1/weibull.K)
 	wg2 := math.Gamma(1 + 2/weibull.K)
@@ -254,24 +221,6 @@ func statCases() []statCase {
 			mean: truncMean, variance: math.NaN(),
 		},
 		{
-			name: "mixture", d: mix,
-			cdf: func(x float64) float64 {
-				u := 0.0
-				switch {
-				case x >= 1:
-					u = 1
-				case x > 0:
-					u = x
-				}
-				e := 0.0
-				if x > 0 {
-					e = 1 - math.Exp(-x/200)
-				}
-				return 0.25*u + 0.75*e
-			},
-			mean: mixMean, variance: mixM2 - mixMean*mixMean,
-		},
-		{
 			name: "empirical", d: empirical,
 			cdf: func(x float64) float64 {
 				return quantileCDF(empirical.Quantile, x, false)
@@ -280,10 +229,6 @@ func statCases() []statCase {
 				return quantileCDF(empirical.Quantile, x, true)
 			},
 			mean: empMean, variance: math.NaN(),
-		},
-		{
-			name: "histogram", d: hist,
-			cdf: histCDF, mean: histMean, variance: math.NaN(),
 		},
 		{
 			name: "weibull", d: weibull,
@@ -302,7 +247,7 @@ func statCases() []statCase {
 			mean: 100, variance: 2.5 * 40 * 40,
 		},
 		{
-			name: "bernoulli", d: Bernoulli{P: 0.25, Value: 8},
+			name: "bernoulli", d: MustParse("bernoulli:0.25,8"),
 			cdf: func(x float64) float64 {
 				switch {
 				case x < 0:

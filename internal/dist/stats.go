@@ -146,31 +146,6 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest observation (zero if empty).
 func (w *Welford) Max() float64 { return w.max }
 
-// Merge folds another accumulator into this one (parallel reduction of
-// partial statistics).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	min := w.min
-	if o.min < min {
-		min = o.min
-	}
-	max := w.max
-	if o.max > max {
-		max = o.max
-	}
-	*w = Welford{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
 // LinearFit holds the result of an ordinary least-squares fit
 // y = Slope*x + Intercept, used by the Section 6.1 experiment to test
 // the paper's claim that runtime grows linearly with injected noise.

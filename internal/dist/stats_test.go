@@ -79,39 +79,6 @@ func TestWelfordEmpty(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	data := SampleN(Exponential{MeanValue: 5}, NewRNG(2), 1000)
-	var whole, a, b Welford
-	for i, v := range data {
-		whole.Add(v)
-		if i < 300 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	wantClose(t, "merged mean", a.Mean(), whole.Mean(), 1e-9)
-	wantClose(t, "merged variance", a.Variance(), whole.Variance(), 1e-9)
-	if a.N() != whole.N() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatal("merged counters disagree")
-	}
-}
-
-func TestWelfordMergeWithEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(3)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatalf("merge with empty changed state: n=%d mean=%g", a.N(), a.Mean())
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatalf("merge into empty wrong: n=%d mean=%g", b.N(), b.Mean())
-	}
-}
-
 func TestFitLinearExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4}
 	ys := []float64{10, 13, 16, 19, 22} // y = 3x + 10

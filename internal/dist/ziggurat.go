@@ -195,7 +195,7 @@ func stdNormSlow(r *RNG, u uint64) float64 {
 // with the pre-ziggurat reference algorithms: inverse-CDF for
 // Exponential (-mean·ln U), Box–Muller for Normal, and exp(Box–Muller)
 // for LogNormal, recursing through the wrapper distributions (Shifted,
-// Scaled, Truncated, Spike, Mixture). Distributions whose sampler
+// Scaled, Truncated, Spike). Distributions whose sampler
 // never changed are returned unchanged. Exact exists for differential
 // testing — two-sample KS between the ziggurat and reference streams —
 // and as an escape hatch for experiments that must reproduce
@@ -216,12 +216,6 @@ func Exact(d Distribution) Distribution {
 		return Truncated{Low: v.Low, High: v.High, Inner: Exact(v.Inner)}
 	case Spike:
 		return Spike{P: v.P, Magnitude: Exact(v.Magnitude)}
-	case Mixture:
-		comps := make([]Distribution, len(v.Components))
-		for i, c := range v.Components {
-			comps[i] = Exact(c)
-		}
-		return Mixture{Weights: v.Weights, Components: comps}
 	default:
 		return d
 	}

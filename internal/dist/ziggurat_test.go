@@ -211,15 +211,13 @@ func TestExactConstruction(t *testing.T) {
 	if _, ok := sh.Inner.(exactExponential); !ok {
 		t.Error("Exact(Shifted{Exponential}) did not recurse into Inner")
 	}
-	mix := Exact(NewMixture(
-		[]float64{1, 1},
-		[]Distribution{Normal{Mu: 0, Sigma: 1}, Constant{C: 3}},
-	)).(Mixture)
-	if _, ok := mix.Components[0].(exactNormal); !ok {
-		t.Error("Exact(Mixture) did not recurse into components")
+	sp := Exact(Spike{P: 0.5, Magnitude: Normal{Mu: 0, Sigma: 1}}).(Spike)
+	if _, ok := sp.Magnitude.(exactNormal); !ok {
+		t.Error("Exact(Spike{Normal}) did not recurse into Magnitude")
 	}
-	if _, ok := mix.Components[1].(Constant); !ok {
-		t.Error("Exact(Mixture) rewrote an untouched component")
+	sc := Exact(Spike{P: 0.5, Magnitude: Constant{C: 3}}).(Spike)
+	if _, ok := sc.Magnitude.(Constant); !ok {
+		t.Error("Exact(Spike{Constant}) rewrote an untouched magnitude")
 	}
 	u := Uniform{Low: 0, High: 1}
 	if got := Exact(u); got != Distribution(u) {

@@ -157,9 +157,6 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Config returns the (defaulted) configuration the machine runs with.
-func (m *Machine) Config() Config { return m.cfg }
-
 // NRanks returns the processor count.
 func (m *Machine) NRanks() int { return m.cfg.NRanks }
 

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"os"
 
 	"mpgraph/internal/core"
@@ -77,29 +75,4 @@ func AppendHistory(path string, e HistoryEntry) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadHistory reads all entries from a JSON-lines history file.
-func LoadHistory(path string) ([]HistoryEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck
-	var out []HistoryEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e HistoryEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("report: %s line %d: %w", path, line, err)
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
 }

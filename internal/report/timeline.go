@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"mpgraph/internal/trace"
 )
@@ -104,13 +103,4 @@ func glyph(k trace.Kind) byte {
 	default:
 		return 'm'
 	}
-}
-
-// TimelineString is Timeline into a string.
-func TimelineString(set *trace.Set, width int) (string, error) {
-	var sb strings.Builder
-	if err := Timeline(&sb, set, width); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
 }

@@ -28,10 +28,11 @@ func ringSet(t *testing.T, nranks int) *trace.Set {
 }
 
 func TestTimelineRenders(t *testing.T) {
-	out, err := TimelineString(ringSet(t, 4), 60)
-	if err != nil {
+	var sb strings.Builder
+	if err := Timeline(&sb, ringSet(t, 4), 60); err != nil {
 		t.Fatal(err)
 	}
+	out := sb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	// Header + 4 rank rows + legend.
 	if len(lines) != 6 {
@@ -52,10 +53,11 @@ func TestTimelineRenders(t *testing.T) {
 }
 
 func TestTimelineRowWidths(t *testing.T) {
-	out, err := TimelineString(ringSet(t, 3), 40)
-	if err != nil {
+	var sb strings.Builder
+	if err := Timeline(&sb, ringSet(t, 3), 40); err != nil {
 		t.Fatal(err)
 	}
+	out := sb.String()
 	for _, line := range strings.Split(out, "\n") {
 		if !strings.Contains(line, "|") {
 			continue
@@ -69,7 +71,7 @@ func TestTimelineRowWidths(t *testing.T) {
 }
 
 func TestTimelineDefaultsWidth(t *testing.T) {
-	if _, err := TimelineString(ringSet(t, 2), 0); err != nil {
+	if err := Timeline(&strings.Builder{}, ringSet(t, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,7 +83,7 @@ func TestTimelineEmptyTraceFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TimelineString(set, 40); err == nil {
+	if err := Timeline(&strings.Builder{}, set, 40); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }

@@ -65,6 +65,9 @@ func Load(path string) (*core.Model, *File, error) {
 	return m, &f, nil
 }
 
+// maxRankKey bounds the rank_os_noise keys a file may name.
+const maxRankKey = 1 << 20
+
 // Model compiles the scenario into a core.Model.
 func (f *File) Model() (*core.Model, error) {
 	m := &core.Model{
@@ -89,6 +92,11 @@ func (f *File) Model() (*core.Model, error) {
 		rank, err := strconv.Atoi(key)
 		if err != nil || rank < 0 {
 			return nil, fmt.Errorf("rank_os_noise: bad rank key %q", key)
+		}
+		// The key sizes RankOSNoise, so cap it as the trace decoder
+		// caps declared metadata counts.
+		if rank >= maxRankKey {
+			return nil, fmt.Errorf("rank_os_noise: implausible rank key %q (limit %d)", key, maxRankKey-1)
 		}
 		d, err := dist.Parse(f.RankOSNoise[key])
 		if err != nil {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpgraph/internal/core"
@@ -99,6 +100,23 @@ func TestModelErrorIgnoresMapOrder(t *testing.T) {
 		if err == nil || err.Error() != `rank_os_noise: bad rank key "x"` {
 			t.Fatalf("call %d: got %v, want the error for key \"x\"", i, err)
 		}
+	}
+}
+
+// TestModelRejectsImplausibleRankKey: a rank key sizes RankOSNoise,
+// so a one-line file must not be able to ask for gigabytes.
+func TestModelRejectsImplausibleRankKey(t *testing.T) {
+	f := &File{RankOSNoise: map[string]string{"1048576": "constant:1"}}
+	m, err := f.Model()
+	if err == nil {
+		t.Fatalf("rank key 1<<20 accepted; RankOSNoise has %d entries", len(m.RankOSNoise))
+	}
+	if !strings.Contains(err.Error(), "implausible rank key") {
+		t.Fatalf("error %q does not name the implausible rank key", err)
+	}
+	f.RankOSNoise = map[string]string{"2000000000": "constant:1"}
+	if _, err := f.Model(); err == nil || !strings.Contains(err.Error(), "implausible rank key") {
+		t.Fatalf("rank key 2000000000: got %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -57,7 +59,11 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 func TestScenarioRoundTrip(t *testing.T) {
 	sc := fixedScenario(ClassMixed)
 	path := filepath.Join(t.TempDir(), "sc.json")
-	if err := SaveScenario(sc, path); err != nil {
+	data, err := json.MarshalIndent(sc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadScenario(path)

@@ -325,16 +325,6 @@ func (sc *Scenario) scaledFile(k float64) *scenario.File {
 	return scenario.Constants(sc.Name(), lat*k, perByte*k, noise*k)
 }
 
-// SaveScenario writes the scenario as indented JSON (the reproducer
-// format the shrinker emits).
-func SaveScenario(sc *Scenario, path string) error {
-	data, err := json.MarshalIndent(sc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // LoadScenario reads a scenario JSON file.
 func LoadScenario(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
