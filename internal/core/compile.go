@@ -141,8 +141,8 @@ func (c *Compiled) Events() int64 { return c.events }
 // rank caches its region's dense index (rankState.recRegion), so only
 // a region change consults regionIdx.
 type compileRecorder struct {
-	ops        []op
-	msgs       []compiledMsg
+	ops        chunks[op]
+	msgs       chunks[compiledMsg]
 	colls      []compiledColl
 	parts      []compiledCollPart
 	maxParts   int
@@ -152,6 +152,39 @@ type compileRecorder struct {
 
 func newCompileRecorder() *compileRecorder {
 	return &compileRecorder{regionIdx: map[RegionKey]int32{}}
+}
+
+// chunks accumulates one section of the tape in chunks that double up
+// to maxChunk elements, so recording never copies what it has already
+// recorded nor leaves outgrown arrays for the collector: a tape's
+// length is unknown until the trace ends, and growing one slice by
+// append allocates several times its final size. flatten copies the
+// chunks once into an exact-size slice.
+type chunks[T any] struct {
+	done [][]T
+	cur  []T
+	n    int
+}
+
+const maxChunk = 1 << 15
+
+func (c *chunks[T]) push(v T) {
+	if len(c.cur) == cap(c.cur) {
+		if c.cur != nil {
+			c.done = append(c.done, c.cur)
+		}
+		c.cur = make([]T, 0, max(64, min(2*cap(c.cur), maxChunk)))
+	}
+	c.cur = append(c.cur, v)
+	c.n++
+}
+
+func (c *chunks[T]) flatten() []T {
+	out := make([]T, 0, c.n)
+	for _, d := range c.done {
+		out = append(out, d...)
+	}
+	return append(out, c.cur...)
 }
 
 func (r *compileRecorder) regionIndex(key RegionKey) int32 {
@@ -165,7 +198,7 @@ func (r *compileRecorder) regionIndex(key RegionKey) int32 {
 }
 
 func (r *compileRecorder) onBegin(rs *rankState, gap int64) {
-	r.ops = append(r.ops, op{
+	r.ops.push(op{
 		code:    opBegin,
 		started: rs.started,
 		rank:    int32(rs.rank),
@@ -175,16 +208,16 @@ func (r *compileRecorder) onBegin(rs *rankState, gap int64) {
 }
 
 func (r *compileRecorder) onMatch(m *msgState) {
-	idx := int32(len(r.msgs))
+	idx := int32(r.msgs.n)
 	m.tapeIdx = idx
-	r.msgs = append(r.msgs, compiledMsg{
+	r.msgs.push(compiledMsg{
 		sendRank:  int32(m.sendStartRef.Rank),
 		sendEvent: m.sendStartRef.Event,
 		recvRank:  int32(m.recvStartRef.Rank),
 		recvEvent: m.recvStartRef.Event,
 		bytes:     m.bytes,
 	})
-	r.ops = append(r.ops, op{code: opMatch, arg: idx})
+	r.ops.push(op{code: opMatch, arg: idx})
 }
 
 func (r *compileRecorder) onCollResolve(cs *collState, ordered []*collParticipant) {
@@ -208,7 +241,7 @@ func (r *compileRecorder) onCollResolve(cs *collState, ordered []*collParticipan
 		partOff: off,
 		partN:   int32(len(ordered)),
 	})
-	r.ops = append(r.ops, op{code: opCollResolve, arg: idx})
+	r.ops.push(op{code: opCollResolve, arg: idx})
 }
 
 func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
@@ -252,7 +285,7 @@ func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
 			}
 		}
 	}
-	r.ops = append(r.ops, o)
+	r.ops.push(o)
 }
 
 // Compile runs the streaming matcher once over the trace set and
@@ -278,8 +311,8 @@ func Compile(set *trace.Set, opts Options) (*Compiled, error) {
 	c := &Compiled{
 		nranks:     res.NRanks,
 		evBase:     make([]int64, res.NRanks+1),
-		ops:        rec.ops,
-		msgs:       rec.msgs,
+		ops:        rec.ops.flatten(),
+		msgs:       rec.msgs.flatten(),
 		colls:      rec.colls,
 		parts:      rec.parts,
 		maxParts:   rec.maxParts,

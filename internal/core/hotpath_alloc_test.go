@@ -222,3 +222,49 @@ func TestCritPathBytesPerEvent(t *testing.T) {
 		t.Fatalf("critical-path recording allocates %.1f B per event; want <= 20", perEvent)
 	}
 }
+
+// TestCompileBytesPerTapeByte pins what recording the compiled tape
+// costs in memory: the bytes Compile allocates beyond a plain Analyze
+// of the same trace, over the bytes of the tape it returns. Recording
+// into chunks and copying them once into the final slices measures
+// about 2.4; growing the slices by append measures about 5.2, and the
+// outgrown arrays raise the heap's peak.
+func TestCompileBytesPerTapeByte(t *testing.T) {
+	snap := snapWorkload(t, "stencil2d", 64, workloads.Options{Iterations: 10})
+	// allocated returns the fewest bytes any of three runs of f
+	// allocated, so that a stray allocation elsewhere cannot inflate
+	// the figure.
+	allocated := func(f func() error) uint64 {
+		var best uint64
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < best {
+				best = n
+			}
+		}
+		return best
+	}
+	var c *Compiled
+	compile := allocated(func() (err error) {
+		c, err = Compile(snap.Set(), Options{})
+		return err
+	})
+	analyze := allocated(func() error {
+		_, err := Analyze(snap.Set(), &Model{}, Options{})
+		return err
+	})
+	tape := uint64(len(c.ops))*uint64(unsafe.Sizeof(op{})) +
+		uint64(len(c.msgs))*uint64(unsafe.Sizeof(compiledMsg{})) +
+		uint64(len(c.colls))*uint64(unsafe.Sizeof(compiledColl{})) +
+		uint64(len(c.parts))*uint64(unsafe.Sizeof(compiledCollPart{}))
+	ratio := (float64(compile) - float64(analyze)) / float64(tape)
+	t.Logf("compile allocates %.2f B per tape byte (%d-byte tape, %d events)", ratio, tape, snap.Events())
+	if ratio > 3 {
+		t.Fatalf("compile allocates %.2f B per tape byte; want <= 3", ratio)
+	}
+}

@@ -7,15 +7,18 @@ import (
 )
 
 // Writer is the paper's memory-resident event buffer (Section 4): the
-// PMPI-style tracing layer records events into it, and when the buffer
-// fills it is dumped to the underlying encoder and reset. The buffer
-// size is tunable "to compensate for event frequency and overhead for
-// I/O" — here it simply controls how often Encode batches are pushed
-// to the (possibly file-backed) stream.
+// PMPI-style tracing layer records events into it, and every capacity
+// events it is dumped to the underlying stream. The buffer size is
+// tunable "to compensate for event frequency and overhead for I/O" —
+// here it sets how often the stream is flushed. Events are encoded as
+// they are recorded, into the encoder's fixed-size output buffer (which
+// also writes out whenever it fills), so a buffered event costs its few
+// encoded bytes rather than a Record struct: a run opens one writer per
+// rank, and capacity Records per rank would dwarf the trace itself.
 type Writer struct {
 	enc      *Encoder
-	buf      []Record
 	capacity int
+	pending  int // records encoded since the last dump
 	flushes  int
 	records  int64
 	closed   bool
@@ -33,7 +36,7 @@ func NewWriter(w io.Writer, h Header, capacity int) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{enc: enc, buf: make([]Record, 0, capacity), capacity: capacity}, nil
+	return &Writer{enc: enc, capacity: capacity}, nil
 }
 
 // Record appends one event. Events must be appended in non-decreasing
@@ -44,31 +47,26 @@ func (w *Writer) Record(r Record) error {
 	if w.closed {
 		return errors.New("trace: record on closed writer")
 	}
-	if err := r.Validate(); err != nil {
-		return err
-	}
 	if w.started && r.Begin < w.lastEnd {
 		return fmt.Errorf("trace: out-of-order record: begin %d before previous end %d", r.Begin, w.lastEnd)
 	}
+	if err := w.enc.Encode(r); err != nil {
+		return err
+	}
 	w.started = true
 	w.lastEnd = r.End
-	w.buf = append(w.buf, r)
+	w.pending++
 	w.records++
-	if len(w.buf) >= w.capacity {
+	if w.pending >= w.capacity {
 		return w.flush()
 	}
 	return nil
 }
 
 func (w *Writer) flush() error {
-	for _, r := range w.buf {
-		if err := w.enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	w.buf = w.buf[:0]
+	w.pending = 0
 	w.flushes++
-	return nil
+	return w.enc.w.Flush()
 }
 
 // Close flushes any buffered events and finalizes the stream.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -58,6 +59,41 @@ func TestWriterFlushOnFull(t *testing.T) {
 	}
 	if len(m.Records) != 9 {
 		t.Fatalf("read back %d records, want 9", len(m.Records))
+	}
+}
+
+// TestWriterBuffersEncodedBytes pins what a writer holds between
+// dumps: the encoded stream in the encoder's fixed-size output buffer,
+// not capacity Record structs. A run opens one writer per rank with the
+// default capacity of 4096 records, and a buffer of that many Records
+// would cost about 300 KB per rank however few events the rank records.
+func TestWriterBuffersEncodedBytes(t *testing.T) {
+	const events = 500
+	var best uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := NewWriter(io.Discard, Header{Rank: 0, NRanks: 2}, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := int64(0); e < events; e++ {
+			rec := Record{Kind: KindSend, Begin: 10 * e, End: 10*e + 5, Peer: 1, Bytes: 64, Root: NoRank}
+			if err := w.Record(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < best {
+			best = n
+		}
+	}
+	t.Logf("writer of %d events allocated %d B", events, best)
+	if best > 16<<10 {
+		t.Fatalf("writer of %d events allocated %d B; want <= 16 KiB", events, best)
 	}
 }
 
