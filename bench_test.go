@@ -7,7 +7,11 @@
 package mpgraph_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mpgraph"
@@ -331,11 +335,11 @@ func BenchmarkAnalyzerThroughput(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkAnalyzeStoredTrace is one what-if analysis of a stored
-// trace, as `mpg-analyze -critpath` runs it: the 256-rank × 40-iteration
-// stencil2d trace is written to disk once, and every iteration decodes
-// it with trace.OpenDir and analyzes it with critical-path recording.
-func BenchmarkAnalyzeStoredTrace(b *testing.B) {
+// storedTrace writes the 256-rank × 40-iteration stencil2d trace
+// behind the stored-trace benchmarks to a temporary directory and
+// returns the directory and the size of its rank files.
+func storedTrace(b *testing.B) (string, int64) {
+	b.Helper()
 	prog, err := workloads.BuildByName("stencil2d", workloads.Options{Iterations: 40})
 	if err != nil {
 		b.Fatal(err)
@@ -345,6 +349,23 @@ func BenchmarkAnalyzeStoredTrace(b *testing.B) {
 	if _, err := mpi.Run(mpi.Config{Machine: mcfg, TraceDir: dir}, prog); err != nil {
 		b.Fatal(err)
 	}
+	var size int64
+	for r := 0; r < mcfg.NRanks; r++ {
+		fi, err := os.Stat(filepath.Join(dir, trace.FileName(r)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		size += fi.Size()
+	}
+	return dir, size
+}
+
+// BenchmarkAnalyzeStoredTrace is one what-if analysis of a stored
+// trace, as `mpg-analyze -critpath` runs it: the 256-rank × 40-iteration
+// stencil2d trace is written to disk once, and every iteration decodes
+// it with trace.OpenDir and analyzes it with critical-path recording.
+func BenchmarkAnalyzeStoredTrace(b *testing.B) {
+	dir, _ := storedTrace(b)
 	model := &core.Model{
 		Seed:       1,
 		OSNoise:    dist.Exponential{MeanValue: 300},
@@ -367,6 +388,41 @@ func BenchmarkAnalyzeStoredTrace(b *testing.B) {
 			b.Fatal(err)
 		}
 		events = res.Events
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkDecodeStoredTrace is the decode share of
+// BenchmarkAnalyzeStoredTrace: every iteration opens the same stored
+// trace with trace.OpenDir and drains each rank's batches without
+// analyzing them. MB/s counts the rank files' bytes.
+func BenchmarkDecodeStoredTrace(b *testing.B) {
+	dir, size := storedTrace(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		set, closeFn, err := trace.OpenDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = 0
+		for r := 0; r < set.NRanks() && err == nil; r++ {
+			var recs []trace.Record
+			for recs, err = set.Rank(r).Batch(); err == nil; recs, err = set.Rank(r).Batch() {
+				events += int64(len(recs))
+			}
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+		}
+		if cerr := closeFn(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }

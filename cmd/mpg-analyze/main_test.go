@@ -70,6 +70,19 @@ func TestAnalyzeRejectsBadModel(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsOverflowingDelays: finite parameters whose delays
+// overflow float64 fail the run, so main exits 1, instead of printing
+// an infinite or NaN delay.
+func TestAnalyzeRejectsOverflowingDelays(t *testing.T) {
+	dir := writeTraces(t)
+	for _, noise := range []string{"lognormal:800,1", "exponential:1e308", "scaled:1e308,constant:1e308"} {
+		err := run([]string{"-traces", dir, "-os-noise", noise})
+		if err == nil || !strings.Contains(err.Error(), "overflows float64") {
+			t.Errorf("-os-noise %s: got %v, want an overflow error", noise, err)
+		}
+	}
+}
+
 func TestAnalyzeWithSignature(t *testing.T) {
 	dir := writeTraces(t)
 	sig, err := microbench.Measure(machine.Config{

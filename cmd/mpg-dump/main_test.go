@@ -61,7 +61,7 @@ func TestTextToBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close() //nolint:errcheck
-	r, err := trace.NewReader(f)
+	r, err := trace.NewDecoder(f)
 	if err != nil {
 		t.Fatal(err)
 	}

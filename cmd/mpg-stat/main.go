@@ -63,30 +63,32 @@ func run(args []string) error {
 		var first, last int64
 		started := false
 		for {
-			rec, err := rd.Next()
+			recs, err := rd.Batch()
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			if err != nil {
 				return err
 			}
-			kindCounts[rec.Kind]++
-			perRank[rank].events++
-			nEvents.Inc()
-			if rec.Kind == trace.KindSend || rec.Kind == trace.KindIsend {
-				msgBytes = append(msgBytes, float64(rec.Bytes))
-				perRank[rank].bytes += rec.Bytes
-				nBytes.Add(rec.Bytes)
+			for _, rec := range recs {
+				kindCounts[rec.Kind]++
+				perRank[rank].events++
+				nEvents.Inc()
+				if rec.Kind == trace.KindSend || rec.Kind == trace.KindIsend {
+					msgBytes = append(msgBytes, float64(rec.Bytes))
+					perRank[rank].bytes += rec.Bytes
+					nBytes.Add(rec.Bytes)
+				}
+				if started {
+					gaps = append(gaps, float64(rec.Begin-prevEnd))
+				} else {
+					first = rec.Begin
+					started = true
+				}
+				durations = append(durations, float64(rec.Duration()))
+				prevEnd = rec.End
+				last = rec.End
 			}
-			if started {
-				gaps = append(gaps, float64(rec.Begin-prevEnd))
-			} else {
-				first = rec.Begin
-				started = true
-			}
-			durations = append(durations, float64(rec.Duration()))
-			prevEnd = rec.End
-			last = rec.End
 		}
 		perRank[rank].span = last - first
 	}

@@ -18,9 +18,7 @@
 package baseline
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"mpgraph/internal/des"
@@ -174,10 +172,11 @@ func replay(set *trace.Set, p Params, retime bool) (*Result, *retimeState, error
 	res := &Result{FinalTimes: make([]int64, n)}
 	for rank := 0; rank < n; rank++ {
 		r.rng[rank] = root.ForkNamed(fmt.Sprintf("rank-%d", rank))
-		recs, err := readAll(set.Rank(rank))
+		m, err := trace.ReadAll(set.Rank(rank))
 		if err != nil {
 			return nil, nil, err
 		}
+		recs := m.Records
 		res.Records += int64(len(recs))
 		r.procs[rank] = &rankProc{
 			rank:  rank,
@@ -215,20 +214,6 @@ func replay(set *trace.Set, p Params, retime bool) (*Result, *retimeState, error
 	}
 	res.EventsFired = r.sim.Fired()
 	return res, r.ret, nil
-}
-
-func readAll(rd trace.Reader) ([]trace.Record, error) {
-	var out []trace.Record
-	for {
-		rec, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
 }
 
 // commTime is the linear model's transfer time for a payload.

@@ -97,7 +97,8 @@ type collParticipant struct {
 	// outWin anchors outD for critical-path extraction: the participant
 	// whose path won the collective's max (the hub argmax in approx
 	// mode, the adopt-chain origin in explicit mode).
-	outWin *collParticipant
+	outWin  *collParticipant
+	tapeIdx int32 // participant index on the compile tape, once resolved
 }
 
 // collState gathers a collective's participants until all arrive.
@@ -108,8 +109,7 @@ type collState struct {
 	root     int32
 	parts    []collParticipant
 	resolved bool
-	finished int   // participants whose record has finished
-	tapeIdx  int32 // collective index on the compile tape, once resolved
+	finished int // participants whose record has finished
 }
 
 // --- per-rank state -----------------------------------------------------
@@ -125,6 +125,7 @@ const (
 type rankState struct {
 	rank   int
 	reader trace.Reader
+	batch  []trace.Record // fetched and not yet begun; the next Batch call may overwrite it
 
 	eventIdx int64
 	started  bool
@@ -139,8 +140,9 @@ type rankState struct {
 	posted    bool        // cur's side effects (queue postings) done
 	// myMsg is the transfer whose side cur completes: a blocking
 	// Send/Recv's own, or the one a wait's request names.
-	myMsg  *msgState
-	myColl *collState
+	myMsg    *msgState
+	myColl   *collState
+	collPart int // this rank's index in myColl.parts
 
 	region int32
 	// reg caches the stats bucket of (rank, region) and recRegion the
@@ -352,6 +354,9 @@ func (a *analyzer) run() (*Result, error) {
 	}
 	orderViolationWarning(a.res)
 	a.res.finalize()
+	if err := a.res.checkFinite(); err != nil {
+		return nil, err
+	}
 	if a.crit != nil {
 		a.res.CritPath = buildCritPath(a.res, a.crit.nodes, a.crit.front)
 	}
@@ -384,14 +389,19 @@ func (a *analyzer) processBurst(rs *rankState) error {
 		case phaseEOF:
 			return nil
 		case phaseFetch:
-			rec, err := rs.reader.Next()
-			if err != nil { // tested first: errors.Is costs a call per record
-				if errors.Is(err, io.EOF) {
-					a.finishRank(rs)
-					return nil
+			if len(rs.batch) == 0 {
+				batch, err := rs.reader.Batch()
+				if err != nil { // tested first: errors.Is costs a call per batch
+					if errors.Is(err, io.EOF) {
+						a.finishRank(rs)
+						return nil
+					}
+					return fmt.Errorf("core: rank %d: %w", rs.rank, err)
 				}
-				return fmt.Errorf("core: rank %d: %w", rs.rank, err)
+				rs.batch = batch
 			}
+			rec := &rs.batch[0]
+			rs.batch = rs.batch[1:]
 			if err := a.beginRecord(rs, rec); err != nil {
 				return err
 			}
@@ -415,7 +425,7 @@ func (a *analyzer) processBurst(rs *rankState) error {
 
 // beginRecord handles the record's start subevent: the compute-gap
 // local edge and the queue side effects that must happen exactly once.
-func (a *analyzer) beginRecord(rs *rankState, rec trace.Record) error {
+func (a *analyzer) beginRecord(rs *rankState, rec *trace.Record) error {
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("core: rank %d record %d: %w", rs.rank, rs.eventIdx, err)
 	}
@@ -429,7 +439,7 @@ func (a *analyzer) beginRecord(rs *rankState, rec trace.Record) error {
 				rs.rank, rs.eventIdx, rec.Begin, rs.prevEnd)
 		}
 	}
-	rs.cur = rec
+	rs.cur = *rec
 	rs.posted = false
 	rs.myMsg = nil
 	rs.myColl = nil
@@ -632,14 +642,15 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 		m.recvPred = a.holdFront(rs.rank)
 	}
 	if m.sendSeen && m.recvSeen && !m.matched {
-		a.resolveMatch(key, m, int(key.dst))
+		a.resolveMatch(key, q, m, int(key.dst))
 	}
 	return m
 }
 
 // resolveMatch samples the transfer's deltas (sampler.sampleMatch),
-// drops it from its queue and reschedules the ranks stalled on it.
-func (a *analyzer) resolveMatch(key msgKey, m *msgState, recvRank int) {
+// drops it from its queue q, as postP2P looked it up under key, and
+// reschedules the ranks stalled on it.
+func (a *analyzer) resolveMatch(key msgKey, q msgQueue, m *msgState, recvRank int) {
 	a.smp.sampleMatch(&m.xfer, m.bytes, recvRank)
 	m.matched = true
 	a.cnt.matches++
@@ -648,7 +659,6 @@ func (a *analyzer) resolveMatch(key msgKey, m *msgState, recvRank int) {
 		a.rec.onMatch(m)
 	}
 	// Drop the matched entry from the front region of its queue.
-	q := a.queues[key]
 	var prev *msgState
 	for cand := q.head; cand != nil; prev, cand = cand, cand.next {
 		if cand == m {
@@ -758,7 +768,7 @@ func (a *analyzer) endWinner(rs *rankState) (NodeRef, float64, int32) {
 		}
 		return m.recvStartRef, m.recvPostD, m.recvPred
 	case WaitCollective:
-		w := rs.myColl.part(rs.rank).outWin
+		w := rs.myColl.parts[rs.collPart].outWin
 		return w.startRef, w.startD, w.pred
 	}
 	return NodeRef{Rank: rs.rank, Event: rs.eventIdx}, rs.startD, a.crit.front[rs.rank]

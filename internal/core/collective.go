@@ -35,6 +35,7 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 			return 0, Attribution{}, false, fmt.Errorf("core: comm %d seq %d has more participants than its size %d",
 				rec.Comm, rec.Seq, cs.expect)
 		}
+		rs.collPart = len(cs.parts)
 		cs.parts = append(cs.parts, collParticipant{
 			rank:      rs.rank,
 			startD:    rs.startD,
@@ -58,25 +59,12 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 			}
 		}
 	}
-	p := cs.part(rs.rank)
-	if p == nil {
-		return 0, Attribution{}, false, fmt.Errorf("core: rank %d lost its collective participation", rs.rank)
-	}
+	p := &cs.parts[rs.collPart]
 	var d float64
 	var attr Attribution
 	d, attr, rs.ivWait, rs.ivState = collEndKernel(a.model.Propagation, &a.res.Ranks[rs.rank], a.region(rs),
 		rs.startD, rs.startAttr, rec.Duration(), p.outD, p.outAttr)
 	return d, attr, true, nil
-}
-
-// part returns the rank's participation in the collective, or nil.
-func (cs *collState) part(rank int) *collParticipant {
-	for i := range cs.parts {
-		if cs.parts[i].rank == rank {
-			return &cs.parts[i]
-		}
-	}
-	return nil
 }
 
 // resolveCollective computes each participant's outbound delay

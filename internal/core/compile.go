@@ -137,9 +137,9 @@ func (c *Compiled) Events() int64 { return c.events }
 // alters control flow; the compile pass runs a zero model, so no
 // sample is drawn and no clamp fires while recording.
 //
-// Transfers and collectives carry their tape index (tapeIdx), and each
-// rank caches its region's dense index (rankState.recRegion), so only
-// a region change consults regionIdx.
+// Transfers and collective participants carry their tape index
+// (tapeIdx), and each rank caches its region's dense index
+// (rankState.recRegion), so only a region change consults regionIdx.
 type compileRecorder struct {
 	ops        chunks[op]
 	msgs       chunks[compiledMsg]
@@ -222,9 +222,9 @@ func (r *compileRecorder) onMatch(m *msgState) {
 
 func (r *compileRecorder) onCollResolve(cs *collState, ordered []*collParticipant) {
 	idx := int32(len(r.colls))
-	cs.tapeIdx = idx
 	off := int32(len(r.parts))
 	for _, p := range ordered {
+		p.tapeIdx = int32(len(r.parts))
 		r.parts = append(r.parts, compiledCollPart{
 			coll:  idx,
 			rank:  int32(p.rank),
@@ -277,13 +277,7 @@ func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
 		o.arg = ref.msg.tapeIdx
 	case rec.Kind.IsCollective():
 		o.code = opEndColl
-		cc := r.colls[rs.myColl.tapeIdx]
-		for j := int32(0); j < cc.partN; j++ {
-			if r.parts[cc.partOff+j].rank == int32(rs.rank) {
-				o.arg = cc.partOff + j
-				break
-			}
-		}
+		o.arg = rs.myColl.parts[rs.collPart].tapeIdx
 	}
 	r.ops.push(o)
 }

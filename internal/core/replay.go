@@ -143,6 +143,10 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 	//mpg:lint-ignore hotpathprop once-per-replay warning assembly after the event loop
 	orderViolationWarning(res)
 	res.finalize()
+	//mpg:lint-ignore hotpathprop once-per-replay check after the event loop; only a replay whose delays overflowed float64 formats an error
+	if err := res.checkFinite(); err != nil {
+		return nil, err
+	}
 	// The Result must not reference pooled memory: region stats are
 	// copied out into a fresh backing array.
 	if len(c.regionKeys) > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mpgraph/internal/dist"
@@ -174,6 +175,26 @@ func (r *Result) finalize() {
 	r.MakespanDelay = newMax - origMax
 	sort.Strings(r.Warnings)
 }
+
+// checkFinite fails when a perturbation overflowed float64: a rank's
+// final delay, or the mean or maximum subevent delay, is infinite or
+// NaN. Both engines call it once, after their event loop.
+func (r *Result) checkFinite() error {
+	for i := range r.Ranks {
+		if d := r.Ranks[i].FinalDelay; !isFinite(d) {
+			return fmt.Errorf("core: rank %d final delay is %v: the perturbation overflows float64", i, d)
+		}
+	}
+	if m := r.DelayStats.Mean(); !isFinite(m) {
+		return fmt.Errorf("core: subevent delay mean is %v: the perturbation overflows float64", m)
+	}
+	if m := r.DelayStats.Max(); !isFinite(m) {
+		return fmt.Errorf("core: subevent delay max is %v: the perturbation overflows float64", m)
+	}
+	return nil
+}
+
+func isFinite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // RegionList returns the region keys in deterministic order.
 func (r *Result) RegionList() []RegionKey {

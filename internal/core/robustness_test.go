@@ -8,6 +8,7 @@ import (
 	"mpgraph/internal/dist"
 	"mpgraph/internal/machine"
 	"mpgraph/internal/trace"
+	"mpgraph/internal/workloads"
 )
 
 // TestQuickAnalyzerNeverPanicsOnCorruptTraces mutates valid traces at
@@ -133,6 +134,33 @@ func TestAnalyzerErrorsAreDescriptive(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q missing %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestNonFiniteDelaysAreRejected: a perturbation that overflows float64
+// fails both engines with the same error, naming the offending value,
+// instead of reporting an infinite or NaN delay.
+func TestNonFiniteDelaysAreRejected(t *testing.T) {
+	snap := snapWorkload(t, "tokenring", 4, workloads.Options{Iterations: 2})
+	c, err := Compile(snap.Set(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"lognormal:800,1", "exponential:1e308", "scaled:1e308,constant:1e308"} {
+		noise, err := dist.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := &Model{Seed: 1, OSNoise: noise}
+		_, serr := Analyze(snap.Set(), model, Options{})
+		_, cerr := ReplayCompiled(c, model, Options{})
+		if serr == nil || cerr == nil {
+			t.Errorf("%s: streaming error %v, compiled error %v; want both to reject", spec, serr, cerr)
+			continue
+		}
+		if !strings.Contains(serr.Error(), "overflows float64") || serr.Error() != cerr.Error() {
+			t.Errorf("%s: streaming error %q, compiled error %q", spec, serr, cerr)
 		}
 	}
 }

@@ -83,16 +83,3 @@ func (e *Empirical) Len() int { return len(e.sorted) }
 func (e *Empirical) String() string {
 	return fmt.Sprintf("empirical(n=%d,mean=%g)", len(e.sorted), e.mean)
 }
-
-// CDF returns the empirical cumulative probability at x: the fraction
-// of samples <= x.
-func (e *Empirical) CDF(x float64) float64 {
-	// sort.SearchFloat64s gives the count of samples < x when we search
-	// for x and adjust for equal values.
-	n := len(e.sorted)
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < n && e.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(n)
-}

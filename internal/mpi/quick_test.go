@@ -137,7 +137,7 @@ func TestQuickTraceRoundTripThroughCodec(t *testing.T) {
 			if err := enc.Close(); err != nil {
 				return false
 			}
-			rd, err := trace.NewReader(&buf)
+			rd, err := trace.NewDecoder(&buf)
 			if err != nil {
 				return false
 			}

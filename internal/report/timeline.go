@@ -1,7 +1,6 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -34,17 +33,11 @@ func Timeline(w io.Writer, set *trace.Set, width int) error {
 	spans := make([]rankSpan, set.NRanks())
 	var maxTotal int64
 	for rank := 0; rank < set.NRanks(); rank++ {
-		var recs []trace.Record
-		for {
-			rec, err := set.Rank(rank).Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			recs = append(recs, rec)
+		m, err := trace.ReadAll(set.Rank(rank))
+		if err != nil {
+			return err
 		}
+		recs := m.Records
 		if len(recs) == 0 {
 			return fmt.Errorf("report: rank %d trace is empty", rank)
 		}

@@ -179,44 +179,78 @@ func (e *Encoder) Close() error {
 	return e.w.Flush()
 }
 
-// Decoder reads a trace stream produced by Encoder.
+// decodeBatch is the most records one Decoder.Batch call returns.
+// readBufLen, the size of the decoder's read buffer, is what is left of
+// 4 KiB beside the batch and the decoder's other fields: a Decoder,
+// records and bytes together, takes the 4 KiB that bufio.Reader's
+// buffer alone took (TestDecoderBatchAllocs pins it).
+const (
+	decodeBatch = 16
+	readBufLen  = 2816
+)
+
+// maxRecordLen bounds an encoded record: twelve varints (kind, begin
+// delta, duration, flags and eight optional fields) of at most
+// binary.MaxVarintLen64 bytes each, as a longer varint fails.
+const maxRecordLen = 12 * binary.MaxVarintLen64
+
+// errOverflow is encoding/binary's error for a varint longer than ten
+// bytes, with its text.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// Decoder reads a trace stream produced by Encoder. It is the Reader
+// over an encoded stream: Batch decodes up to decodeBatch records into
+// an array the decoder reuses. The decoder reads its source through one
+// fixed buffer and parses varints straight out of it, so decoding
+// allocates nothing after NewDecoder.
 type Decoder struct {
-	r      *bufio.Reader
+	src    io.Reader
 	header Header
-	done   bool
-	prev   int64
+	prev   int64 // Begin of the last decoded record
+	// err is the error Batch returns once the records before it are
+	// consumed: io.EOF after the terminator, else the first decode error.
+	err    error
+	srcErr error // the first error src returned, io.EOF at its end
+	r, w   int   // the unread bytes are buf[r:w]
+	batch  [decodeBatch]Record
+	buf    [readBufLen]byte
 }
 
 // NewDecoder reads and validates the stream header.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r)}
-	var m [4]byte
-	if _, err := io.ReadFull(d.r, m[:]); err != nil {
+	d := &Decoder{src: r}
+	d.ensure(len(magic))
+	if n := d.w - d.r; n < len(magic) {
+		err := d.srcErr
+		if n > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if string(m[:]) != magic {
+	if string(d.buf[d.r:d.r+len(magic)]) != magic {
 		return nil, ErrBadMagic
 	}
-	ver, err := binary.ReadUvarint(d.r)
+	d.r += len(magic)
+	ver, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading version: %w", err)
 	}
 	if ver != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported format version %d", ver)
 	}
-	rank, err := binary.ReadUvarint(d.r)
+	rank, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	nranks, err := binary.ReadUvarint(d.r)
+	nranks, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	clockhz, err := binary.ReadUvarint(d.r)
+	clockhz, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	nmeta, err := binary.ReadUvarint(d.r)
+	nmeta, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -247,8 +281,43 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	return d, nil
 }
 
+// ensure makes at least n bytes readable, reading from the source as
+// needed, unless the source ends or fails first (srcErr). A source that
+// returns neither bytes nor an error 100 times in a row fails with
+// io.ErrNoProgress, as under bufio.Reader.
+func (d *Decoder) ensure(n int) {
+	if d.w-d.r >= n || d.srcErr != nil {
+		return
+	}
+	d.w = copy(d.buf[:], d.buf[d.r:d.w])
+	d.r = 0
+	for empty := 0; d.w < n && d.srcErr == nil; {
+		k, err := d.src.Read(d.buf[d.w:])
+		d.w += k
+		d.srcErr = err
+		if k > 0 {
+			empty = 0
+		} else if empty++; empty == 100 && err == nil {
+			d.srcErr = io.ErrNoProgress
+		}
+	}
+}
+
+// uvarint parses one header varint.
+func (d *Decoder) uvarint() (uint64, error) {
+	d.ensure(binary.MaxVarintLen64)
+	x, n, ok := uvarintAt(d.buf[d.r:d.w], 0)
+	d.r += n
+	if !ok {
+		return x, varintErr(n, d.srcErr)
+	}
+	return x, nil
+}
+
+// readString reads a length-prefixed string. A stream that ends inside
+// it fails with io.EOF, as io.CopyN does.
 func (d *Decoder) readString() (string, error) {
-	n, err := binary.ReadUvarint(d.r)
+	n, err := d.uvarint()
 	if err != nil {
 		return "", err
 	}
@@ -259,8 +328,15 @@ func (d *Decoder) readString() (string, error) {
 	// bytes arrive rather than by n up front.
 	var sb strings.Builder
 	sb.Grow(int(min(n, 4096)))
-	if _, err := io.CopyN(&sb, d.r, int64(n)); err != nil {
-		return "", err
+	for left := int(n); left > 0; {
+		d.ensure(1)
+		if d.r == d.w {
+			return "", d.srcErr
+		}
+		c := min(left, d.w-d.r)
+		sb.Write(d.buf[d.r : d.r+c])
+		d.r += c
+		left -= c
 	}
 	return sb.String(), nil
 }
@@ -268,100 +344,128 @@ func (d *Decoder) readString() (string, error) {
 // Header returns the stream header read by NewDecoder.
 func (d *Decoder) Header() Header { return d.header }
 
-// Decode reads the next record. It returns io.EOF after the stream
-// terminator (a clean end) and a wrapped io.ErrUnexpectedEOF if the
-// stream is truncated mid-record.
-func (d *Decoder) Decode() (Record, error) {
-	if d.done {
-		return Record{}, io.EOF
-	}
-	kind, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, fmt.Errorf("trace: truncated stream (missing terminator): %w", io.ErrUnexpectedEOF)
+// Batch implements Reader. It decodes up to decodeBatch records; the
+// view it returns is the decoder's own array, which the next call
+// overwrites. After the terminator it returns io.EOF, and a stream
+// truncated mid-record fails with a wrapped io.ErrUnexpectedEOF.
+func (d *Decoder) Batch() ([]Record, error) {
+	n := 0
+	for d.err == nil && n < len(d.batch) {
+		if d.err = d.decode(&d.batch[n]); d.err == nil {
+			n++
 		}
-		return Record{}, err
+	}
+	if n == 0 {
+		return nil, d.err
+	}
+	return d.batch[:n], nil
+}
+
+// decode parses the next record into r, or returns io.EOF at the
+// terminator. A varint that fails does so as binary.ReadUvarint would
+// on the same bytes.
+func (d *Decoder) decode(r *Record) error {
+	d.ensure(maxRecordLen)
+	// Unless the source has ended, the whole record is readable. A
+	// failed record is not consumed: decoding stops at it.
+	b, end := d.buf[d.r:d.w], d.srcErr
+	kind, i, ok := uvarintAt(b, 0)
+	if !ok {
+		if err := varintErr(i, end); !errors.Is(err, io.EOF) {
+			return err
+		}
+		return fmt.Errorf("trace: truncated stream (missing terminator): %w", io.ErrUnexpectedEOF)
 	}
 	if kind == 0 {
-		d.done = true
-		return Record{}, io.EOF
+		return io.EOF
 	}
-	var r Record
+	j := i
+	dbegin, i, ok := uvarintAt(b, i)
+	if !ok {
+		return fmt.Errorf("trace: truncated record: %w", varintErr(i-j, end))
+	}
+	j = i
+	dur, i, ok := uvarintAt(b, i)
+	if !ok {
+		return fmt.Errorf("trace: truncated record: %w", varintErr(i-j, end))
+	}
+	j = i
+	flags, i, ok := uvarintAt(b, i)
+	if !ok {
+		return fmt.Errorf("trace: truncated record: %w", varintErr(i-j, end))
+	}
+	// The optional fields, in flag-bit order; an absent one reads 0.
+	var f [8]uint64
+	for bit := range f {
+		if flags&(1<<bit) != 0 {
+			j = i
+			if f[bit], i, ok = uvarintAt(b, i); !ok {
+				return varintErr(i-j, end)
+			}
+		}
+	}
+	// Field by field: a composite literal would be built aside and
+	// copied, which costs more than the parse.
 	r.Kind = Kind(kind)
-	dbegin, err := binary.ReadVarint(d.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
-	}
-	r.Begin = d.prev + dbegin
-	d.prev = r.Begin
-	dur, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
-	}
+	r.Begin = d.prev + unzigzag(dbegin)
 	r.End = r.Begin + int64(dur)
-	flags, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
-	}
 	r.Peer, r.Root = NoRank, NoRank
 	if flags&flagPeer != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Peer = int32(v)
+		r.Peer = int32(unzigzag(f[0]))
 	}
-	if flags&flagTag != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Tag = int32(v)
-	}
-	if flags&flagBytes != 0 {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Bytes = int64(v)
-	}
-	if flags&flagReq != 0 {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Req = v
-	}
-	if flags&flagComm != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Comm = int32(v)
-	}
-	if flags&flagSeq != 0 {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Seq = int64(v)
-	}
+	r.Tag = int32(unzigzag(f[1]))
+	r.Bytes = int64(f[2])
+	r.Req = f[3]
+	r.Comm = int32(unzigzag(f[4]))
+	r.Seq = int64(f[5])
 	if flags&flagRoot != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
-			return Record{}, err
+		r.Root = int32(unzigzag(f[6]))
+	}
+	r.CommSize = int32(f[7])
+	d.prev = r.Begin
+	d.r += i
+	return r.Validate()
+}
+
+// uvarintAt parses the unsigned varint at b[i:] and returns it with the
+// index after it. ok is false when the varint overflows or b ends
+// inside it, and the index then follows the bytes read. It is small
+// enough to inline, and a one-byte value returns on the loop's first
+// pass.
+func uvarintAt(b []byte, i int) (x uint64, next int, ok bool) {
+	for s := uint(0); i < len(b); s += 7 {
+		v := b[i]
+		i++
+		if v < 0x80 {
+			return x | uint64(v)<<s, i, s < 63 || v <= 1
 		}
-		r.Root = int32(v)
-	}
-	if flags&flagCommSize != 0 {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Record{}, err
+		x |= uint64(v&0x7f) << s
+		if s == 63 {
+			return x, i, false
 		}
-		r.CommSize = int32(v)
 	}
-	if err := r.Validate(); err != nil {
-		return Record{}, err
+	return x, i, false
+}
+
+// varintErr is the error binary.ReadUvarint returns for a varint that
+// uvarintAt failed to parse after reading n bytes, when the source ends
+// with end where the bytes do: errOverflow after ten bytes, else end
+// before the varint's first byte and io.ErrUnexpectedEOF after it.
+func varintErr(n int, end error) error {
+	switch {
+	case n == binary.MaxVarintLen64:
+		return errOverflow
+	case n > 0 && end == io.EOF:
+		return io.ErrUnexpectedEOF
 	}
-	return r, nil
+	return end
+}
+
+// unzigzag decodes a signed varint's zig-zag encoding.
+func unzigzag(u uint64) int64 {
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,20 +62,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Meta, hdr.Meta) {
 		t.Fatalf("meta mismatch: %v vs %v", got.Meta, hdr.Meta)
 	}
-	for i, want := range recs {
-		r, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(r, want) {
-			t.Fatalf("record %d: got %+v, want %+v", i, r, want)
-		}
+	m, err := ReadAll(dec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected EOF, got %v", err)
+	if !reflect.DeepEqual(m.Records, recs) {
+		t.Fatalf("records: got %+v, want %+v", m.Records, recs)
 	}
 	// Decoding again keeps returning EOF.
-	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
+	if _, err := dec.Batch(); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected repeated EOF, got %v", err)
 	}
 }
@@ -92,8 +88,8 @@ func TestCodecEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
-		t.Fatalf("want EOF on empty stream, got %v", err)
+	if recs, err := dec.Batch(); len(recs) != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("want EOF on empty stream, got %v, %v", recs, err)
 	}
 }
 
@@ -170,16 +166,8 @@ func TestDecoderDetectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lastErr error
-	for {
-		_, err := dec.Decode()
-		if err != nil {
-			lastErr = err
-			break
-		}
-	}
-	if errors.Is(lastErr, io.EOF) && !errors.Is(lastErr, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated stream ended with clean EOF")
+	if _, err := ReadAll(dec); err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated stream ended with %v, want a wrapped io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -269,14 +257,8 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, want := range recs {
-			got, err := dec.Decode()
-			if err != nil || !reflect.DeepEqual(got, want) {
-				return false
-			}
-		}
-		_, err = dec.Decode()
-		return errors.Is(err, io.EOF)
+		m, err := ReadAll(dec)
+		return err == nil && reflect.DeepEqual(m.Records, recs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -306,5 +288,87 @@ func TestCodecCompactness(t *testing.T) {
 	perRecord := float64(buf.Len()) / n
 	if perRecord > 12 {
 		t.Fatalf("codec uses %.1f bytes/record, want <= 12", perRecord)
+	}
+}
+
+// TestDecoderBatchAllocs pins the memory of the batch read path: a
+// decoder is one allocation of at most 4 KiB, the size of the buffer
+// bufio.Reader allocated alone; draining an opened decoder allocates
+// nothing, however many times it refills its buffer; and a MemTrace
+// hands out its records without allocating.
+func TestDecoderBatchAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	enc, err := NewEncoder(&buf, Header{Rank: 0, NRanks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	var clock int64
+	for i := 0; i < 100; i++ {
+		for _, r := range sampleRecords() {
+			r.Begin, r.End = clock, clock+r.Duration()
+			clock = r.End + 1000
+			if err := enc.Encode(r); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, r)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if len(data) < 3*readBufLen {
+		t.Fatalf("a %d-byte stream does not refill the buffer several times", len(data))
+	}
+
+	const runs = 20
+	src := bytes.NewReader(nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		src.Reset(data)
+		if _, err := NewDecoder(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != runs || b > runs*4096 {
+		t.Errorf("NewDecoder allocates %d objects of %d B, want one of at most 4096 B", n/runs, b/runs)
+	}
+
+	decs := make([]*Decoder, runs+1) // AllocsPerRun makes one warm-up run
+	for i := range decs {
+		if decs[i], err = NewDecoder(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	if a := testing.AllocsPerRun(runs, func() {
+		d := decs[next]
+		next++
+		n := 0
+		for {
+			b, err := d.Batch()
+			if err != nil {
+				if err != io.EOF || n != len(recs) {
+					t.Fatalf("drained %d of %d records, then %v", n, len(recs), err)
+				}
+				return
+			}
+			n += len(b)
+		}
+	}); a != 0 {
+		t.Errorf("draining an opened decoder allocates %.1f objects, want 0", a)
+	}
+
+	m := &MemTrace{Hdr: Header{Rank: 0, NRanks: 1}, Records: recs}
+	if a := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		if b, err := m.Batch(); err != nil || len(b) != len(recs) {
+			t.Fatalf("MemTrace batch of %d records, %v", len(b), err)
+		}
+	}); a != 0 {
+		t.Errorf("a MemTrace batch allocates %.1f objects, want 0", a)
 	}
 }

@@ -195,12 +195,12 @@ type Record struct {
 }
 
 // Duration returns the event's traced duration in cycles.
-func (r Record) Duration() int64 { return r.End - r.Begin }
+func (r *Record) Duration() int64 { return r.End - r.Begin }
 
 // Validate checks the internal consistency of a single record (field
 // applicability and ordering). It does not and cannot check cross-rank
 // properties; the graph builder does that during matching.
-func (r Record) Validate() error {
+func (r *Record) Validate() error {
 	if !r.Kind.Valid() {
 		return fmt.Errorf("trace: invalid kind %d", uint8(r.Kind))
 	}

@@ -60,12 +60,12 @@ func OpenDir(dir string) (*Set, func() error, error) {
 			return nil, nil, err
 		}
 		files = append(files, f)
-		r, err := NewReader(f)
+		d, err := NewDecoder(f)
 		if err != nil {
 			closeAll() //nolint:errcheck
 			return nil, nil, fmt.Errorf("trace: %s: %w", path, err)
 		}
-		readers = append(readers, r)
+		readers = append(readers, d)
 	}
 	if len(readers) == 0 {
 		return nil, nil, fmt.Errorf("trace: no rank files found in %s", dir)

@@ -1,11 +1,15 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,8 +69,224 @@ func encodeAll(f *testing.F, hdr Header, recs []Record) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDecoder feeds arbitrary bytes to the binary decoder: it must
-// return errors on garbage, never panic or loop. Run with
+// refDecoder is the byte-at-a-time decoder the batch Decoder replaced,
+// kept as the oracle FuzzDecoder holds the Decoder to: it reads every
+// varint through binary.ReadUvarint on a bufio.Reader and returns one
+// record per call.
+type refDecoder struct {
+	r      *bufio.Reader
+	header Header
+	done   bool
+	prev   int64
+}
+
+func newRefDecoder(r io.Reader) (*refDecoder, error) {
+	d := &refDecoder{r: bufio.NewReader(r)}
+	var m [4]byte
+	if _, err := io.ReadFull(d.r, m[:]); err != nil {
+		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if string(m[:]) != magic {
+		return nil, ErrBadMagic
+	}
+	ver, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading version: %w", err)
+	}
+	if ver != formatVersion {
+		return nil, fmt.Errorf("trace: unsupported format version %d", ver)
+	}
+	rank, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return nil, err
+	}
+	nranks, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return nil, err
+	}
+	clockhz, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return nil, err
+	}
+	nmeta, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return nil, err
+	}
+	if nmeta > 1<<20 {
+		return nil, fmt.Errorf("trace: implausible metadata count %d", nmeta)
+	}
+	// The map grows as entries arrive: nmeta is only what the input
+	// declares, so it must not size an allocation up front.
+	var meta map[string]string
+	for i := uint64(0); i < nmeta; i++ {
+		k, err := d.readString()
+		var v string
+		if err == nil {
+			v, err = d.readString()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading metadata entry %d of %d: %w", i, nmeta, err)
+		}
+		if meta == nil {
+			meta = map[string]string{}
+		}
+		meta[k] = v
+	}
+	d.header = Header{Rank: int(rank), NRanks: int(nranks), ClockHz: int64(clockhz), Meta: meta}
+	if err := d.header.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+func (d *refDecoder) readString() (string, error) {
+	n, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return "", err
+	}
+	if n > 1<<24 {
+		return "", fmt.Errorf("trace: implausible string length %d", n)
+	}
+	// Like the metadata count, n is only declared: grow the builder as
+	// bytes arrive rather than by n up front.
+	var sb strings.Builder
+	sb.Grow(int(min(n, 4096)))
+	if _, err := io.CopyN(&sb, d.r, int64(n)); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
+}
+
+func (d *refDecoder) decode() (Record, error) {
+	if d.done {
+		return Record{}, io.EOF
+	}
+	kind, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			return Record{}, fmt.Errorf("trace: truncated stream (missing terminator): %w", io.ErrUnexpectedEOF)
+		}
+		return Record{}, err
+	}
+	if kind == 0 {
+		d.done = true
+		return Record{}, io.EOF
+	}
+	var r Record
+	r.Kind = Kind(kind)
+	dbegin, err := binary.ReadVarint(d.r)
+	if err != nil {
+		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+	}
+	r.Begin = d.prev + dbegin
+	d.prev = r.Begin
+	dur, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+	}
+	r.End = r.Begin + int64(dur)
+	flags, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+	}
+	r.Peer, r.Root = NoRank, NoRank
+	if flags&flagPeer != 0 {
+		v, err := binary.ReadVarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.Peer = int32(v)
+	}
+	if flags&flagTag != 0 {
+		v, err := binary.ReadVarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.Tag = int32(v)
+	}
+	if flags&flagBytes != 0 {
+		v, err := binary.ReadUvarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.Bytes = int64(v)
+	}
+	if flags&flagReq != 0 {
+		v, err := binary.ReadUvarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.Req = v
+	}
+	if flags&flagComm != 0 {
+		v, err := binary.ReadVarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.Comm = int32(v)
+	}
+	if flags&flagSeq != 0 {
+		v, err := binary.ReadUvarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.Seq = int64(v)
+	}
+	if flags&flagRoot != 0 {
+		v, err := binary.ReadVarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.Root = int32(v)
+	}
+	if flags&flagCommSize != 0 {
+		v, err := binary.ReadUvarint(d.r)
+		if err != nil {
+			return Record{}, err
+		}
+		r.CommSize = int32(v)
+	}
+	if err := r.Validate(); err != nil {
+		return Record{}, err
+	}
+	return r, nil
+}
+
+// batchBoundarySeeds are streams whose record at index 15, 16 or 17
+// (the last of the decoder's first batch, and the first and second of
+// its next) is cut short or invalid.
+func batchBoundarySeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
+	for _, k := range []int{15, 16, 17} {
+		var buf bytes.Buffer
+		enc, err := NewEncoder(&buf, Header{Rank: 0, NRanks: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if err := enc.Encode(Record{Kind: KindSend, Begin: int64(10 * i), End: int64(10*i + 5),
+				Peer: 1, Tag: 42, Bytes: 8192, Root: NoRank}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := enc.w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		valid := buf.Bytes()
+		// A send cut after its kind, begin delta and duration; one cut
+		// inside its two-byte size; and one without a peer, then the
+		// terminator.
+		seeds = append(seeds,
+			append(slices.Clip(valid), byte(KindSend), 20, 5),
+			append(slices.Clip(valid), byte(KindSend), 20, 5, flagPeer|flagTag|flagBytes, 2, 84, 0x80),
+			append(slices.Clip(valid), byte(KindSend), 20, 5, 0, 0))
+	}
+	return seeds
+}
+
+// FuzzDecoder feeds arbitrary bytes to the binary decoder and holds it
+// to the reference decoder: the same header or header error, then the
+// same records up to the same error, with the same text. Run with
 // `go test -fuzz=FuzzDecoder ./internal/trace` for a real campaign;
 // the seed corpus below runs on every `go test`.
 func FuzzDecoder(f *testing.F) {
@@ -96,22 +316,67 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(edge)
 	f.Add(edge[:len(edge)-1])
 	f.Add(edge[:len(edge)-3])
+	for _, s := range batchBoundarySeeds(f) {
+		f.Add(s)
+	}
+	// A stream that refills the read buffer several times, cut inside
+	// its last record.
+	var long []Record
+	for i := 0; i < 100; i++ {
+		for _, r := range sampleRecords() {
+			r.Begin, r.End = r.Begin+int64(i)*2000, r.End+int64(i)*2000
+			long = append(long, r)
+		}
+	}
+	longStream := encodeAll(f, Header{Rank: 1, NRanks: 4}, long)
+	f.Add(longStream[:len(longStream)-2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, refErr := newRefDecoder(bytes.NewReader(data))
 		dec, err := NewDecoder(bytes.NewReader(data))
-		if err != nil {
-			return // rejected at the header: fine
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("header error %v, reference %v", err, refErr)
 		}
-		// Drain with a generous cap (malformed varints could otherwise
-		// describe absurd record counts; each Decode must make progress
-		// or error).
-		for i := 0; i < 1_000_000; i++ {
-			_, err := dec.Decode()
-			if errors.Is(err, io.EOF) || err != nil {
-				return
+		if err != nil {
+			return // rejected at the header, as the reference does
+		}
+		if !reflect.DeepEqual(dec.Header(), ref.header) {
+			t.Fatalf("header %+v, reference %+v", dec.Header(), ref.header)
+		}
+		var want []Record
+		for {
+			r, err := ref.decode()
+			if err != nil {
+				refErr = err
+				break
+			}
+			want = append(want, r)
+		}
+		// Every record consumes at least one byte, so a decoder that
+		// yields more records than there are bytes fails to terminate.
+		var got []Record
+		for {
+			var recs []Record
+			if recs, err = dec.Batch(); err != nil {
+				break
+			}
+			if len(recs) == 0 || len(recs) > decodeBatch {
+				t.Fatalf("batch of %d records", len(recs))
+			}
+			if got = append(got, recs...); len(got) > len(data) {
+				t.Fatal("decoder failed to terminate on fuzzed input")
 			}
 		}
-		t.Fatal("decoder failed to terminate on fuzzed input")
+		if recs, again := dec.Batch(); recs != nil || again != err {
+			t.Fatalf("after error %v, Batch returned %d records and %v", err, len(recs), again)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("records differ from the reference:\n%+v\n%+v", got, want)
+		}
+		if err.Error() != refErr.Error() || errors.Is(err, io.EOF) != errors.Is(refErr, io.EOF) ||
+			errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(refErr, io.ErrUnexpectedEOF) {
+			t.Fatalf("error %q after %d records, reference %q", err, len(got), refErr)
+		}
 	})
 }
 

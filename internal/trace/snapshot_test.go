@@ -30,14 +30,14 @@ func drain(t *testing.T, set *Set) int {
 	n := 0
 	for r := 0; r < set.NRanks(); r++ {
 		for {
-			_, err := set.Rank(r).Next()
+			recs, err := set.Rank(r).Batch()
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			n++
+			n += len(recs)
 		}
 	}
 	return n
@@ -70,7 +70,7 @@ func TestSnapshotConcurrentAcquire(t *testing.T) {
 			n := 0
 			for r := 0; r < set.NRanks(); r++ {
 				for {
-					_, err := set.Rank(r).Next()
+					recs, err := set.Rank(r).Batch()
 					if errors.Is(err, io.EOF) {
 						break
 					}
@@ -78,7 +78,7 @@ func TestSnapshotConcurrentAcquire(t *testing.T) {
 						errc <- err.Error()
 						return
 					}
-					n++
+					n += len(recs)
 				}
 			}
 			if n != 4 {
@@ -117,7 +117,7 @@ func TestSnapshotFromMemSharesRecords(t *testing.T) {
 		}
 	}
 	r0, r1 := mk(0), mk(1)
-	if _, err := r1.Next(); err != nil {
+	if _, err := r1.Batch(); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := SnapshotFromMem([]*MemTrace{r1, r0})

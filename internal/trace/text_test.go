@@ -218,13 +218,11 @@ func TestTextBinaryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range recs {
-		got, err := dec.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("record %d: %+v vs %+v", i, got, want)
-		}
+	m, err := ReadAll(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.Records, recs) {
+		t.Fatalf("records: %+v vs %+v", m.Records, recs)
 	}
 }

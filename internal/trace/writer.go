@@ -88,26 +88,21 @@ func (w *Writer) Flushes() int { return w.flushes }
 // Records returns the total number of events recorded.
 func (w *Writer) Records() int64 { return w.records }
 
-// Reader is a sequential source of one rank's trace records. Next
-// returns io.EOF at the clean end of the stream.
+// Reader is a sequential source of one rank's trace records.
+//
+// Batch returns a view of the next records: at least one record and a
+// nil error, or no records and an error, io.EOF at the clean end of the
+// stream. The view is valid until the next call to Batch, which may
+// overwrite it: a consumer that keeps records longer copies them, and
+// no consumer modifies them (a MemTrace's view is its own record
+// slice). An error is deferred until the records before it have been
+// handed out: the batch that reaches a failing record ends just before
+// it, and the next call returns the error, so a consumer stops at the
+// same record whatever the batch size. Once Batch has returned an
+// error, it keeps returning it.
 type Reader interface {
 	Header() Header
-	Next() (Record, error)
-}
-
-// decoderReader adapts Decoder to Reader.
-type decoderReader struct{ d *Decoder }
-
-func (r decoderReader) Header() Header        { return r.d.Header() }
-func (r decoderReader) Next() (Record, error) { return r.d.Decode() }
-
-// NewReader wraps an encoded stream as a Reader.
-func NewReader(src io.Reader) (Reader, error) {
-	d, err := NewDecoder(src)
-	if err != nil {
-		return nil, err
-	}
-	return decoderReader{d: d}, nil
+	Batch() ([]Record, error)
 }
 
 // MemTrace is an in-memory trace for one rank; it implements Reader
@@ -116,37 +111,37 @@ func NewReader(src io.Reader) (Reader, error) {
 type MemTrace struct {
 	Hdr     Header
 	Records []Record
-	pos     int
+	drained bool
 }
 
 // Header implements Reader.
 func (m *MemTrace) Header() Header { return m.Hdr }
 
-// Next implements Reader.
-func (m *MemTrace) Next() (Record, error) {
-	if m.pos >= len(m.Records) {
-		return Record{}, io.EOF
+// Batch implements Reader: the first call returns all of Records,
+// without copying, and later calls io.EOF until Reset.
+func (m *MemTrace) Batch() ([]Record, error) {
+	if m.drained || len(m.Records) == 0 {
+		return nil, io.EOF
 	}
-	r := m.Records[m.pos]
-	m.pos++
-	return r, nil
+	m.drained = true
+	return m.Records[:len(m.Records):len(m.Records)], nil
 }
 
 // Reset rewinds the trace so it can be read again.
-func (m *MemTrace) Reset() { m.pos = 0 }
+func (m *MemTrace) Reset() { m.drained = false }
 
 // ReadAll drains a Reader into a MemTrace.
 func ReadAll(r Reader) (*MemTrace, error) {
 	m := &MemTrace{Hdr: r.Header()}
 	for {
-		rec, err := r.Next()
-		if err != nil { // tested first: errors.Is costs a call per record
+		recs, err := r.Batch()
+		if err != nil { // tested first: errors.Is costs a call per batch
 			if errors.Is(err, io.EOF) {
 				return m, nil
 			}
 			return nil, err
 		}
-		m.Records = append(m.Records, rec)
+		m.Records = append(m.Records, recs...)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestWriterFlushOnFull(t *testing.T) {
 		t.Fatalf("records = %d, want 9", w.Records())
 	}
 
-	r, err := NewReader(&buf)
+	r, err := NewDecoder(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,23 +137,16 @@ func TestMemTraceReaderAndReset(t *testing.T) {
 			{Kind: KindFinalize, Begin: 2, End: 3, Peer: NoRank, Root: NoRank},
 		},
 	}
-	var got []Record
-	for {
-		r, err := m.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, r)
+	got, err := m.Batch()
+	if err != nil || &got[0] != &m.Records[0] || !reflect.DeepEqual(got, m.Records) {
+		t.Fatalf("got %v, %v; want the records themselves", got, err)
 	}
-	if !reflect.DeepEqual(got, m.Records) {
-		t.Fatalf("got %v", got)
+	if got, err := m.Batch(); got != nil || !errors.Is(err, io.EOF) {
+		t.Fatalf("after the records: %v %v", got, err)
 	}
 	m.Reset()
-	if r, err := m.Next(); err != nil || r.Kind != KindInit {
-		t.Fatalf("after reset: %v %v", r, err)
+	if got, err := m.Batch(); err != nil || len(got) != 2 || got[0].Kind != KindInit {
+		t.Fatalf("after reset: %v %v", got, err)
 	}
 }
 
@@ -249,14 +242,14 @@ func TestSetFromMem(t *testing.T) {
 		Records: []Record{{Kind: KindInit, Peer: NoRank, Root: NoRank}}}
 	b := &MemTrace{Hdr: Header{Rank: 1, NRanks: 2}}
 	// Exhaust a first; SetFromMem must reset it.
-	if _, err := a.Next(); err != nil {
+	if _, err := a.Batch(); err != nil {
 		t.Fatal(err)
 	}
 	set, err := SetFromMem([]*MemTrace{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := set.Rank(0).Next(); err != nil || r.Kind != KindInit {
+	if r, err := set.Rank(0).Batch(); err != nil || r[0].Kind != KindInit {
 		t.Fatalf("reset not applied: %v %v", r, err)
 	}
 }
@@ -291,13 +284,13 @@ func TestSetResetInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.Rank(0).Next(); err != nil {
+	if _, err := set.Rank(0).Batch(); err != nil {
 		t.Fatal(err)
 	}
 	if !set.Reset() {
 		t.Fatal("in-memory set not rewindable")
 	}
-	if r, err := set.Rank(0).Next(); err != nil || r.Kind != KindInit {
+	if r, err := set.Rank(0).Batch(); err != nil || r[0].Kind != KindInit {
 		t.Fatalf("reset did not rewind: %v %v", r, err)
 	}
 }
