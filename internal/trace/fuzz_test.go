@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // edgeRecords are boundary-condition fixtures for the seed corpora:
@@ -333,49 +334,55 @@ func FuzzDecoder(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := newRefDecoder(bytes.NewReader(data))
-		dec, err := NewDecoder(bytes.NewReader(data))
-		if fmt.Sprint(err) != fmt.Sprint(refErr) {
-			t.Fatalf("header error %v, reference %v", err, refErr)
-		}
-		if err != nil {
-			return // rejected at the header, as the reference does
-		}
-		if !reflect.DeepEqual(dec.Header(), ref.header) {
-			t.Fatalf("header %+v, reference %+v", dec.Header(), ref.header)
-		}
 		var want []Record
-		for {
-			r, err := ref.decode()
-			if err != nil {
-				refErr = err
-				break
-			}
-			want = append(want, r)
-		}
-		// Every record consumes at least one byte, so a decoder that
-		// yields more records than there are bytes fails to terminate.
-		var got []Record
-		for {
-			var recs []Record
-			if recs, err = dec.Batch(); err != nil {
-				break
-			}
-			if len(recs) == 0 || len(recs) > decodeBatch {
-				t.Fatalf("batch of %d records", len(recs))
-			}
-			if got = append(got, recs...); len(got) > len(data) {
-				t.Fatal("decoder failed to terminate on fuzzed input")
+		if refErr == nil {
+			for {
+				r, err := ref.decode()
+				if err != nil {
+					refErr = err
+					break
+				}
+				want = append(want, r)
 			}
 		}
-		if recs, again := dec.Batch(); recs != nil || again != err {
-			t.Fatalf("after error %v, Batch returned %d records and %v", err, len(recs), again)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("records differ from the reference:\n%+v\n%+v", got, want)
-		}
-		if err.Error() != refErr.Error() || errors.Is(err, io.EOF) != errors.Is(refErr, io.EOF) ||
-			errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(refErr, io.ErrUnexpectedEOF) {
-			t.Fatalf("error %q after %d records, reference %q", err, len(got), refErr)
+		// The decoder must agree however its source splits the bytes:
+		// whole, and one byte per read, which refills mid-record.
+		for _, src := range []io.Reader{bytes.NewReader(data), iotest.OneByteReader(bytes.NewReader(data))} {
+			dec, err := NewDecoder(src)
+			if ref == nil || err != nil {
+				if fmt.Sprint(err) != fmt.Sprint(refErr) {
+					t.Fatalf("header error %v, reference %v", err, refErr)
+				}
+				continue // rejected at the header, as the reference does
+			}
+			if !reflect.DeepEqual(dec.Header(), ref.header) {
+				t.Fatalf("header %+v, reference %+v", dec.Header(), ref.header)
+			}
+			// Every record consumes at least one byte, so a decoder that
+			// yields more records than there are bytes fails to terminate.
+			var got []Record
+			for {
+				var recs []Record
+				if recs, err = dec.Batch(); err != nil {
+					break
+				}
+				if len(recs) == 0 || len(recs) > decodeBatch {
+					t.Fatalf("batch of %d records", len(recs))
+				}
+				if got = append(got, recs...); len(got) > len(data) {
+					t.Fatal("decoder failed to terminate on fuzzed input")
+				}
+			}
+			if recs, again := dec.Batch(); recs != nil || again != err {
+				t.Fatalf("after error %v, Batch returned %d records and %v", err, len(recs), again)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("records differ from the reference:\n%+v\n%+v", got, want)
+			}
+			if err.Error() != refErr.Error() || errors.Is(err, io.EOF) != errors.Is(refErr, io.EOF) ||
+				errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(refErr, io.ErrUnexpectedEOF) {
+				t.Fatalf("error %q after %d records, reference %q", err, len(got), refErr)
+			}
 		}
 	})
 }
