@@ -11,6 +11,7 @@ import (
 
 	"mpgraph/internal/core"
 	"mpgraph/internal/obsv"
+	"mpgraph/internal/trace"
 )
 
 // Chrome trace-event / Perfetto export. The output is the JSON object
@@ -24,11 +25,13 @@ import (
 //
 // Events are encoded without reflection: eventWriter appends each one,
 // field by field, to a reused buffer that it hands to the destination
-// in chunks of about 64 KiB. The bytes are exactly what encoding/json
-// would write for the same event — its float format, its HTML-safe
-// string escaping, its omitempty rules — and the differential tests
-// compare the two on single events, on fuzzed events and on a large
-// export. Unlike encoding/json, a NaN or infinite number fails with an
+// in chunks of about 64 KiB. Text that repeats is formatted once: the
+// rank-track slices and the flows have pre-rendered heads, and the
+// writer copies a timestamp or a track's tail that equals the previous
+// one. The bytes are exactly what encoding/json would write for the
+// same event — its float format, its HTML-safe string escaping, its
+// omitempty rules — and the differential tests compare the two on
+// single events, on fuzzed events and on a large export. Unlike encoding/json, a NaN or infinite number fails with an
 // error that names the event and its track; JSON cannot carry it.
 //
 // Timestamps on the simulated-rank process (pid 1) are in simulated
@@ -82,6 +85,10 @@ type traceEvent struct {
 	ID   int64
 	BP   string
 	Args eventArgs
+
+	// head, when set, is the text appendHead writes for this event,
+	// rendered ahead of time; emit copies it.
+	head string
 }
 
 // eventArgs is an event's "args" object, in the shapes the export
@@ -128,6 +135,14 @@ func (e *traceEvent) nonFinite() (string, float64) {
 // appendEvent appends e as one JSON object. Every number in e must be
 // finite (see nonFinite).
 func appendEvent(b []byte, e *traceEvent) []byte {
+	b = appendHead(b, e)
+	b = appendFloat(b, e.Ts)
+	return appendTail(b, e)
+}
+
+// appendHead appends the part of e before its timestamp, which depends
+// only on its name, category and phase: `{"name":…,"cat":…,"ph":…,"ts":`.
+func appendHead(b []byte, e *traceEvent) []byte {
 	b = append(b, '{')
 	if e.Name != "" {
 		b = append(b, `"name":`...)
@@ -141,8 +156,11 @@ func appendEvent(b []byte, e *traceEvent) []byte {
 	}
 	b = append(b, `"ph":`...)
 	b = appendString(b, e.Ph)
-	b = append(b, `,"ts":`...)
-	b = appendFloat(b, e.Ts)
+	return append(b, `,"ts":`...)
+}
+
+// appendTail appends the part of e after its timestamp.
+func appendTail(b []byte, e *traceEvent) []byte {
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(e.Pid), 10)
 	b = append(b, `,"tid":`...)
@@ -281,6 +299,20 @@ type eventWriter struct {
 	first bool
 	open  string // name of the latest "B" event, which the next "E" closes
 	err   error
+
+	// The text of the latest timestamp written, keyed on its bits so
+	// that -0 and +0 stay distinct: adjacent slices share a boundary,
+	// so a timestamp often repeats the one before it. tsLen is 0 until
+	// the first timestamp; a float's text is at most 25 bytes.
+	tsBits uint64
+	tsLen  int
+	tsText [32]byte
+
+	// The tail of the latest event with no id, bp or args, keyed on its
+	// track: every slice on a track ends in the same `,"pid":P,"tid":T}`.
+	tailPid, tailTid int
+	tailLen          int
+	tailText         [48]byte
 }
 
 func newEventWriter(w io.Writer) *eventWriter {
@@ -290,7 +322,7 @@ func newEventWriter(w io.Writer) *eventWriter {
 }
 
 // emit appends e to the document, or records why it cannot be written.
-func (ew *eventWriter) emit(e traceEvent) {
+func (ew *eventWriter) emit(e *traceEvent) {
 	if ew.err != nil {
 		return
 	}
@@ -311,10 +343,47 @@ func (ew *eventWriter) emit(e traceEvent) {
 	} else {
 		ew.buf = append(ew.buf, ",\n"...)
 	}
-	ew.buf = appendEvent(ew.buf, &e)
+	if e.head != "" {
+		ew.buf = append(ew.buf, e.head...)
+	} else {
+		ew.buf = appendHead(ew.buf, e)
+	}
+	ew.appendTs(e.Ts)
+	ew.appendTrackTail(e)
 	if len(ew.buf) >= flushSize {
 		ew.flush()
 	}
+}
+
+// appendTs appends appendFloat's text for ts, copying the text of the
+// latest timestamp when ts has the same bits.
+func (ew *eventWriter) appendTs(ts float64) {
+	bits := math.Float64bits(ts)
+	if bits == ew.tsBits && ew.tsLen != 0 {
+		ew.buf = append(ew.buf, ew.tsText[:ew.tsLen]...)
+		return
+	}
+	n := len(ew.buf)
+	ew.buf = appendFloat(ew.buf, ts)
+	ew.tsBits = bits
+	ew.tsLen = copy(ew.tsText[:], ew.buf[n:])
+}
+
+// appendTrackTail appends appendTail's text for e, copying the text of
+// the latest track tail when e has one on the same track.
+func (ew *eventWriter) appendTrackTail(e *traceEvent) {
+	if e.ID != 0 || e.BP != "" || e.Args.kind != argsNone {
+		ew.buf = appendTail(ew.buf, e)
+		return
+	}
+	if e.Pid == ew.tailPid && e.Tid == ew.tailTid && ew.tailLen != 0 {
+		ew.buf = append(ew.buf, ew.tailText[:ew.tailLen]...)
+		return
+	}
+	n := len(ew.buf)
+	ew.buf = appendTail(ew.buf, e)
+	ew.tailPid, ew.tailTid = e.Pid, e.Tid
+	ew.tailLen = copy(ew.tailText[:], ew.buf[n:])
 }
 
 func (ew *eventWriter) flush() {
@@ -332,6 +401,57 @@ func (ew *eventWriter) close() error {
 	ew.buf = append(ew.buf, "\n]}\n"...)
 	ew.flush()
 	return ew.err
+}
+
+// Pre-rendered heads of the rank-track slice, flow and critical-path
+// events, whose name, category and phase never change. Each is built
+// once per process by appendHead itself, so it cannot drift from the
+// generic path; a kind or wait state outside the tables has no head and
+// takes that path.
+var (
+	kindHeads      = renderKindHeads()
+	waitHeads      = renderWaitHeads()
+	computeHead    = renderHead(&traceEvent{Name: "compute", Cat: catCompute, Ph: "B"})
+	endHead        = renderHead(&traceEvent{Ph: "E"})
+	msgStartHead   = renderHead(&traceEvent{Name: "msg", Cat: catDataflow, Ph: "s"})
+	msgFinishHead  = renderHead(&traceEvent{Name: "msg", Cat: catDataflow, Ph: "f"})
+	critStartHead  = renderHead(&traceEvent{Name: "critpath", Cat: catCritpath, Ph: "s"})
+	critFinishHead = renderHead(&traceEvent{Name: "critpath", Cat: catCritpath, Ph: "f"})
+)
+
+func renderHead(e *traceEvent) string { return string(appendHead(nil, e)) }
+
+// renderKindHeads renders the op-slice head of every defined trace.Kind,
+// KindInvalid included.
+func renderKindHeads() []string {
+	var heads []string
+	for k := trace.KindInvalid; k == trace.KindInvalid || k.Valid(); k++ {
+		heads = append(heads, renderHead(&traceEvent{Name: k.String(), Cat: catOp, Ph: "B"}))
+	}
+	return heads
+}
+
+// renderWaitHeads renders the wait-slice head of every defined wait
+// state.
+func renderWaitHeads() (heads [core.WaitCollective + 1]string) {
+	for s := range heads {
+		heads[s] = renderHead(&traceEvent{Name: waitNames[s], Cat: catWait, Ph: "B"})
+	}
+	return heads
+}
+
+func kindHead(k trace.Kind) string {
+	if int(k) < len(kindHeads) {
+		return kindHeads[k]
+	}
+	return ""
+}
+
+func waitHead(s core.WaitState) string {
+	if int(s) < len(waitHeads) {
+		return waitHeads[s]
+	}
+	return ""
 }
 
 // waitNames are the wait-slice names of the defined wait states.
@@ -357,7 +477,7 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 	sel := opts.Ranks
 	exported := make([]bool, len(t.Ranks))
 	isExported := func(r int) bool { return r >= 0 && r < len(exported) && exported[r] }
-	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidRanks, Args: nameArgs("simulated ranks")})
+	ew.emit(&traceEvent{Name: "process_name", Ph: "M", Pid: pidRanks, Args: nameArgs("simulated ranks")})
 	for r, evs := range t.Ranks {
 		if sel != nil && !slices.Contains(sel, r) {
 			continue
@@ -366,8 +486,8 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 			continue
 		}
 		exported[r] = true
-		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidRanks, Tid: r, Args: numberedArgs("rank ", r)})
-		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidRanks, Tid: r, Args: sortIndexArgs(r)})
+		ew.emit(&traceEvent{Name: "thread_name", Ph: "M", Pid: pidRanks, Tid: r, Args: numberedArgs("rank ", r)})
+		ew.emit(&traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidRanks, Tid: r, Args: sortIndexArgs(r)})
 	}
 
 	// Per-rank slices: compute gap, execution, wait — balanced B/E
@@ -381,16 +501,16 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 		for i := range evs {
 			e := &evs[i]
 			if started && e.Start > prevEnd {
-				ew.emit(traceEvent{Name: "compute", Cat: catCompute, Ph: "B", Ts: prevEnd, Pid: pidRanks, Tid: r})
-				ew.emit(traceEvent{Ph: "E", Ts: e.Start, Pid: pidRanks, Tid: r})
+				ew.emit(&traceEvent{Name: "compute", Cat: catCompute, Ph: "B", Ts: prevEnd, Pid: pidRanks, Tid: r, head: computeHead})
+				ew.emit(&traceEvent{Ph: "E", Ts: e.Start, Pid: pidRanks, Tid: r, head: endHead})
 			}
 			if e.WaitStart > e.Start {
-				ew.emit(traceEvent{Name: e.Kind.String(), Cat: catOp, Ph: "B", Ts: e.Start, Pid: pidRanks, Tid: r})
-				ew.emit(traceEvent{Ph: "E", Ts: e.WaitStart, Pid: pidRanks, Tid: r})
+				ew.emit(&traceEvent{Name: e.Kind.String(), Cat: catOp, Ph: "B", Ts: e.Start, Pid: pidRanks, Tid: r, head: kindHead(e.Kind)})
+				ew.emit(&traceEvent{Ph: "E", Ts: e.WaitStart, Pid: pidRanks, Tid: r, head: endHead})
 			}
 			if e.End > e.WaitStart {
-				ew.emit(traceEvent{Name: waitName(e.State), Cat: catWait, Ph: "B", Ts: e.WaitStart, Pid: pidRanks, Tid: r})
-				ew.emit(traceEvent{Ph: "E", Ts: e.End, Pid: pidRanks, Tid: r})
+				ew.emit(&traceEvent{Name: waitName(e.State), Cat: catWait, Ph: "B", Ts: e.WaitStart, Pid: pidRanks, Tid: r, head: waitHead(e.State)})
+				ew.emit(&traceEvent{Ph: "E", Ts: e.End, Pid: pidRanks, Tid: r, head: endHead})
 			}
 			prevEnd = e.End
 			started = true
@@ -414,8 +534,8 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 		src := &t.Ranks[f.SrcRank][f.SrcEvent]
 		dst := &t.Ranks[f.DstRank][f.DstEvent]
 		id++
-		ew.emit(traceEvent{Name: "msg", Cat: catDataflow, Ph: "s", Ts: src.Start, Pid: pidRanks, Tid: f.SrcRank, ID: id})
-		ew.emit(traceEvent{Name: "msg", Cat: catDataflow, Ph: "f", Ts: dst.End, Pid: pidRanks, Tid: f.DstRank, ID: id, BP: "e"})
+		ew.emit(&traceEvent{Name: "msg", Cat: catDataflow, Ph: "s", Ts: src.Start, Pid: pidRanks, Tid: f.SrcRank, ID: id, head: msgStartHead})
+		ew.emit(&traceEvent{Name: "msg", Cat: catDataflow, Ph: "f", Ts: dst.End, Pid: pidRanks, Tid: f.DstRank, ID: id, BP: "e", head: msgFinishHead})
 	}
 
 	// Critical-path flows: one arrow per cross-rank step pair.
@@ -444,8 +564,8 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 			if fTs < sTs {
 				fTs = sTs
 			}
-			ew.emit(traceEvent{Name: "critpath", Cat: catCritpath, Ph: "s", Ts: sTs, Pid: pidRanks, Tid: a.Node.Rank, ID: cid})
-			ew.emit(traceEvent{Name: "critpath", Cat: catCritpath, Ph: "f", Ts: fTs, Pid: pidRanks, Tid: b.Node.Rank, ID: cid, BP: "e"})
+			ew.emit(&traceEvent{Name: "critpath", Cat: catCritpath, Ph: "s", Ts: sTs, Pid: pidRanks, Tid: a.Node.Rank, ID: cid, head: critStartHead})
+			ew.emit(&traceEvent{Name: "critpath", Cat: catCritpath, Ph: "f", Ts: fTs, Pid: pidRanks, Tid: b.Node.Rank, ID: cid, BP: "e", head: critFinishHead})
 		}
 	}
 
@@ -456,9 +576,9 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 	}
 	for i, m := range wins {
 		ts := w0 + float64(i)*wsize
-		ew.emit(traceEvent{Name: "parallel_efficiency", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.ParallelEfficiency)})
-		ew.emit(traceEvent{Name: "comm_fraction", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.CommFraction)})
-		ew.emit(traceEvent{Name: "load_balance", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.LoadBalance)})
+		ew.emit(&traceEvent{Name: "parallel_efficiency", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.ParallelEfficiency)})
+		ew.emit(&traceEvent{Name: "comm_fraction", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.CommFraction)})
+		ew.emit(&traceEvent{Name: "load_balance", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(m.LoadBalance)})
 	}
 
 	if opts.Spans != nil {
@@ -605,10 +725,10 @@ func emitSpans(ew *eventWriter, spans []obsv.Span) {
 		laneEnd[lane] = s.End
 		lanes[i] = lane
 	}
-	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidEngine, Args: nameArgs("engine")})
+	ew.emit(&traceEvent{Name: "process_name", Ph: "M", Pid: pidEngine, Args: nameArgs("engine")})
 	for l := range laneEnd {
-		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidEngine, Tid: l, Args: numberedArgs("lane ", l)})
-		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidEngine, Tid: l, Args: sortIndexArgs(l)})
+		ew.emit(&traceEvent{Name: "thread_name", Ph: "M", Pid: pidEngine, Tid: l, Args: numberedArgs("lane ", l)})
+		ew.emit(&traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidEngine, Tid: l, Args: sortIndexArgs(l)})
 	}
 	for i, s := range ordered {
 		start := float64(s.Start) / 1e3
@@ -616,8 +736,8 @@ func emitSpans(ew *eventWriter, spans []obsv.Span) {
 		if end < start {
 			end = start
 		}
-		ew.emit(traceEvent{Name: s.Name, Cat: "engine", Ph: "B", Ts: start, Pid: pidEngine, Tid: lanes[i]})
-		ew.emit(traceEvent{Ph: "E", Ts: end, Pid: pidEngine, Tid: lanes[i]})
+		ew.emit(&traceEvent{Name: s.Name, Cat: "engine", Ph: "B", Ts: start, Pid: pidEngine, Tid: lanes[i]})
+		ew.emit(&traceEvent{Ph: "E", Ts: end, Pid: pidEngine, Tid: lanes[i]})
 	}
 }
 

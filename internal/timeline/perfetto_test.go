@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -171,9 +172,143 @@ func TestWriteJSONRejectsNonFinite(t *testing.T) {
 	}
 
 	ew := newEventWriter(io.Discard)
-	ew.emit(traceEvent{Name: "load_balance", Ph: "C", Ts: 1, Pid: pidRanks, Args: valueArgs(math.NaN())})
+	ew.emit(&traceEvent{Name: "load_balance", Ph: "C", Ts: 1, Pid: pidRanks, Args: valueArgs(math.NaN())})
 	if err := ew.close(); err == nil || !strings.Contains(err.Error(), `args.value=NaN of "C" event "load_balance"`) {
 		t.Fatalf("counter sample NaN: %v", err)
+	}
+}
+
+// refDocument is the document the reference emitter writes for events.
+func refDocument(t *testing.T, events []traceEvent) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	bw := bufio.NewWriter(&out)
+	bw.WriteString("{\"traceEvents\":[\n") //nolint:errcheck
+	ew := &refEventWriter{w: bw, first: true}
+	for i := range events {
+		ew.emit(refEvent(&events[i]))
+	}
+	if ew.err != nil {
+		t.Fatal(ew.err)
+	}
+	bw.WriteString("\n]}\n") //nolint:errcheck
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestPreRenderedHeadsMatchOracle exports a slice of every trace.Kind
+// and every wait state, one out of range of each included, and checks
+// the document against the reference exporter. The out-of-range ones
+// take the generic path; the rest copy a pre-rendered head.
+func TestPreRenderedHeadsMatchOracle(t *testing.T) {
+	kinds := len(kindHeads) + 1
+	states := len(waitHeads) + 1
+	if got := kindHead(trace.Kind(kinds - 1)); got != "" {
+		t.Fatalf("kind %d has head %q, want none", kinds-1, got)
+	}
+	if got := waitHead(core.WaitState(states - 1)); got != "" {
+		t.Fatalf("wait state %d has head %q, want none", states-1, got)
+	}
+	tl := &Timeline{Ranks: make([][]Event, kinds*states)}
+	for k := 0; k < kinds; k++ {
+		for s := 0; s < states; s++ {
+			// A compute gap, an op slice and a wait slice, then a flow
+			// from the first track.
+			r := k*states + s
+			tl.Ranks[r] = []Event{
+				{Kind: trace.KindInit, End: 1},
+				{Index: 1, Kind: trace.Kind(k), Start: 2, WaitStart: 3.5, End: 4, State: core.WaitState(s)},
+			}
+			if r > 0 {
+				tl.Flows = append(tl.Flows, Flow{SrcRank: 0, SrcEvent: 1, DstRank: r, DstEvent: 1})
+			}
+		}
+	}
+	cp := &core.CriticalPath{Steps: []core.PathStep{
+		{Node: core.NodeRef{Rank: 0, Event: 1}},
+		{Node: core.NodeRef{Rank: 1, Event: 1, End: true}},
+	}}
+	opts := ExportOptions{CritPath: cp}
+	var got, want bytes.Buffer
+	if err := tl.WriteJSON(&got, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteJSON(tl, &want, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("export differs from the reference:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+	for k := 0; k < kinds; k++ {
+		if name := `"name":"` + trace.Kind(k).String() + `","cat":"op"`; !strings.Contains(got.String(), name) {
+			t.Errorf("export has no %s", name)
+		}
+	}
+	for s := 0; s < states; s++ {
+		if name := `"name":"wait:` + core.WaitState(s).String() + `"`; !strings.Contains(got.String(), name) {
+			t.Errorf("export has no %s", name)
+		}
+	}
+	for _, s := range []string{`"name":"compute"`, `"name":"msg"`, `"name":"critpath"`} {
+		if !strings.Contains(got.String(), s) {
+			t.Errorf("export has no %s", s)
+		}
+	}
+}
+
+// TestTimestampMemoMatchesOracle writes timestamps that differ from the
+// one before them only in the sign of zero or by one ulp, where a memo
+// keyed on the value rather than its bits, or on too few of them,
+// would copy the wrong text.
+func TestTimestampMemoMatchesOracle(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ulp := math.Nextafter(1, 2)
+	tiny := math.SmallestNonzeroFloat64
+
+	// Through the exporter: slice boundaries -1, -0 | +0, tiny, 2·tiny
+	// | 1, 1+ulp, 1+2ulp on one track, and +0 | -0 across two tracks.
+	tl := &Timeline{Ranks: make([][]Event, 3)}
+	tl.Ranks[0] = []Event{
+		{Kind: trace.KindSend, Start: -1, WaitStart: negZero, End: negZero},
+		{Index: 1, Kind: trace.KindRecv, Start: 0, WaitStart: tiny, End: 2 * tiny, State: core.WaitLateSender},
+		{Index: 2, Kind: trace.KindBarrier, Start: 1, WaitStart: ulp, End: math.Nextafter(ulp, 2), State: core.WaitCollective},
+	}
+	tl.Ranks[1] = []Event{{Kind: trace.KindInit, Start: 0, WaitStart: 1, End: 2}}
+	tl.Ranks[2] = []Event{{Kind: trace.KindInit, Start: negZero, WaitStart: 1, End: 2}}
+	tl.Flows = []Flow{{SrcRank: 1, SrcEvent: 0, DstRank: 0, DstEvent: 1}}
+	opts := ExportOptions{Window: 0.5}
+	var got, want bytes.Buffer
+	if err := tl.WriteJSON(&got, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteJSON(tl, &want, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("export differs from the reference:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+
+	// Through the writer alone, on every kind of event.
+	var events []traceEvent
+	for _, ts := range []float64{0, negZero, negZero, 0, 1, ulp, ulp, 1, tiny, -tiny, 1e21, math.Nextafter(1e21, 0), 1e-6, math.Nextafter(1e-6, 0)} {
+		events = append(events,
+			traceEvent{Name: "compute", Cat: catCompute, Ph: "B", Ts: ts, Pid: pidRanks, head: computeHead},
+			traceEvent{Ph: "E", Ts: ts, Pid: pidRanks, Tid: 1, head: endHead},
+			traceEvent{Name: "load_balance", Ph: "C", Ts: ts, Pid: pidRanks, Args: valueArgs(ts)},
+		)
+	}
+	var doc bytes.Buffer
+	ew := newEventWriter(&doc)
+	for i := range events {
+		ew.emit(&events[i])
+	}
+	if err := ew.close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := refDocument(t, events); !bytes.Equal(doc.Bytes(), want) {
+		t.Fatalf("document differs from the reference:\n got %s\nwant %s", doc.Bytes(), want)
 	}
 }
 

@@ -382,17 +382,17 @@ func (d *Decoder) decode(r *Record) error {
 	j := i
 	dbegin, i, ok := uvarintAt(b, i)
 	if !ok {
-		return fmt.Errorf("trace: truncated record: %w", varintErr(i-j, end))
+		return fieldErr(i-j, end)
 	}
 	j = i
 	dur, i, ok := uvarintAt(b, i)
 	if !ok {
-		return fmt.Errorf("trace: truncated record: %w", varintErr(i-j, end))
+		return fieldErr(i-j, end)
 	}
 	j = i
 	flags, i, ok := uvarintAt(b, i)
 	if !ok {
-		return fmt.Errorf("trace: truncated record: %w", varintErr(i-j, end))
+		return fieldErr(i-j, end)
 	}
 	// The optional fields, in flag-bit order; an absent one reads 0.
 	var f [8]uint64
@@ -400,7 +400,7 @@ func (d *Decoder) decode(r *Record) error {
 		if flags&(1<<bit) != 0 {
 			j = i
 			if f[bit], i, ok = uvarintAt(b, i); !ok {
-				return varintErr(i-j, end)
+				return fieldErr(i-j, end)
 			}
 		}
 	}
@@ -459,6 +459,18 @@ func varintErr(n int, end error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return end
+}
+
+// fieldErr is the error for a record field after the kind that
+// uvarintAt failed to parse after reading n bytes. It is varintErr's,
+// except that a source ending before the field's first byte has cut
+// the record short: that is io.ErrUnexpectedEOF, not a clean io.EOF.
+func fieldErr(n int, end error) error {
+	err := varintErr(n, end)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: truncated record: %w", err)
 }
 
 // unzigzag decodes a signed varint's zig-zag encoding.

@@ -7,8 +7,10 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"mpgraph/internal/dist"
@@ -168,6 +170,65 @@ func TestDecoderDetectsTruncation(t *testing.T) {
 	}
 	if _, err := ReadAll(dec); err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated stream ended with %v, want a wrapped io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestDecoderTruncatedAtEveryOffset cuts a stream at every byte after
+// its header: between records, and after a record's kind before or
+// inside any later field. Each cut must fail with a wrapped
+// io.ErrUnexpectedEOF, never read as a clean end, after yielding only
+// the records that precede it whole.
+func TestDecoderTruncatedAtEveryOffset(t *testing.T) {
+	encode := func(recs []Record) []byte {
+		var buf bytes.Buffer
+		enc, err := NewEncoder(&buf, Header{Rank: 0, NRanks: 4, Meta: map[string]string{"k": "v"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := enc.Encode(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := sampleRecords()
+	data := encode(want)
+	header := len(encode(nil)) - 1 // all but the terminator
+	for cut := header; cut < len(data); cut++ {
+		for _, oneByte := range []bool{false, true} {
+			var src io.Reader = bytes.NewReader(data[:cut])
+			if oneByte {
+				src = iotest.OneByteReader(src)
+			}
+			dec, err := NewDecoder(src)
+			if err != nil {
+				t.Fatalf("cut at %d of %d: header: %v", cut, len(data), err)
+			}
+			var got []Record
+			for err == nil {
+				var recs []Record
+				recs, err = dec.Batch()
+				got = append(got, recs...)
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("cut at %d of %d (one byte per read: %v): %d records, then %v; want a wrapped io.ErrUnexpectedEOF",
+					cut, len(data), oneByte, len(got), err)
+			}
+			if !slices.Equal(got, want[:len(got)]) {
+				t.Errorf("cut at %d of %d: records %v are not a prefix of the stream's", cut, len(data), got)
+			}
+		}
+	}
+	dec, err := NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ReadAll(dec); err != nil || !reflect.DeepEqual(m.Records, want) {
+		t.Fatalf("whole stream: %v, %v", m, err)
 	}
 }
 

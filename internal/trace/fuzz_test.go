@@ -177,73 +177,73 @@ func (d *refDecoder) decode() (Record, error) {
 	r.Kind = Kind(kind)
 	dbegin, err := binary.ReadVarint(d.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, refFieldErr(err)
 	}
 	r.Begin = d.prev + dbegin
 	d.prev = r.Begin
 	dur, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, refFieldErr(err)
 	}
 	r.End = r.Begin + int64(dur)
 	flags, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, refFieldErr(err)
 	}
 	r.Peer, r.Root = NoRank, NoRank
 	if flags&flagPeer != 0 {
 		v, err := binary.ReadVarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.Peer = int32(v)
 	}
 	if flags&flagTag != 0 {
 		v, err := binary.ReadVarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.Tag = int32(v)
 	}
 	if flags&flagBytes != 0 {
 		v, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.Bytes = int64(v)
 	}
 	if flags&flagReq != 0 {
 		v, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.Req = v
 	}
 	if flags&flagComm != 0 {
 		v, err := binary.ReadVarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.Comm = int32(v)
 	}
 	if flags&flagSeq != 0 {
 		v, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.Seq = int64(v)
 	}
 	if flags&flagRoot != 0 {
 		v, err := binary.ReadVarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.Root = int32(v)
 	}
 	if flags&flagCommSize != 0 {
 		v, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, refFieldErr(err)
 		}
 		r.CommSize = int32(v)
 	}
@@ -251,6 +251,17 @@ func (d *refDecoder) decode() (Record, error) {
 		return Record{}, err
 	}
 	return r, nil
+}
+
+// refFieldErr is the error for a record field after the kind that
+// binary.ReadUvarint or binary.ReadVarint failed to read: a stream that
+// ends before the field's first byte is cut inside the record, so its
+// bare io.EOF becomes io.ErrUnexpectedEOF.
+func refFieldErr(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: truncated record: %w", err)
 }
 
 // batchBoundarySeeds are streams whose record at index 15, 16 or 17

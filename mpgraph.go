@@ -144,10 +144,6 @@ func Analyze(set *TraceSet, model *Model, opts AnalyzeOptions) (*Result, error) 
 	return core.Analyze(set, model, opts)
 }
 
-// OpenTraceDir opens a directory of per-rank trace files; the returned
-// function releases the file handles.
-func OpenTraceDir(dir string) (*TraceSet, func() error, error) { return trace.OpenDir(dir) }
-
 // BuildGraph materializes the message-passing graph of a trace set
 // (for visualization; Analyze never materializes it).
 func BuildGraph(set *TraceSet) (*Graph, error) { return core.BuildGraph(set) }
@@ -160,22 +156,16 @@ func ParseDistribution(spec string) (Distribution, error) { return dist.Parse(sp
 func MustParseDistribution(spec string) Distribution { return dist.MustParse(spec) }
 
 // Workload builds a registered workload program by name ("tokenring",
-// "stencil1d", ...; see WorkloadNames).
+// "stencil1d", ...).
 func Workload(name string, opts WorkloadOptions) (Program, error) {
 	return workloads.BuildByName(name, opts)
 }
-
-// WorkloadNames lists the registered workloads.
-func WorkloadNames() []string { return workloads.Names() }
 
 // MeasureSignature runs the microbenchmark suite against a platform
 // model (paper §5).
 func MeasureSignature(platform MachineConfig, cfg MicrobenchConfig, label string) (*Signature, error) {
 	return microbench.Measure(platform, cfg, label)
 }
-
-// LoadSignature reads a JSON signature saved by Signature.Save.
-func LoadSignature(path string) (*Signature, error) { return microbench.Load(path) }
 
 // Replay runs the Dimemas-style discrete-event baseline over a trace
 // set (the related-work comparator, paper §1.1).

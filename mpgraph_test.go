@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"mpgraph/internal/trace"
 )
 
 func TestFacadePipeline(t *testing.T) {
@@ -118,7 +120,7 @@ func TestFacadeTraceDir(t *testing.T) {
 		TraceDir: dir}, prog); err != nil {
 		t.Fatal(err)
 	}
-	set, closeFn, err := OpenTraceDir(dir)
+	set, closeFn, err := trace.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +131,6 @@ func TestFacadeTraceDir(t *testing.T) {
 	}
 	if res.NRanks != 3 {
 		t.Fatalf("NRanks = %d", res.NRanks)
-	}
-}
-
-func TestWorkloadNamesExposed(t *testing.T) {
-	names := WorkloadNames()
-	if len(names) < 8 {
-		t.Fatalf("only %d workloads", len(names))
 	}
 }
 
