@@ -363,7 +363,8 @@ func (d *Decoder) Batch() ([]Record, error) {
 
 // decode parses the next record into r, or returns io.EOF at the
 // terminator. A varint that fails does so as binary.ReadUvarint would
-// on the same bytes.
+// on the same bytes, except that a stream ending inside a record never
+// reads as a clean end (see fieldErr).
 func (d *Decoder) decode(r *Record) error {
 	d.ensure(maxRecordLen)
 	// Unless the source has ended, the whole record is readable. A
