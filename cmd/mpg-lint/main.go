@@ -12,7 +12,8 @@
 //	mpg-lint -list                 # describe the analyzers
 //
 // Exit codes: 0 — clean (every finding suppressed in source with a
-// reason); 1 — outstanding findings; 2 — usage or load error. The
+// reason); 1 — outstanding findings; 2 — usage or load error, a type
+// error included (the message names its file:line). The
 // report files are always written before a findings-driven nonzero
 // exit, so CI can both gate on the code and archive the report.
 package main

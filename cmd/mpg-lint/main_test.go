@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,5 +34,24 @@ func TestRejectsRemovedAnalyzersAndFlags(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", args, code, stderr.String())
 		}
+	}
+}
+
+func TestTypeErrorExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module mpgraph\n\ngo 1.22\n",
+		"bad.go": "package mpgraph\n\nvar x int = \"one\"\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-C", dir, "./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "bad.go:3:") {
+		t.Errorf("stderr %q does not name bad.go:3", stderr.String())
 	}
 }

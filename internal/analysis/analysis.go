@@ -6,13 +6,13 @@
 // sample-invariant schedule, §4.3 order preservation) and the
 // ~12-allocs/replay compiled hot path.
 //
-// The framework loads packages with a lenient type checker (module
-// packages are type-checked from source; imports outside the module
-// resolve to empty stub packages, and the resulting "undeclared name"
-// errors are ignored), runs a set of domain Analyzers over each
-// package, and filters the diagnostics through explicit source
-// suppressions (//mpg:lint-ignore). There is no baseline: every
-// finding is either fixed or suppressed in source with a reason.
+// The framework loads the module's packages from source, type-checked
+// against the real standard library; a type error is a load error. It
+// runs a set of domain Analyzers over each package and filters the
+// diagnostics through explicit source suppressions
+// (//mpg:lint-ignore). There is no baseline: every finding is either
+// fixed or suppressed in source with a reason, and a suppression that
+// no longer excuses anything is itself a finding.
 //
 // Two source directives drive the suite:
 //
@@ -26,7 +26,9 @@
 //	    same line (trailing comment) or — as a standalone comment —
 //	    for the whole statement or declaration that starts on the
 //	    next non-directive line (standalone directives stack). The
-//	    reason is mandatory and is carried into reports. For the
+//	    reason is mandatory and is carried into reports; a directive
+//	    that suppresses nothing for an analyzer that ran is stale and
+//	    is reported. For the
 //	    interprocedural analyzers (hotpathprop, detreach) a
 //	    suppression on a call site additionally prunes that call
 //	    edge from the reachability closure, so one justified
@@ -254,9 +256,10 @@ func sortDiagnostics(ds []Diagnostic) {
 type suppression struct {
 	analyzer  string
 	reason    string
-	firstLine int // first covered line
-	lastLine  int // last covered line (inclusive)
-	used      bool
+	directive token.Position // the comment itself
+	firstLine int            // first covered line
+	lastLine  int            // last covered line (inclusive)
+	used      bool           // suppressed a diagnostic or pruned a call edge
 }
 
 // collectSuppressions parses every //mpg:lint-ignore directive in a
@@ -310,7 +313,8 @@ func collectSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 			}
 			rest := strings.TrimSpace(strings.TrimPrefix(c.Text, DirectiveIgnore))
 			names, reason, _ := strings.Cut(rest, " ")
-			line := fset.Position(c.Pos()).Line
+			pos := fset.Position(c.Pos())
+			line := pos.Line
 			first, last := line, line
 			if directiveLines[line] {
 				// Standalone comment: cover the next node, skipping any
@@ -325,6 +329,7 @@ func collectSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 				out = append(out, suppression{
 					analyzer:  strings.TrimSpace(name),
 					reason:    strings.TrimSpace(reason),
+					directive: pos,
 					firstLine: first,
 					lastLine:  last,
 				})

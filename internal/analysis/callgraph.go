@@ -21,17 +21,20 @@ import (
 //     module, resolved through go/types — direct calls, method calls
 //     on concrete receiver types (including methods promoted through
 //     embedding), and cross-package calls all land here;
-//   - external: the callee lives outside the module (stdlib or
-//     third-party; the lenient loader stubs those packages), so only
-//     its import path and name are known — the graph cannot descend
-//     into it, and each analyzer decides which external packages are
-//     benign (math, sort) and which are findings (fmt, time.Now);
+//   - external: the callee is a function or method declared outside
+//     the loaded packages (the standard library, in a whole-module
+//     run), so only its import path and name are used — the graph
+//     cannot descend into it, and each analyzer decides which external
+//     packages are benign (math, sort) and which are findings (fmt,
+//     time.Now);
 //   - unknown: the callee cannot be named at all — interface method
-//     calls, calls through function-typed values (including method
-//     values), and calls whose type information the lenient checker
-//     dropped. Unknown edges taint: an analyzer that proves a
+//     calls and calls through function-typed values (including method
+//     values). Unknown edges taint: an analyzer that proves a
 //     property by reachability must treat them as "anything could
 //     happen here", never silently drop them.
+//
+// Packages are type-checked against the real standard library; a
+// type error is a load error, so every call site resolves.
 //
 // Soundness note: the graph covers *calls only*. Taking a function or
 // method value creates no edge at the use site; the later call
@@ -48,8 +51,8 @@ const (
 	// EdgeExternal names a function outside the module (ExtPkg,
 	// ExtName); no body is available.
 	EdgeExternal
-	// EdgeUnknown is a dynamic call: interface dispatch, a
-	// function-typed value, or lost type information.
+	// EdgeUnknown is a dynamic call: interface dispatch or a
+	// function-typed value.
 	EdgeUnknown
 )
 
@@ -138,12 +141,15 @@ func (g *CallGraph) EdgeCount(kind EdgeKind) int {
 // reason justifies the whole subtree behind the call, which is how a
 // documented boundary (an out-of-band metrics call, a caller-provided
 // hook) stops transitive findings without suppressions in every
-// function behind it.
+// function behind it. A pruning directive is marked used, so it is
+// never reported as stale.
 func (g *CallGraph) edgePruned(analyzer string, pkg *Package, site token.Pos) (reason string, pruned bool) {
 	pos := pkg.Fset.Position(site)
-	for _, s := range g.supp[pos.Filename] {
+	for i := range g.supp[pos.Filename] {
+		s := &g.supp[pos.Filename][i]
 		if s.analyzer == analyzer && s.reason != "" &&
 			pos.Line >= s.firstLine && pos.Line <= s.lastLine {
+			s.used = true
 			return s.reason, true
 		}
 	}
@@ -178,22 +184,18 @@ func displayName(fn *types.Func) string {
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		Nodes: map[*types.Func]*FuncNode{},
-		supp:  map[string][]suppression{},
+		supp:  suppressionIndex(pkgs),
 	}
-	// Pass 1: a node per function declaration (so forward and
-	// cross-package references resolve), plus the suppression index.
+	// Pass 1: a node per function declaration, so forward and
+	// cross-package references resolve.
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			g.supp[pkg.Fset.Position(f.Pos()).Filename] = collectSuppressions(pkg.Fset, f)
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
-				obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue // lenient checker gave up on the declaration
-				}
+				obj := pkg.Info.Defs[fd.Name].(*types.Func)
 				g.Nodes[obj] = &FuncNode{
 					Obj:     obj,
 					Decl:    fd,
@@ -342,10 +344,6 @@ func resolveCall(pkg *Package, call *ast.CallExpr, nodes map[*types.Func]*FuncNo
 			return CallEdge{}, false
 		case *types.Func:
 			return staticOrExternal(obj, nodes, call.Lparen), true
-		case nil:
-			// Unresolved bare identifier: the lenient checker lost it
-			// (or it is a shadowed builtin). Conservatively unknown.
-			return CallEdge{Kind: EdgeUnknown, Site: call.Lparen}, true
 		default:
 			if closures[obj] {
 				// Single-assignment local closure: its literal's body is
@@ -356,27 +354,19 @@ func resolveCall(pkg *Package, call *ast.CallExpr, nodes map[*types.Func]*FuncNo
 			return CallEdge{Kind: EdgeUnknown, Site: call.Lparen}, true
 		}
 	case *ast.SelectorExpr:
-		// pkg.Fn(...) — qualified call into another package.
-		if qual, ok := x.X.(*ast.Ident); ok {
-			if pkgPath, ok := pkg.pkgPathOf(qual); ok {
-				if obj, ok := pkg.Info.Uses[x.Sel].(*types.Func); ok {
-					return staticOrExternal(obj, nodes, call.Lparen), true
-				}
-				// Stubbed external package: name is all we have.
-				return CallEdge{Kind: EdgeExternal, ExtPkg: pkgPath, ExtName: x.Sel.Name, Site: call.Lparen}, true
+		sel, ok := pkg.Info.Selections[x]
+		if !ok {
+			// pkg.Fn(...) — a qualified identifier has no selection.
+			if obj, ok := pkg.Info.Uses[x.Sel].(*types.Func); ok {
+				return staticOrExternal(obj, nodes, call.Lparen), true
 			}
+		} else if m, ok := sel.Obj().(*types.Func); ok && sel.Kind() == types.MethodVal &&
+			!types.IsInterface(m.Type().(*types.Signature).Recv().Type()) {
+			// expr.Method(...) on a concrete method, promoted or not.
+			return staticOrExternal(m, nodes, call.Lparen), true
 		}
-		// expr.Method(...) — resolve through the selection.
-		if sel, ok := pkg.Info.Selections[x]; ok && sel.Kind() == types.MethodVal {
-			if types.IsInterface(sel.Recv()) {
-				return CallEdge{Kind: EdgeUnknown, Site: call.Lparen}, true
-			}
-			if m, ok := sel.Obj().(*types.Func); ok {
-				return staticOrExternal(m, nodes, call.Lparen), true
-			}
-		}
-		// Field of function type, or a selection on a stub-typed value
-		// (e.g. a sync.Pool field): dynamic.
+		// Interface dispatch, a method expression, or a field or
+		// package variable of function type: dynamic.
 		return CallEdge{Kind: EdgeUnknown, Site: call.Lparen}, true
 	case *ast.FuncLit:
 		// Immediately-invoked literal: its body's edges are already

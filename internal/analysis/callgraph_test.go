@@ -168,6 +168,23 @@ func A() { time.Sleep(0) }
 `,
 			want: []string{"external time.Sleep"},
 		},
+		{
+			name: "stdlib method on a concrete value is external",
+			src: `package fixture
+import "strings"
+func A() string { var b strings.Builder; b.WriteString("x"); return b.String() }
+`,
+			want: []string{"external strings.WriteString", "external strings.String"},
+		},
+		{
+			name: "interface method promoted through embedding is unknown",
+			src: `package fixture
+type I interface{ M() }
+type S struct{ I }
+func A(s S) { s.M() }
+`,
+			want: []string{"unknown"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

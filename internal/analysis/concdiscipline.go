@@ -36,10 +36,10 @@ import (
 // sends anywhere in the //mpg:hotpath closure. A send blocks on the
 // receiver, so one slow consumer stalls the replay inner loop.
 //
-// Detection of sync/atomic *fields* is syntactic (the lenient loader
-// stubs external packages, so a sync.Mutex field has an invalid
-// type); module-defined lock-bearing types then propagate through the
-// type checker transitively.
+// Packages are type-checked against the real standard library; a
+// type error is a load error. Lock-bearing types are therefore found
+// by type, through aliases, fixed-size arrays and nested module
+// structs.
 var ConcDisciplineAnalyzer = &Analyzer{
 	Name:      "concdiscipline",
 	Doc:       "enforces the concurrency rules of the replay packages: no lock copies, no mixed atomic/plain access, no loop-var capture or captured writes in goroutines, no channel sends on the hot path",
@@ -69,9 +69,12 @@ func runConcDiscipline(pass *ModulePass) {
 			scoped = append(scoped, pkg)
 		}
 	}
-	lockSet := collectLockBearing(scoped)
+	locks := lockIndex{}
+	for _, pkg := range pass.Pkgs {
+		locks[pkg.Types] = true
+	}
 	for _, pkg := range scoped {
-		checkLockCopies(pass, pkg, lockSet)
+		checkLockCopies(pass, pkg, locks)
 		checkAtomicMix(pass, pkg)
 		checkGoroutines(pass, pkg)
 	}
@@ -85,146 +88,89 @@ var syncLockTypes = map[string]bool{
 	"Once": true, "Cond": true, "Pool": true, "Map": true,
 }
 
-// collectLockBearing finds module-defined struct types that contain
-// sync state, directly (a field of a sync or sync/atomic type,
-// detected syntactically because those packages are stubbed) or
-// transitively (a field whose type is itself lock-bearing). The value
-// is a human-readable provenance like "sync.Mutex (field mu)".
-func collectLockBearing(pkgs []*Package) map[*types.TypeName]string {
-	type structDecl struct {
-		pkg *Package
-		st  *ast.StructType
+// lockIndex is the set of loaded module packages, whose struct types
+// are searched for sync state.
+type lockIndex map[*types.Package]bool
+
+// carrier reports whether t (aliases looked through) is a module
+// struct type that holds sync state: a field of a syncLockTypes type
+// or of any sync/atomic type, or of another such struct, directly or
+// in a fixed-size array (a slice, map or pointer is a reference and
+// holds none). It returns the struct's name and a provenance like
+// "sync.Mutex (field mu)", or nil.
+func (m lockIndex) carrier(t types.Type) (*types.TypeName, string) {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || !m[named.Obj().Pkg()] {
+		return nil, ""
 	}
-	decls := map[*types.TypeName]structDecl{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-					decls[tn] = structDecl{pkg, st}
-				}
-				return true
-			})
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return nil, ""
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		where := "field " + f.Name()
+		if f.Embedded() {
+			where = "embedded"
+		}
+		ft := types.Unalias(f.Type())
+		for arr, ok := ft.(*types.Array); ok; arr, ok = ft.(*types.Array) {
+			ft = types.Unalias(arr.Elem())
+		}
+		if name := syncStateName(ft); name != "" {
+			return named.Obj(), name + " (" + where + ")"
+		}
+		if inner, via := m.carrier(ft); inner != nil {
+			return named.Obj(), via + " via " + where + " " + inner.Name()
 		}
 	}
-	lockSet := map[*types.TypeName]string{}
-	for changed := true; changed; {
-		changed = false
-		for tn, d := range decls {
-			if _, done := lockSet[tn]; done {
-				continue
-			}
-			for _, field := range d.st.Fields.List {
-				fieldName := "embedded"
-				if len(field.Names) > 0 {
-					fieldName = "field " + field.Names[0].Name
-				}
-				if syncName := syncTypeName(d.pkg, field.Type); syncName != "" {
-					lockSet[tn] = syncName + " (" + fieldName + ")"
-					changed = true
-					break
-				}
-				if inner := fieldTypeName(d.pkg, field.Type); inner != nil {
-					if via, ok := lockSet[inner]; ok {
-						lockSet[tn] = via + " via " + fieldName + " " + inner.Name()
-						changed = true
-						break
-					}
-				}
-			}
-		}
-	}
-	return lockSet
+	return nil, ""
 }
 
-// syncTypeName reports whether the field type expression names a sync
-// or sync/atomic type (unwrapping array layers), returning its
-// qualified name or "".
-func syncTypeName(pkg *Package, e ast.Expr) string {
-	for {
-		if arr, ok := e.(*ast.ArrayType); ok {
-			e = arr.Elt
-			continue
-		}
-		break
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
+// syncStateName qualifies t when it is a syncLockTypes type or a
+// sync/atomic type ("sync.Mutex", "atomic.Int64"), and returns ""
+// otherwise.
+func syncStateName(t types.Type) string {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
 		return ""
 	}
-	qual, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	switch path, _ := pkg.pkgPathOf(qual); path {
+	switch name := named.Obj().Name(); named.Obj().Pkg().Path() {
 	case "sync":
-		if syncLockTypes[sel.Sel.Name] {
-			return "sync." + sel.Sel.Name
+		if syncLockTypes[name] {
+			return "sync." + name
 		}
 	case "sync/atomic":
-		return "atomic." + sel.Sel.Name
+		return "atomic." + name
 	}
 	return ""
 }
 
-// fieldTypeName resolves a field type expression to the module
-// TypeName it names, unwrapping arrays (an array of lock-bearing
-// values is lock-bearing; a slice or pointer is a reference and is
-// not).
-func fieldTypeName(pkg *Package, e ast.Expr) *types.TypeName {
-	for {
-		if arr, ok := e.(*ast.ArrayType); ok && arr.Len != nil {
-			e = arr.Elt
-			continue
-		}
-		break
-	}
-	var id *ast.Ident
-	switch x := e.(type) {
-	case *ast.Ident:
-		id = x
-	case *ast.SelectorExpr:
-		id = x.Sel
-	default:
-		return nil
-	}
-	tn, _ := pkg.Info.Uses[id].(*types.TypeName)
-	return tn
-}
-
 // checkLockCopies flags value receivers on lock-bearing types and
 // assignments that copy lock-bearing values.
-func checkLockCopies(pass *ModulePass, pkg *Package, lockSet map[*types.TypeName]string) {
+func checkLockCopies(pass *ModulePass, pkg *Package, locks lockIndex) {
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
-				if x.Recv == nil || len(x.Recv.List) == 0 {
+				if x.Recv == nil {
 					return true
 				}
-				if tn := fieldTypeName(pkg, x.Recv.List[0].Type); tn != nil {
-					if via, ok := lockSet[tn]; ok {
-						pass.Report(pkg, x.Recv.Pos(), "method %s copies its receiver %s, which contains %s; use a pointer receiver", x.Name.Name, tn.Name(), via)
-					}
+				recv := pkg.Info.Defs[x.Name].Type().(*types.Signature).Recv()
+				if tn, via := locks.carrier(recv.Type()); tn != nil {
+					pass.Report(pkg, x.Recv.Pos(), "method %s copies its receiver %s, which contains %s; use a pointer receiver", x.Name.Name, tn.Name(), via)
 				}
 			case *ast.AssignStmt:
 				for _, rhs := range x.Rhs {
-					reportLockCopy(pass, pkg, lockSet, rhs, "assignment")
+					reportLockCopy(pass, pkg, locks, rhs, "assignment")
 				}
 			case *ast.ValueSpec:
 				for _, v := range x.Values {
-					reportLockCopy(pass, pkg, lockSet, v, "declaration")
+					reportLockCopy(pass, pkg, locks, v, "declaration")
 				}
 			case *ast.RangeStmt:
 				if x.Value != nil {
-					if tn, via := lockBearingType(pkg, lockSet, rangeValueType(pkg, x.Value)); tn != nil {
+					if tn, via := locks.carrier(rangeValueType(pkg, x.Value)); tn != nil {
 						pass.Report(pkg, x.Value.Pos(), "range value copies %s, which contains %s; iterate by index and take a pointer", tn.Name(), via)
 					}
 				}
@@ -250,25 +196,14 @@ func rangeValueType(pkg *Package, e ast.Expr) types.Type {
 // a lock-bearing struct. Construction sites — composite literals and
 // call results — are initialization, not copies of a shared value,
 // and stay legal.
-func reportLockCopy(pass *ModulePass, pkg *Package, lockSet map[*types.TypeName]string, e ast.Expr, what string) {
+func reportLockCopy(pass *ModulePass, pkg *Package, locks lockIndex, e ast.Expr, what string) {
 	switch ast.Unparen(e).(type) {
 	case *ast.CompositeLit, *ast.CallExpr:
 		return
 	}
-	if tn, via := lockBearingType(pkg, lockSet, pkg.typeOf(e)); tn != nil {
+	if tn, via := locks.carrier(pkg.typeOf(e)); tn != nil {
 		pass.Report(pkg, e.Pos(), "%s copies %s, which contains %s; share a *%s instead", what, tn.Name(), via, tn.Name())
 	}
-}
-
-func lockBearingType(pkg *Package, lockSet map[*types.TypeName]string, t types.Type) (*types.TypeName, string) {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, ""
-	}
-	if via, ok := lockSet[named.Obj()]; ok {
-		return named.Obj(), via
-	}
-	return nil, ""
 }
 
 // checkAtomicMix collects every variable or field passed to a

@@ -85,6 +85,37 @@ func visit(gs []guarded) {
 	)
 }
 
+// TestConcLockThroughAliasAndArray: lock-bearing is decided by type,
+// so a lock held through a type alias or in a fixed-size array of
+// atomics is found like a plain field.
+func TestConcLockThroughAliasAndArray(t *testing.T) {
+	res := runFixture(t, ConcDisciplineAnalyzer, concScope, "internal/parallel/fixture/alias.go", `package fixture
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type mu = sync.Mutex
+
+type aliased struct {
+	m mu
+}
+
+type counters struct {
+	hits [2]atomic.Int64
+}
+
+func (a aliased) read() {}
+
+func (c counters) read() {}
+`)
+	wantOutstanding(t, res,
+		"method read copies its receiver aliased, which contains sync.Mutex (field m); use a pointer receiver",
+		"method read copies its receiver counters, which contains atomic.Int64 (field hits); use a pointer receiver",
+	)
+}
+
 // TestConcLockConstructionIsLegal: composite literals and call
 // results initialize, they don't copy shared state.
 func TestConcLockConstructionIsLegal(t *testing.T) {

@@ -33,9 +33,9 @@ import (
 //     interface parameter or assigned to an interface variable;
 //   - a call into fmt or reflect (allocate, box, defeat
 //     devirtualization);
-//   - a dynamic call (interface dispatch, function value, lost type
-//     info): the callee cannot be proven allocation-free. Unknown
-//     callees taint — they are never silently dropped.
+//   - a dynamic call (interface dispatch or function value): the
+//     callee cannot be proven allocation-free. Unknown callees taint —
+//     they are never silently dropped.
 //
 // An //mpg:lint-ignore hotpathprop directive on a call site prunes
 // that edge from the closure: the reason justifies the entire subtree
@@ -110,13 +110,11 @@ func scanAllocs(n *FuncNode, report func(pos token.Pos, what string)) {
 			if skipComposite[x] {
 				return true
 			}
-			if t := pkg.typeOf(x); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice:
-					report(x.Pos(), "slice literal allocates backing storage")
-				case *types.Map:
-					report(x.Pos(), "map literal allocates backing storage")
-				}
+			switch pkg.typeOf(x).Underlying().(type) {
+			case *types.Slice:
+				report(x.Pos(), "slice literal allocates backing storage")
+			case *types.Map:
+				report(x.Pos(), "map literal allocates backing storage")
 			}
 		case *ast.CallExpr:
 			switch {
@@ -149,11 +147,7 @@ func scanAllocs(n *FuncNode, report func(pos token.Pos, what string)) {
 // interface parameters (implicit boxing allocates; pointers fit in
 // the interface word and do not).
 func scanBoxingArgs(pkg *Package, call *ast.CallExpr, report func(pos token.Pos, what string)) {
-	ft := pkg.typeOf(call.Fun)
-	if ft == nil {
-		return
-	}
-	sig, ok := ft.Underlying().(*types.Signature)
+	sig, ok := pkg.typeOf(call.Fun).Underlying().(*types.Signature)
 	if !ok {
 		return
 	}
@@ -179,14 +173,11 @@ func scanBoxingArgs(pkg *Package, call *ast.CallExpr, report func(pos token.Pos,
 // integer constants (the runtime's staticuint64s) are still reported:
 // the hot path should not rely on that cache.
 func boxes(pkg *Package, e ast.Expr) bool {
-	t := pkg.typeOf(e)
-	if t == nil {
+	tv := pkg.Info.Types[e]
+	if tv.IsNil() {
 		return false
 	}
-	if tv, ok := pkg.Info.Types[e]; ok && tv.IsNil() {
-		return false
-	}
-	switch u := t.Underlying().(type) {
+	switch u := tv.Type.Underlying().(type) {
 	case *types.Pointer, *types.Interface, *types.Chan, *types.Signature:
 		return false
 	case *types.Basic:

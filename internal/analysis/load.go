@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -11,14 +12,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
-// Package is one loaded, type-checked package of the module under
-// analysis. Type information is best-effort: imports from outside the
-// module resolve to empty stub packages, so expressions involving
-// them carry invalid types and the TypeErrors list is usually
-// non-empty. Analyzers must treat missing type information as "no
-// finding", never as an error.
+// Package is one loaded package of the module under analysis,
+// type-checked against the real standard library; a type error is a
+// load error, so every expression an analyzer sees carries its type.
 type Package struct {
 	ImportPath string
 	Dir        string // module-relative, slash-separated
@@ -26,7 +25,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	TypeErrors []error
 }
 
 // Loader resolves and type-checks module packages from source. One
@@ -39,10 +37,21 @@ type Loader struct {
 	// ModulePath is the module's import path from go.mod.
 	ModulePath string
 
-	fset  *token.FileSet
-	pkgs  map[string]*Package       // by import path; nil while loading (cycle guard)
-	stubs map[string]*types.Package // non-module imports
+	fset *token.FileSet
+	pkgs map[string]*Package // by import path; nil while loading (cycle guard)
 }
+
+// stdImporter type-checks every import from outside the module (the
+// standard library) from source. It is built once per process and
+// shared by every Loader, because checking the standard library
+// dominates load time. Its positions belong to its own FileSet, and
+// analyzers only report at module syntax, so no diagnostic points
+// into it. The source importer is not safe for concurrent use; stdMu
+// serializes it.
+var (
+	stdMu       sync.Mutex
+	stdImporter = importer.ForCompiler(token.NewFileSet(), "source", nil)
+)
 
 // NewLoader locates the enclosing module starting from dir (walking
 // up to the filesystem root) and returns a loader for it.
@@ -63,7 +72,6 @@ func NewLoader(dir string) (*Loader, error) {
 				ModulePath: mp,
 				fset:       token.NewFileSet(),
 				pkgs:       make(map[string]*Package),
-				stubs:      make(map[string]*types.Package),
 			}, nil
 		}
 		if filepath.Dir(d) == d {
@@ -177,10 +185,13 @@ func analyzableFile(e os.DirEntry) bool {
 }
 
 // loadPackage parses and type-checks one module package by import
-// path, caching the result. Import cycles (illegal in Go anyway)
-// resolve to a stub rather than recursing forever.
+// path, caching the result. Go forbids import cycles, so meeting a
+// package that is still loading is an error.
 func (l *Loader) loadPackage(importPath string) (*Package, error) {
 	if pkg, ok := l.pkgs[importPath]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("analysis: import cycle through %s", importPath)
+		}
 		return pkg, nil
 	}
 	l.pkgs[importPath] = nil // cycle guard
@@ -212,8 +223,7 @@ func (l *Loader) loadPackage(importPath string) (*Package, error) {
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		delete(l.pkgs, importPath)
-		return nil, nil
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	pkg, err := l.check(importPath, rel, files)
 	if err != nil {
@@ -242,14 +252,10 @@ func (l *Loader) CheckSource(importPath, filename, src string) (*Package, error)
 	return pkg, nil
 }
 
-// check runs the lenient type checker over the parsed files.
+// check type-checks the parsed files strictly: the first type error
+// is returned as a load error naming its file:line.
 func (l *Loader) check(importPath, rel string, files []*ast.File) (*Package, error) {
-	var typeErrs []error
-	conf := types.Config{
-		Importer:    (*moduleImporter)(l),
-		FakeImportC: true,
-		Error:       func(err error) { typeErrs = append(typeErrs, err) },
-	}
+	conf := types.Config{Importer: (*moduleImporter)(l)}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -257,9 +263,10 @@ func (l *Loader) check(importPath, rel string, files []*ast.File) (*Package, err
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	// Errors are expected (stubbed external imports); the returned
-	// package is still usable for best-effort analysis.
-	tpkg, _ := conf.Check(importPath, l.fset, files, info)
+	tpkg, err := conf.Check(importPath, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
 	return &Package{
 		ImportPath: importPath,
 		Dir:        rel,
@@ -267,12 +274,11 @@ func (l *Loader) check(importPath, rel string, files []*ast.File) (*Package, err
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-		TypeErrors: typeErrs,
 	}, nil
 }
 
-// moduleImporter resolves module-internal imports from source and
-// everything else (stdlib, third-party) to empty stub packages.
+// moduleImporter resolves module imports from source through the
+// Loader and every other import through the shared stdImporter.
 type moduleImporter Loader
 
 func (m *moduleImporter) Import(p string) (*types.Package, error) {
@@ -282,29 +288,9 @@ func (m *moduleImporter) Import(p string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pkg == nil || pkg.Types == nil {
-			return m.stub(p), nil
-		}
 		return pkg.Types, nil
 	}
-	return m.stub(p), nil
-}
-
-// stub fabricates an empty, complete package for a non-module import.
-// Selector lookups against it produce ordinary type errors, which the
-// lenient checker swallows.
-func (m *moduleImporter) stub(p string) *types.Package {
-	if s, ok := m.stubs[p]; ok {
-		return s
-	}
-	name := path.Base(p)
-	// "math/rand/v2" and friends: the package name is the element
-	// before the version suffix.
-	if len(name) > 1 && name[0] == 'v' && strings.Trim(name[1:], "0123456789") == "" {
-		name = path.Base(path.Dir(p))
-	}
-	s := types.NewPackage(p, name)
-	s.MarkComplete()
-	m.stubs[p] = s
-	return s
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImporter.Import(p)
 }

@@ -39,11 +39,7 @@ var RNGPurityAnalyzer = &Analyzer{
 }
 
 func isRNGValue(pass *Pass, e ast.Expr) bool {
-	t := pass.Pkg.typeOf(e)
-	if t == nil {
-		return false
-	}
-	p, n, ok := namedType(t)
+	p, n, ok := namedType(pass.Pkg.typeOf(e))
 	return ok && p == distPkg && n == "RNG"
 }
 
@@ -161,8 +157,7 @@ func checkSharedStore(pass *Pass, as *ast.AssignStmt) {
 			continue // plain local aliasing is sequential and visible
 		}
 		rhs := as.Rhs[i]
-		t := pass.Pkg.typeOf(rhs)
-		if t == nil || !containsNamed(t, distPkg, "RNG") {
+		if !containsNamed(pass.Pkg.typeOf(rhs), distPkg, "RNG") {
 			continue
 		}
 		switch rhs.(type) {

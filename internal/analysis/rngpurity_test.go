@@ -90,6 +90,8 @@ func TestRNGPurityExemptInDistPackage(t *testing.T) {
 	res := runFixture(t, RNGPurityAnalyzer, "mpgraph/internal/dist", "internal/dist/fixture.go", `
 package dist
 
+type RNG struct{ state uint64 }
+
 func clone(r RNG) RNG { return r }
 `)
 	wantOutstanding(t, res)

@@ -105,6 +105,14 @@ func RunPackages(pkgs []*Package, cfg Config) (*Result, error) {
 			break
 		}
 	}
+	// One suppression index, shared with the graph, records both
+	// suppressed diagnostics and pruned edges.
+	var supp map[string][]suppression
+	if graph != nil {
+		supp = graph.supp
+	} else {
+		supp = suppressionIndex(pkgs)
+	}
 	for _, a := range analyzers {
 		if a.RunModule != nil {
 			a.RunModule(&ModulePass{
@@ -125,7 +133,8 @@ func RunPackages(pkgs []*Package, cfg Config) (*Result, error) {
 	for _, pkg := range pkgs {
 		diags = append(diags, directiveDiagnostics(pkg, analyzers)...)
 	}
-	applySuppressions(pkgs, diags)
+	applySuppressions(supp, diags)
+	diags = append(diags, staleDirectives(supp, analyzers)...)
 	sortDiagnostics(diags)
 	return &Result{Diagnostics: diags, Packages: len(pkgs)}, nil
 }
@@ -181,16 +190,20 @@ func directiveDiagnostics(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// applySuppressions marks diagnostics covered by //mpg:lint-ignore
-// directives in the analyzed files.
-func applySuppressions(pkgs []*Package, diags []Diagnostic) {
+// suppressionIndex collects the //mpg:lint-ignore directives of every
+// file, keyed by display filename.
+func suppressionIndex(pkgs []*Package) map[string][]suppression {
 	supp := map[string][]suppression{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
-			supp[name] = collectSuppressions(pkg.Fset, f)
+			supp[pkg.Fset.Position(f.Pos()).Filename] = collectSuppressions(pkg.Fset, f)
 		}
 	}
+	return supp
+}
+
+// applySuppressions marks the diagnostics that directives cover.
+func applySuppressions(supp map[string][]suppression, diags []Diagnostic) {
 	for i := range diags {
 		d := &diags[i]
 		if d.Analyzer == "directive" {
@@ -209,4 +222,29 @@ func applySuppressions(pkgs []*Package, diags []Diagnostic) {
 			}
 		}
 	}
+}
+
+// staleDirectives reports each analyzer name of a directive that ran
+// yet neither had a diagnostic suppressed nor a call edge pruned by
+// it: the code it excused is gone, and a leftover suppression would
+// silently excuse whatever lands on that line next. Names that did
+// not run, and directives already invalid, are not judged.
+func staleDirectives(supp map[string][]suppression, analyzers []*Analyzer) []Diagnostic {
+	ran := map[string]bool{}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, ss := range supp {
+		for _, s := range ss {
+			if s.used || !ran[s.analyzer] || s.reason == "" {
+				continue
+			}
+			out = append(out, Diagnostic{
+				Analyzer: "directive", File: s.directive.Filename, Line: s.directive.Line, Col: s.directive.Column,
+				Message: fmt.Sprintf("mpg:lint-ignore %s suppresses nothing; delete the stale directive", s.analyzer),
+			})
+		}
+	}
+	return out
 }

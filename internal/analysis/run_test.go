@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -99,6 +100,80 @@ func (p workerPool) drain() {}
 		}
 		if !found {
 			t.Errorf("%s: no outstanding finding containing %q; got %q", analyzer, want, byAnalyzer[analyzer])
+		}
+	}
+}
+
+// TestTypeErrorIsLoadError: packages are type-checked strictly
+// against the real standard library, so a type error — here a call
+// to a function the time package does not have — fails the load with
+// the error's file:line instead of degrading the analysis.
+func TestTypeErrorIsLoadError(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module mpgraph\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "internal", "core", "bad.go"), `package core
+
+import "time"
+
+func stamp() int64 { return time.Nowish().UnixNano() }
+`)
+	_, err := Run(dir, Config{})
+	if err == nil {
+		t.Fatal("Run succeeded on a package with a type error")
+	}
+	if want := "internal/core/bad.go:5:"; !strings.Contains(err.Error(), want) {
+		t.Errorf("load error %q does not name %s", err, want)
+	}
+}
+
+// TestImportCycleIsLoadError: Go forbids import cycles, so a cycle
+// between module packages fails the load.
+func TestImportCycleIsLoadError(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module mpgraph\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "a", "a.go"), "package a\n\nimport _ \"mpgraph/b\"\n")
+	writeFile(t, filepath.Join(dir, "b", "b.go"), "package b\n\nimport _ \"mpgraph/a\"\n")
+	_, err := Run(dir, Config{})
+	if err == nil || !strings.Contains(err.Error(), "import cycle") {
+		t.Fatalf("Run error = %v, want an import cycle", err)
+	}
+}
+
+// TestLoadersShareStdlibConcurrently: every Loader shares one
+// standard-library importer, so Loaders used from several goroutines
+// at once must serialize it (run under -race).
+func TestLoadersShareStdlibConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			l, err := NewLoader(".")
+			if err == nil {
+				_, err = l.CheckSource(detScope, "internal/core/fixture/std.go", `package fixture
+
+import (
+	"strings"
+	"sync"
+)
+
+var mu sync.Mutex
+
+func Join(xs []string) string {
+	mu.Lock()
+	defer mu.Unlock()
+	return strings.Join(xs, ",")
+}
+`)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("loader %d: %v", i, err)
 		}
 	}
 }
@@ -210,6 +285,44 @@ func ReplayCompiled() {
 	if out := res2.Outstanding(); len(out) != 0 {
 		t.Fatalf("comma directive did not prune the second analyzer's walk:\n%s", formatDiags(out))
 	}
+}
+
+// TestStaleDirective: a directive that suppresses no diagnostic and
+// prunes no call edge for an analyzer it names that ran is itself a
+// gating finding. A name whose analyzer did not run is not judged.
+func TestStaleDirective(t *testing.T) {
+	res := runFixture(t, FloateqAnalyzer, detScope, "internal/core/fixture/stale.go", `package fixture
+
+func Cmp(a, b float64, n, m int) (bool, bool) {
+	//mpg:lint-ignore floateq demonstration fixture: the comparison it excused now compares ints
+	x := n == m
+	//mpg:lint-ignore hotpathprop not run here, so not judged
+	y := a == b //mpg:lint-ignore floateq demonstration fixture
+	return x, y
+}
+`)
+	wantOutstanding(t, res, "mpg:lint-ignore floateq suppresses nothing; delete the stale directive")
+	if d := res.Outstanding()[0]; d.Analyzer != "directive" || d.Line != 4 {
+		t.Errorf("stale directive reported as %s at line %d, want directive at line 4", d.Analyzer, d.Line)
+	}
+	wantSuppressed(t, res, 1)
+}
+
+// TestPruningDirectiveIsNotStale: a directive whose only effect is to
+// prune a call edge is in use, even when the analyzer reports nothing
+// at the pruned boundary (concdiscipline's hot-path send walk).
+func TestPruningDirectiveIsNotStale(t *testing.T) {
+	res := runFixture(t, ConcDisciplineAnalyzer, concScope, "internal/parallel/fixture/prune.go", `package fixture
+
+//mpg:hotpath
+func hotLoop(ch chan int) {
+	//mpg:lint-ignore concdiscipline demonstration fixture: the receiver is buffered by contract
+	emit(ch, 1)
+}
+
+func emit(ch chan int, v int) { ch <- v }
+`)
+	wantOutstanding(t, res)
 }
 
 func writeFile(t *testing.T, path, content string) {

@@ -37,7 +37,7 @@ func (p *Package) callTarget(call *ast.CallExpr) (pkgPath, name string, ok bool)
 }
 
 // typeOf returns the checked type of an expression, or nil when the
-// lenient checker could not determine one.
+// checker records none for it (a name being declared, for one).
 func (p *Package) typeOf(e ast.Expr) types.Type {
 	if tv, ok := p.Info.Types[e]; ok {
 		return tv.Type
@@ -51,13 +51,7 @@ func (p *Package) isBuiltin(call *ast.CallExpr, name string) bool {
 	if !ok || id.Name != name {
 		return false
 	}
-	obj, ok := p.Info.Uses[id]
-	if !ok {
-		// No resolution (shadowed or checker gave up): the bare name
-		// is treated as the builtin, the conservative reading.
-		return true
-	}
-	_, isb := obj.(*types.Builtin)
+	_, isb := p.Info.Uses[id].(*types.Builtin)
 	return isb
 }
 

@@ -26,7 +26,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 		//mpg:lint-ignore hotpathprop nil-model fallback; Monte Carlo callers always pass a model
 		model = &Model{}
 	}
-	st := c.poolGet()
+	st, _ := c.pool.Get().(*replayState)
 	if st == nil {
 		//mpg:lint-ignore hotpathprop cold pool-miss path: the replay state is built once and recycled via the pool
 		st = newReplayState(c)
@@ -36,7 +36,7 @@ func ReplayCompiled(c *Compiled, model *Model, opts Options) (*Result, error) {
 		//mpg:lint-ignore hotpathprop out-of-band metrics boundary
 		opts.Metrics.Counter("core_replay_pool_hits_total").Inc()
 	}
-	defer c.poolPut(st)
+	defer c.pool.Put(st)
 	st.reset(model)
 	recordCrit := opts.RecordCritPath
 	if recordCrit {
@@ -201,24 +201,6 @@ type replayState struct {
 	// per event, indexed like startD, and each rank's last node.
 	critBack []critNode
 	critTop  []int32
-}
-
-// poolGet and poolPut confine the analysis loader's stubbed sync.Pool
-// type to one seam: Get's result is re-typed here, so the replay body
-// downstream keeps statically resolvable method calls in the lint
-// call graph instead of degrading to unprovable dynamic ones.
-//
-//mpg:hotpath
-func (c *Compiled) poolGet() *replayState {
-	//mpg:lint-ignore hotpathprop sync.Pool is stubbed by the analysis loader; Get itself does not allocate (misses take the caller's cold path)
-	st, _ := c.pool.Get().(*replayState)
-	return st
-}
-
-//mpg:hotpath
-func (c *Compiled) poolPut(st *replayState) {
-	//mpg:lint-ignore hotpathprop sync.Pool is stubbed by the analysis loader; Put does not allocate
-	c.pool.Put(st)
 }
 
 func newReplayState(c *Compiled) *replayState {

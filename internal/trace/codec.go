@@ -233,26 +233,26 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	d.r += len(magic)
 	ver, err := d.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", err)
+		return nil, headerErr("version", err)
 	}
 	if ver != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported format version %d", ver)
 	}
 	rank, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, headerErr("rank", err)
 	}
 	nranks, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, headerErr("nranks", err)
 	}
 	clockhz, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, headerErr("clockhz", err)
 	}
 	nmeta, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, headerErr("nmeta", err)
 	}
 	if nmeta > 1<<20 {
 		return nil, fmt.Errorf("trace: implausible metadata count %d", nmeta)
@@ -267,7 +267,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 			v, err = d.readString()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading metadata entry %d of %d: %w", i, nmeta, err)
+			return nil, headerErr(fmt.Sprintf("metadata entry %d of %d", i, nmeta), err)
 		}
 		if meta == nil {
 			meta = map[string]string{}
@@ -460,6 +460,16 @@ func varintErr(n int, end error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return end
+}
+
+// headerErr is the error for the header field name after the magic.
+// The magic promises a whole header, so a source that ends cleanly
+// before the field has cut it short: that is io.ErrUnexpectedEOF.
+func headerErr(name string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: reading %s: %w", name, err)
 }
 
 // fieldErr is the error for a record field after the kind that

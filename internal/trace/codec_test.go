@@ -132,8 +132,8 @@ func TestDecoderDeclaredSizesDoNotSizeAllocations(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := NewDecoder(bytes.NewReader(tc.input))
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.Is(err, io.EOF) {
-				t.Fatalf("err = %v, want a wrapped EOF containing %q", err, tc.wantErr)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("err = %v, want a wrapped io.ErrUnexpectedEOF containing %q", err, tc.wantErr)
 			}
 			res := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
@@ -173,11 +173,13 @@ func TestDecoderDetectsTruncation(t *testing.T) {
 	}
 }
 
-// TestDecoderTruncatedAtEveryOffset cuts a stream at every byte after
-// its header: between records, and after a record's kind before or
+// TestDecoderTruncatedAtEveryOffset cuts a stream at every byte: inside
+// its header, between records, and after a record's kind before or
 // inside any later field. Each cut must fail with a wrapped
 // io.ErrUnexpectedEOF, never read as a clean end, after yielding only
-// the records that precede it whole.
+// the records that precede it whole; a cut inside the header must name
+// the field it cut. Only the empty stream, which holds no trace at
+// all, ends with a clean io.EOF.
 func TestDecoderTruncatedAtEveryOffset(t *testing.T) {
 	encode := func(recs []Record) []byte {
 		var buf bytes.Buffer
@@ -198,15 +200,18 @@ func TestDecoderTruncatedAtEveryOffset(t *testing.T) {
 	want := sampleRecords()
 	data := encode(want)
 	header := len(encode(nil)) - 1 // all but the terminator
-	for cut := header; cut < len(data); cut++ {
+	for cut := 0; cut < len(data); cut++ {
 		for _, oneByte := range []bool{false, true} {
 			var src io.Reader = bytes.NewReader(data[:cut])
 			if oneByte {
 				src = iotest.OneByteReader(src)
 			}
 			dec, err := NewDecoder(src)
-			if err != nil {
-				t.Fatalf("cut at %d of %d: header: %v", cut, len(data), err)
+			if (err != nil) != (cut < header) {
+				t.Fatalf("cut at %d of %d, header of %d: header error %v", cut, len(data), header, err)
+			}
+			if err != nil && !strings.HasPrefix(err.Error(), "trace: reading ") {
+				t.Errorf("cut at %d of %d: header error %q does not name the field it cut", cut, len(data), err)
 			}
 			var got []Record
 			for err == nil {
@@ -214,9 +219,13 @@ func TestDecoderTruncatedAtEveryOffset(t *testing.T) {
 				recs, err = dec.Batch()
 				got = append(got, recs...)
 			}
-			if !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("cut at %d of %d (one byte per read: %v): %d records, then %v; want a wrapped io.ErrUnexpectedEOF",
-					cut, len(data), oneByte, len(got), err)
+			wantErr := io.ErrUnexpectedEOF
+			if cut == 0 {
+				wantErr = io.EOF
+			}
+			if !errors.Is(err, wantErr) {
+				t.Errorf("cut at %d of %d (one byte per read: %v): %d records, then %v; want a wrapped %v",
+					cut, len(data), oneByte, len(got), err, wantErr)
 			}
 			if !slices.Equal(got, want[:len(got)]) {
 				t.Errorf("cut at %d of %d: records %v are not a prefix of the stream's", cut, len(data), got)

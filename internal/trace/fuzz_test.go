@@ -92,26 +92,26 @@ func newRefDecoder(r io.Reader) (*refDecoder, error) {
 	}
 	ver, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", err)
+		return nil, headerErr("version", err)
 	}
 	if ver != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported format version %d", ver)
 	}
 	rank, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return nil, err
+		return nil, headerErr("rank", err)
 	}
 	nranks, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return nil, err
+		return nil, headerErr("nranks", err)
 	}
 	clockhz, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return nil, err
+		return nil, headerErr("clockhz", err)
 	}
 	nmeta, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return nil, err
+		return nil, headerErr("nmeta", err)
 	}
 	if nmeta > 1<<20 {
 		return nil, fmt.Errorf("trace: implausible metadata count %d", nmeta)
@@ -126,7 +126,7 @@ func newRefDecoder(r io.Reader) (*refDecoder, error) {
 			v, err = d.readString()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading metadata entry %d of %d: %w", i, nmeta, err)
+			return nil, headerErr(fmt.Sprintf("metadata entry %d of %d", i, nmeta), err)
 		}
 		if meta == nil {
 			meta = map[string]string{}
