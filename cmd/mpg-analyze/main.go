@@ -60,7 +60,7 @@ func run(args []string) error {
 	critpathCSV := fs.String("critpath-csv", "", "write the critical path as CSV to this path (implies extraction)")
 	critpathDOT := fs.String("critpath-dot", "", "write a DOT rendering of the graph with the critical path highlighted (implies extraction)")
 	var of cli.ObsvFlags
-	of.Register(fs, false)
+	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

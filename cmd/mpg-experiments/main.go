@@ -38,11 +38,10 @@ func run(args []string, w io.Writer) error {
 	csv := fs.Bool("csv", false, "emit tables as CSV")
 	md := fs.Bool("md", false, "emit tables as markdown (for EXPERIMENTS.md)")
 	var of cli.ObsvFlags
-	of.Register(fs, true)
+	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	of.Start(os.Stderr)
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers,
 		Metrics: of.Registry()}
 

@@ -51,3 +51,14 @@ func TestMarkdownMode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRejectsRemovedPprofFlag: -pprof (a live net/http/pprof
+// endpoint) is gone; -selftrace, -metrics-out and go test -cpuprofile
+// cover profiling. The flag is now undefined, and main prints the
+// error on stderr with a nonzero exit.
+func TestRejectsRemovedPprofFlag(t *testing.T) {
+	const want = "flag provided but not defined: -pprof"
+	if err := run([]string{"-pprof", "localhost:0"}, io.Discard); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("run error = %v, want %q", err, want)
+	}
+}

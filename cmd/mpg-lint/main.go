@@ -10,6 +10,14 @@
 //	mpg-lint -format sarif ./...   # SARIF 2.1.0 on stdout (code scanning)
 //	mpg-lint -sarif-out f.sarif    # also write the SARIF log to a file
 //	mpg-lint -list                 # describe the analyzers
+//	mpg-lint ./internal/core       # only the findings in internal/core
+//
+// Every run analyzes the whole module with every analyzer; the
+// package patterns (relative to the module root, default ./...) only
+// choose which findings are reported, so a run over one package
+// reports exactly the ./... findings in that package's files. A
+// pattern outside the module root, or one that names no package, is a
+// usage error.
 //
 // Exit codes: 0 — clean (every finding suppressed in source with a
 // reason); 1 — outstanding findings; 2 — usage or load error, a type
@@ -39,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outPath := fs.String("out", "", "also write the JSON report to this file")
 	sarifPath := fs.String("sarif-out", "", "also write the SARIF 2.1.0 report to this file")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	dir := fs.String("C", ".", "analyze the module enclosing this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -50,15 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	analyzers, err := analysis.ByName(*names)
-	if err != nil {
-		fmt.Fprintln(stderr, "mpg-lint:", err)
-		return 2
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	render, ok := map[string]func(*report.LintReport, io.Writer) error{
 		"text":  (*report.LintReport).WriteText,
 		"json":  (*report.LintReport).WriteJSON,
@@ -68,16 +66,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mpg-lint: unknown format %q (want text, json or sarif)\n", *format)
 		return 2
 	}
-	res, err := analysis.Run(*dir, analysis.Config{
-		Patterns:  patterns,
-		Analyzers: analyzers,
-	})
+	res, err := analysis.Run(*dir, analysis.Config{Patterns: fs.Args()})
 	if err != nil {
 		fmt.Fprintln(stderr, "mpg-lint:", err)
 		return 2
 	}
 
-	rep := buildReport(res, analyzers)
+	rep := buildReport(res)
 	if *outPath != "" {
 		if err := writeReportFile(*outPath, rep.WriteJSON); err != nil {
 			fmt.Fprintln(stderr, "mpg-lint:", err)
@@ -112,9 +107,9 @@ func writeReportFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func buildReport(res *analysis.Result, analyzers []*analysis.Analyzer) *report.LintReport {
+func buildReport(res *analysis.Result) *report.LintReport {
 	rep := &report.LintReport{Packages: res.Packages}
-	for _, a := range analyzers {
+	for _, a := range analysis.All() {
 		rep.Analyzers = append(rep.Analyzers, a.Name)
 		rep.AnalyzerDocs = append(rep.AnalyzerDocs, a.Doc)
 	}

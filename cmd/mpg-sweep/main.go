@@ -48,7 +48,7 @@ func run(args []string, w, stderr io.Writer) error {
 	var of cli.ObsvFlags
 	mf.Register(fs)
 	wf.Register(fs)
-	of.Register(fs, true)
+	of.Register(fs)
 	param := fs.String("sweep", "latency", "swept parameter: latency|noise|perbyte|ranks (ranks: value = world size, perturbation fixed by -os-noise-mean)")
 	noiseMean := fs.Float64("os-noise-mean", 200, "per-edge noise mean used by -sweep ranks")
 	from := fs.Float64("from", 0, "sweep start value (cycles, or cycles/byte for perbyte)")
@@ -73,7 +73,6 @@ func run(args []string, w, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("unknown sweep parameter %q", *param)
 	}
-	of.Start(stderr)
 	cfg := sweep.Config{
 		Workload:        wf.Name,
 		WorkloadOptions: wf.Options(),

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -75,5 +76,16 @@ func TestSweepRejectsUnknownParam(t *testing.T) {
 	if err := run([]string{"-sweep", "phase-of-moon", "-ranks", "2",
 		"-workload", "tokenring", "-iters", "1", "-to", "0"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown sweep parameter accepted")
+	}
+}
+
+// TestSweepRejectsRemovedPprofFlag: -pprof (a live net/http/pprof
+// endpoint) is gone; -selftrace, -metrics-out and go test -cpuprofile
+// cover profiling. The flag is now undefined, and main prints the
+// error on stderr with a nonzero exit.
+func TestSweepRejectsRemovedPprofFlag(t *testing.T) {
+	const want = "flag provided but not defined: -pprof"
+	if err := run([]string{"-pprof", "localhost:0"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("run error = %v, want %q", err, want)
 	}
 }

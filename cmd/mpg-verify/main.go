@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 	tracesDir := fs.String("traces", "", "lint a trace directory instead of running a campaign")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	var of cli.ObsvFlags
-	of.Register(fs, false)
+	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -16,11 +16,7 @@ func runFixture(t *testing.T, a *Analyzer, importPath, filename, src string) *Re
 // runFixtures is runFixture over several fixture packages.
 func runFixtures(t *testing.T, a *Analyzer, files ...fixtureSource) *Result {
 	t.Helper()
-	res, err := RunPackages(loadFixtures(t, files...), Config{Analyzers: []*Analyzer{a}})
-	if err != nil {
-		t.Fatalf("RunPackages: %v", err)
-	}
-	return res
+	return RunPackages(loadFixtures(t, files...), Config{Analyzers: []*Analyzer{a}})
 }
 
 // fixtureSource is one in-memory file of a fixture module package.

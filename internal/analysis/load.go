@@ -47,10 +47,13 @@ type Loader struct {
 // dominates load time. Its positions belong to its own FileSet, and
 // analyzers only report at module syntax, so no diagnostic points
 // into it. The source importer is not safe for concurrent use; stdMu
-// serializes it.
+// serializes it. It re-resolves a package's directory with go/build
+// before consulting its own cache, so stdPkgs keeps every package it
+// returned by import path.
 var (
 	stdMu       sync.Mutex
 	stdImporter = importer.ForCompiler(token.NewFileSet(), "source", nil)
+	stdPkgs     = map[string]*types.Package{}
 )
 
 // NewLoader locates the enclosing module starting from dir (walking
@@ -94,70 +97,41 @@ func modulePath(gomod string) string {
 // Fset exposes the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Load expands the given patterns ("./...", "./internal/core",
-// "internal/core/...") into module package directories and loads each
-// one. The result is sorted by import path.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs := map[string]bool{}
-	for _, pat := range patterns {
-		pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
-		recursive := false
-		if pat == "..." {
-			pat, recursive = "", true
-		} else if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			pat, recursive = rest, true
-		}
-		base := filepath.Join(l.Root, filepath.FromSlash(pat))
-		if !recursive {
-			if hasGoFiles(base) {
-				dirs[pat] = true
-			} else {
-				return nil, fmt.Errorf("analysis: no Go files in %s", base)
-			}
-			continue
-		}
-		err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor" || name == "bin") {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(p) {
-				rel, err := filepath.Rel(l.Root, p)
-				if err != nil {
-					return err
-				}
-				rel = filepath.ToSlash(rel)
-				if rel == "." {
-					rel = ""
-				}
-				dirs[rel] = true
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
+// Load loads every package of the module: each directory under the
+// root that holds a non-test Go file, skipping testdata, vendor, bin
+// and hidden or underscore-prefixed directories. The result is sorted
+// by import path.
+func (l *Loader) Load() ([]*Package, error) {
 	var out []*Package
-	for dir := range dirs {
+	err := filepath.WalkDir(l.Root, func(p string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if p != l.Root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor" || name == "bin") {
+			return filepath.SkipDir
+		}
+		if !hasGoFiles(p) {
+			return nil
+		}
+		rel, err := filepath.Rel(l.Root, p)
+		if err != nil {
+			return err
+		}
 		ip := l.ModulePath
-		if dir != "" {
-			ip = path.Join(l.ModulePath, dir)
+		if rel != "." {
+			ip = path.Join(l.ModulePath, filepath.ToSlash(rel))
 		}
 		pkg, err := l.loadPackage(ip)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if pkg != nil {
-			out = append(out, pkg)
-		}
+		out = append(out, pkg)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
 	return out, nil
@@ -292,5 +266,12 @@ func (m *moduleImporter) Import(p string) (*types.Package, error) {
 	}
 	stdMu.Lock()
 	defer stdMu.Unlock()
-	return stdImporter.Import(p)
+	if pkg, ok := stdPkgs[p]; ok {
+		return pkg, nil
+	}
+	pkg, err := stdImporter.Import(p)
+	if err == nil {
+		stdPkgs[p] = pkg
+	}
+	return pkg, err
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 )
 
@@ -18,31 +19,12 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer list against All.
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // Config controls one Run.
 type Config struct {
-	// Patterns are package patterns relative to the module root
-	// ("./...", "./internal/core"). Default: "./...".
+	// Patterns pick the packages whose diagnostics Run reports, as
+	// paths relative to the module root ("./...", "./internal/core",
+	// "internal/core/..."). Default: "./...". They never change what
+	// is analyzed: Run always analyzes the whole module.
 	Patterns []string
 	// Analyzers defaults to All().
 	Analyzers []*Analyzer
@@ -53,7 +35,7 @@ type Config struct {
 // full picture.
 type Result struct {
 	Diagnostics []Diagnostic
-	// Packages is the number of packages analyzed.
+	// Packages is the number of packages reported on.
 	Packages int
 }
 
@@ -69,29 +51,78 @@ func (r *Result) Outstanding() []Diagnostic {
 	return out
 }
 
-// Run loads the packages under the module enclosing dir and applies
-// the configured analyzers.
+// Run loads every package of the module enclosing dir, applies the
+// configured analyzers to all of them, and keeps the diagnostics in
+// the files of the packages cfg.Patterns pick. So the call graph, the
+// suppressions and the stale-directive check always see the whole
+// module, and a run over a subset reports exactly the whole-module
+// findings in that subset.
 func Run(dir string, cfg Config) (*Result, error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
 	}
-	patterns := cfg.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := loader.Load()
 	if err != nil {
 		return nil, err
 	}
-	return RunPackages(pkgs, cfg)
+	return RunPackages(pkgs, cfg).pick(loader.Root, pkgs, cfg.Patterns)
+}
+
+// pick returns the part of r in the files of the packages the
+// patterns name. A pattern is a directory relative to the module
+// root, naming that one package, or a directory followed by "..."
+// ("./...", "internal/core/..."), naming every package at or below
+// it. A pattern that resolves outside the root or names no package is
+// an error. No patterns pick every package.
+func (r *Result) pick(root string, pkgs []*Package, patterns []string) (*Result, error) {
+	if len(patterns) == 0 {
+		return r, nil
+	}
+	picked := map[*Package]bool{}
+	for _, pat := range patterns {
+		dir, recursive := strings.CutSuffix(pat, "...")
+		rel, err := filepath.Rel(root, filepath.Join(root, dir))
+		if err != nil {
+			return nil, err
+		}
+		rel = filepath.ToSlash(rel)
+		if rel == ".." || strings.HasPrefix(rel, "../") {
+			return nil, fmt.Errorf("analysis: pattern %q is outside the module root %s", pat, root)
+		}
+		if rel == "." {
+			rel = ""
+		}
+		matched := false
+		for _, pkg := range pkgs {
+			if pkg.Dir == rel || recursive && (rel == "" || strings.HasPrefix(pkg.Dir, rel+"/")) {
+				picked[pkg], matched = true, true
+			}
+		}
+		if !matched {
+			return nil, fmt.Errorf("analysis: pattern %q matches no module package", pat)
+		}
+	}
+	files := map[string]bool{}
+	for pkg := range picked {
+		for _, f := range pkg.Files {
+			files[pkg.Fset.Position(f.Pos()).Filename] = true
+		}
+	}
+	out := &Result{Packages: len(picked)}
+	for _, d := range r.Diagnostics {
+		if files[d.File] {
+			out.Diagnostics = append(out.Diagnostics, d)
+		}
+	}
+	return out, nil
 }
 
 // RunPackages applies the configured analyzers to already-loaded
 // packages (the seam fixture tests use). The call graph, when any
 // selected analyzer declares RunModule, is built exactly once and
 // shared across all of them.
-func RunPackages(pkgs []*Package, cfg Config) (*Result, error) {
+func RunPackages(pkgs []*Package, cfg Config) *Result {
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
 		analyzers = All()
@@ -136,7 +167,7 @@ func RunPackages(pkgs []*Package, cfg Config) (*Result, error) {
 	applySuppressions(supp, diags)
 	diags = append(diags, staleDirectives(supp, analyzers)...)
 	sortDiagnostics(diags)
-	return &Result{Diagnostics: diags, Packages: len(pkgs)}, nil
+	return &Result{Diagnostics: diags, Packages: len(pkgs)}
 }
 
 // directiveDiagnostics validates //mpg:lint-ignore directives

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"go/types"
 	"os"
+	"path"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +193,97 @@ func TestRepositoryClean(t *testing.T) {
 	}
 	if out := res.Outstanding(); len(out) != 0 {
 		t.Errorf("repository is not lint-clean:\n%s", formatDiags(out))
+	}
+}
+
+// TestSubsetRunsAgreeWithModule: the verdict does not depend on the
+// patterns. Linted alone, internal/core, internal/obsv and
+// internal/parallel report exactly the whole-module diagnostics in
+// their files, though their pruning directives excuse calls made from
+// other packages. And the per-package results over every module
+// package add up to the whole-module result.
+func TestSubsetRunsAgreeWithModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := RunPackages(pkgs, Config{})
+	var union []Diagnostic
+	for _, pkg := range pkgs {
+		sub, err := full.pick(l.Root, pkgs, []string{"./" + pkg.Dir})
+		if err != nil || sub.Packages != 1 {
+			t.Fatalf("pattern ./%s: %v; want exactly package %s", pkg.Dir, err, pkg.ImportPath)
+		}
+		union = append(union, sub.Diagnostics...)
+	}
+	sortDiagnostics(union)
+	if !reflect.DeepEqual(union, full.Diagnostics) {
+		t.Errorf("per-package results hold %d diagnostics, the whole module %d", len(union), len(full.Diagnostics))
+	}
+	for _, dir := range []string{"internal/core", "internal/obsv", "internal/parallel"} {
+		sub, err := Run(".", Config{Patterns: []string{"./" + dir}})
+		if err != nil {
+			t.Fatalf("Run ./%s: %v", dir, err)
+		}
+		var want []Diagnostic
+		for _, d := range full.Diagnostics {
+			if path.Dir(d.File) == dir {
+				want = append(want, d)
+			}
+		}
+		if sub.Packages != 1 || !reflect.DeepEqual(sub.Diagnostics, want) {
+			t.Errorf("./%s: %d packages, diagnostics\n%swant 1 package, the whole-module diagnostics in its files\n%s",
+				dir, sub.Packages, formatDiags(sub.Diagnostics), formatDiags(want))
+		}
+		if out := sub.Outstanding(); len(out) != 0 {
+			t.Errorf("./%s is not lint-clean alone:\n%s", dir, formatDiags(out))
+		}
+	}
+}
+
+// TestModuleImportsNoNetwork pins the module's dependency cut: no
+// module package reaches net or any net/... package, directly or
+// through the standard library. The analyzer is an offline batch
+// tool, and net would drag runtime/cgo (and a cgo pass) into every
+// lint run's type check. A failure names the module package that
+// brings the import in, with the chain to it.
+func TestModuleImportsNoNetwork(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("loaded no module packages")
+	}
+	inModule := func(p string) bool { return p == l.ModulePath || strings.HasPrefix(p, l.ModulePath+"/") }
+	for _, pkg := range pkgs {
+		seen := map[*types.Package]bool{}
+		var walk func(p *types.Package, chain string)
+		walk = func(p *types.Package, chain string) {
+			for _, imp := range p.Imports() {
+				if seen[imp] || inModule(imp.Path()) {
+					continue // a module import is walked from its own package
+				}
+				seen[imp] = true
+				if imp.Path() == "net" || strings.HasPrefix(imp.Path(), "net/") {
+					t.Errorf("%s imports %s%s", pkg.ImportPath, chain, imp.Path())
+					continue
+				}
+				walk(imp, chain+imp.Path()+" → ")
+			}
+		}
+		walk(pkg.Types, "")
 	}
 }
 
