@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,14 +36,34 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-sweep:", err)
-		os.Exit(1)
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// usageError is a command-line parse error; the FlagSet has already
+// printed it with the usage.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+func (e usageError) Unwrap() error { return e.err }
+
+// exitCode maps run's outcome to the process exit status: 0 for a
+// finished run or -h, 2 for a flag error, and 1, with the error on
+// stderr, for a failed run.
+func exitCode(err error, stderr io.Writer) int {
+	var ue usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		return 2
 	}
+	fmt.Fprintln(stderr, "mpg-sweep:", err)
+	return 1
 }
 
 func run(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mpg-sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var mf cli.MachineFlags
 	var wf cli.WorkloadFlags
 	var of cli.ObsvFlags
@@ -60,7 +81,7 @@ func run(args []string, w, stderr io.Writer) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	progress := fs.Bool("progress", false, "report live replay progress on stderr")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if *step <= 0 || *to < *from {
 		return fmt.Errorf("invalid sweep range [%g,%g] step %g", *from, *to, *step)

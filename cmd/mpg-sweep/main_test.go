@@ -89,3 +89,43 @@ func TestSweepRejectsRemovedPprofFlag(t *testing.T) {
 		t.Fatalf("run error = %v, want %q", err, want)
 	}
 }
+
+// TestSweepFlagErrorExitsTwo: a flag error is a usage error. The
+// FlagSet prints it with the usage on run's stderr, and the exit
+// status is 2 with nothing printed twice.
+func TestSweepFlagErrorExitsTwo(t *testing.T) {
+	var runErr, mainErr bytes.Buffer
+	err := run([]string{"-no-such-flag"}, io.Discard, &runErr)
+	if got := runErr.String(); !strings.Contains(got, "flag provided but not defined: -no-such-flag") || !strings.Contains(got, "-trials") {
+		t.Fatalf("stderr = %q, want the flag error and the usage", got)
+	}
+	if code := exitCode(err, &mainErr); code != 2 || mainErr.Len() != 0 {
+		t.Fatalf("exit %d with %q on stderr, want 2 and nothing", code, mainErr.String())
+	}
+}
+
+// TestSweepHelpExitsZero: -h prints the usage on run's stderr and
+// exits 0.
+func TestSweepHelpExitsZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-h"}, &stdout, &stderr)
+	if !strings.Contains(stderr.String(), "-trials") || stdout.Len() != 0 {
+		t.Fatalf("stdout %q, stderr %q; want the usage on stderr alone", stdout.String(), stderr.String())
+	}
+	if code := exitCode(err, &stderr); code != 0 {
+		t.Fatalf("-h exits %d, want 0", code)
+	}
+}
+
+// TestSweepFailedRunExitsOne: a run that fails after its flags parse
+// exits 1 with one "mpg-sweep:" line on stderr.
+func TestSweepFailedRunExitsOne(t *testing.T) {
+	var stderr bytes.Buffer
+	err := run([]string{"-step", "0"}, io.Discard, io.Discard)
+	if code := exitCode(err, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpg-sweep: invalid sweep range") {
+		t.Fatalf("exit %d with %q on stderr, want 1 and the error", code, stderr.String())
+	}
+	if code := exitCode(nil, &stderr); code != 0 {
+		t.Fatalf("a finished run exits %d, want 0", code)
+	}
+}

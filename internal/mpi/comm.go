@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"mpgraph/internal/trace"
 )
@@ -147,7 +148,7 @@ func (w *World) postSendMode(comm int32, src, dst, tag int32, bytes, post int64,
 			x.recvWaiter = wr.recvWaiter
 			wr.adopted = x
 		} else {
-			w.wildSends[wk] = append(w.wildSends[wk], x)
+			w.wildSends[wk] = appendWildSend(w.wildSends[wk], x)
 		}
 	}
 	if x.eager {
@@ -164,6 +165,23 @@ func (w *World) postSendMode(comm int32, src, dst, tag int32, bytes, post int64,
 		w.completeMatch(x)
 	}
 	return x
+}
+
+// appendWildSend appends a send posted before any receive to its
+// wildcard list. Only RecvAny removes entries, so without wildcard
+// receives the list would keep every early send of the run. A list at
+// capacity is therefore first compacted in place: sends a specific
+// receive has claimed since are dropped, and the rest keep their
+// posting order, so RecvAny still adopts the oldest unclaimed one. A
+// list still over half full after that grows, so each compaction is
+// paid for by at least half a list of appends, and the list stays
+// within a small multiple of the sends pending at once.
+func appendWildSend(sends []*xfer, x *xfer) []*xfer {
+	if len(sends) == cap(sends) {
+		sends = slices.DeleteFunc(sends, func(c *xfer) bool { return c.recvPosted })
+		sends = slices.Grow(sends, cap(sends)/2)
+	}
+	return append(sends, x)
 }
 
 // postRecv registers a receive (blocking or not) at global time post.

@@ -126,6 +126,10 @@ type World struct {
 	wildSends map[wildKey][]*xfer
 	wildRecvs map[wildKey][]*wildRecv
 
+	// worldMembers is the world communicator's member list (world rank
+	// i at index i), shared read-only by every rank's handle.
+	worldMembers []int
+
 	nextCommID int32
 
 	stats Stats
@@ -151,6 +155,10 @@ func Run(cfg Config, program Program) (*Result, error) {
 		wildSends:  make(map[wildKey][]*xfer),
 		wildRecvs:  make(map[wildKey][]*wildRecv),
 		nextCommID: 1,
+	}
+	w.worldMembers = make([]int, n)
+	for i := range w.worldMembers {
+		w.worldMembers[i] = i
 	}
 
 	sinks := make([]recordSink, n)

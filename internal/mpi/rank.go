@@ -20,11 +20,7 @@ type Rank struct {
 
 // init records the MPI_Init event and builds the world communicator.
 func (r *Rank) init() {
-	members := make([]int, r.world.m.NRanks())
-	for i := range members {
-		members[i] = i
-	}
-	r.comm = &Comm{rank: r, id: 0, members: members, myIdx: r.proc.rank}
+	r.comm = &Comm{rank: r, id: 0, members: r.world.worldMembers, myIdx: r.proc.rank}
 	t0 := r.proc.now
 	r.proc.now += r.world.m.RecvOverhead() + r.world.m.OpNoise(r.proc.rank)
 	r.record(trace.Record{Kind: trace.KindInit, Begin: t0, End: r.proc.now,

@@ -161,7 +161,15 @@ func streamingTrials(t *testing.T, cfg Config) []Point {
 			results = append(results, res)
 		}
 	}
-	return aggregateTrialPoints(vals, results, cfg.Trials)
+	points := make([]Point, len(vals))
+	for p, v := range vals {
+		maxima := make([]float64, cfg.Trials)
+		for k := range maxima {
+			maxima[k] = results[p*cfg.Trials+k].MaxFinalDelay
+		}
+		points[p] = Point{Value: v, Result: results[p*cfg.Trials], Trials: trialStats(maxima)}
+	}
+	return points
 }
 
 // TestSweepTrialsDeterminismAcrossEngines proves the engine is

@@ -107,7 +107,8 @@ type Config struct {
 	// that sampled-distribution models (e.g. exponential noise) are
 	// integrated over their randomness instead of observed once. The
 	// per-point Result is trial 0's; the aggregate lands in
-	// Point.Trials. Values <= 1 run the classic single replay.
+	// Point.Trials. No other trial's Result is kept, so memory does not
+	// grow with Trials. Values <= 1 run the classic single replay.
 	//
 	// Each distinct trace is compiled once (core.Compile) and every
 	// trial of every point that shares it replays the compiled program
@@ -389,7 +390,13 @@ func (cfg Config) runTrials(g grid, popts parallel.Options) ([]Point, error) {
 		return nil, parallel.UnwrapTask(err)
 	}
 	tick := cfg.progressTick(len(vals) * trials)
-	results, err := parallel.Map(len(vals)*trials, popts, func(t int) (*core.Result, error) {
+	// A trial keeps only what its point reports: its MaxFinalDelay, and
+	// for trial 0 the full Result. Every other Result is dropped as soon
+	// as its replay returns, so the sweep's heap does not grow with
+	// Trials. Each first slot has one writer, and Map returns only after
+	// every task has.
+	first := make([]*core.Result, len(vals))
+	maxima, err := parallel.Map(len(vals)*trials, popts, func(t int) (float64, error) {
 		defer tick()
 		defer cfg.Metrics.Time("sweep_point").End()
 		p := t / trials
@@ -397,41 +404,37 @@ func (cfg Config) runTrials(g grid, popts parallel.Options) ([]Point, error) {
 		trial.Seed = parallel.TaskSeed(cfg.ModelSeed, t)
 		res, err := core.ReplayCompiled(progs[g.machine[p]], trial, cfg.Analyze)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: value %g trial %d: %w", vals[p], t%trials, err)
+			return 0, fmt.Errorf("sweep: value %g trial %d: %w", vals[p], t%trials, err)
 		}
-		return res, nil
+		if t%trials == 0 {
+			first[p] = res
+		}
+		return res.MaxFinalDelay, nil
 	})
 	if err != nil {
 		return nil, parallel.UnwrapTask(err)
 	}
-	return aggregateTrialPoints(vals, results, trials), nil
+	points := make([]Point, len(vals))
+	for p, v := range vals {
+		points[p] = Point{Value: v, Result: first[p], Trials: trialStats(maxima[p*trials : (p+1)*trials])}
+	}
+	return points, nil
 }
 
-// aggregateTrialPoints folds the flattened (point × trial) results
-// into per-point trial statistics.
-func aggregateTrialPoints(vals []float64, results []*core.Result, trials int) []Point {
-	points := make([]Point, len(vals))
-	maxima := make([]float64, trials)
-	for p, v := range vals {
-		var w dist.Welford
-		for k := 0; k < trials; k++ {
-			maxima[k] = results[p*trials+k].MaxFinalDelay
-			w.Add(maxima[k])
-		}
-		points[p] = Point{
-			Value:  v,
-			Result: results[p*trials],
-			Trials: &TrialStats{
-				Trials:    trials,
-				MeanMax:   w.Mean(),
-				P95Max:    dist.Quantile(maxima, 0.95),
-				MinMax:    w.Min(),
-				MaxMax:    w.Max(),
-				StdDevMax: w.StdDev(),
-			},
-		}
+// trialStats summarizes one point's trial maxima, given in trial order.
+func trialStats(maxima []float64) *TrialStats {
+	var w dist.Welford
+	for _, m := range maxima {
+		w.Add(m)
 	}
-	return points
+	return &TrialStats{
+		Trials:    len(maxima),
+		MeanMax:   w.Mean(),
+		P95Max:    dist.Quantile(maxima, 0.95),
+		MinMax:    w.Min(),
+		MaxMax:    w.Max(),
+		StdDevMax: w.StdDev(),
+	}
 }
 
 // progressTick adapts Config.Progress into a per-task completion hook.
