@@ -368,6 +368,62 @@ func TestOverflowingTimesRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidRecordRejected pins the trust boundary for hand-built
+// traces: a MemTrace whose records were never validated still has its
+// invalid record rejected, with the rank and record index, by both
+// engines and through a Snapshot's sets as well as a plain Set.
+func TestInvalidRecordRejected(t *testing.T) {
+	send := rec(trace.KindSend, 100, 200)
+	send.Peer, send.Bytes = 1, 8
+	recv := rec(trace.KindRecv, 50, 200)
+	recv.Peer, recv.Bytes = 0, 8
+	backwards := rec(trace.KindRecv, 500, 400)
+	backwards.Peer = 0
+	noPeer := rec(trace.KindSend, 500, 600)
+	for name, tc := range map[string]struct {
+		bad  trace.Record
+		want string
+	}{
+		"end before begin":  {backwards, "core: rank 1 record 2: trace: recv record with End 400 < Begin 500"},
+		"send without peer": {noPeer, "core: rank 1 record 2: trace: send record without peer"},
+	} {
+		perRank := func() [][]trace.Record {
+			return [][]trace.Record{
+				{rec(trace.KindInit, 0, 10), send, rec(trace.KindFinalize, 700, 700)},
+				{rec(trace.KindInit, 0, 10), recv, tc.bad, rec(trace.KindFinalize, 700, 700)},
+			}
+		}
+		snapshot := func() *trace.Set {
+			recs := perRank()
+			mems := make([]*trace.MemTrace, len(recs))
+			for r := range recs {
+				mems[r] = &trace.MemTrace{Hdr: trace.Header{Rank: r, NRanks: len(recs)}, Records: recs[r]}
+			}
+			snap, err := trace.SnapshotFromMem(mems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap.Set()
+		}
+		for _, src := range []struct {
+			name string
+			set  func() *trace.Set
+		}{
+			{"set", func() *trace.Set { return mkset(t, perRank()...) }},
+			{"snapshot", snapshot},
+		} {
+			_, err := Analyze(src.set(), &Model{}, Options{})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %s: Analyze error %v, want %q", name, src.name, err, tc.want)
+			}
+			_, err = Compile(src.set(), Options{})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %s: Compile error %v, want %q", name, src.name, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestMaxWindowEnforced(t *testing.T) {
 	// Rank 0 posts many isends before rank 1 receives any; a tiny
 	// window must trip.
