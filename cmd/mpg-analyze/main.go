@@ -33,10 +33,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-analyze:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-analyze", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
@@ -61,7 +58,7 @@ func run(args []string) error {
 	critpathDOT := fs.String("critpath-dot", "", "write a DOT rendering of the graph with the critical path highlighted (implies extraction)")
 	var of cli.ObsvFlags
 	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *tlValidate != "" {

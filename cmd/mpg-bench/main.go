@@ -20,10 +20,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-bench:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-bench", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
@@ -38,7 +35,7 @@ func run(args []string) error {
 	ppBytes := fs.Int64("pingpong-bytes", 8, "ping-pong message size")
 	bwBytes := fs.Int64("bandwidth-bytes", 1<<20, "bandwidth probe message size")
 	bwSamples := fs.Int("bandwidth-samples", 50, "bandwidth probe sample count")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *out == "" {

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"mpgraph/internal/cli"
 	"mpgraph/internal/core"
 	"mpgraph/internal/report"
 	"mpgraph/internal/scenario"
@@ -23,17 +24,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-compare:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-compare", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("mpg-compare", flag.ContinueOnError)
 	traces := fs.String("traces", "", "trace directory from mpg-trace (required)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *traces == "" {

@@ -11,15 +11,13 @@ import (
 	"fmt"
 	"os"
 
+	"mpgraph/internal/cli"
 	"mpgraph/internal/core"
 	"mpgraph/internal/trace"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-dot:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-dot", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
@@ -27,7 +25,7 @@ func run(args []string) error {
 	traces := fs.String("traces", "", "trace directory from mpg-trace (required)")
 	title := fs.String("title", "message-passing graph", "graph title")
 	maxEvents := fs.Int64("max-events", 10_000, "refuse traces with more events than this (0 = no limit)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *traces == "" {

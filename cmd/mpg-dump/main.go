@@ -13,14 +13,12 @@ import (
 	"os"
 	"path/filepath"
 
+	"mpgraph/internal/cli"
 	"mpgraph/internal/trace"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-dump:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-dump", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
@@ -30,7 +28,7 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "dump every rank (requires -out)")
 	fromText := fs.String("from-text", "", "convert a text trace to a binary rank file (requires -out)")
 	out := fs.String("out", "", "output directory")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 

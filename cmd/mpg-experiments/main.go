@@ -21,10 +21,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-experiments:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-experiments", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 func run(args []string, w io.Writer) error {
@@ -39,7 +36,7 @@ func run(args []string, w io.Writer) error {
 	md := fs.Bool("md", false, "emit tables as markdown (for EXPERIMENTS.md)")
 	var of cli.ObsvFlags
 	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers,

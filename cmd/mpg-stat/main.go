@@ -13,6 +13,7 @@ import (
 	"os"
 	"sort"
 
+	"mpgraph/internal/cli"
 	"mpgraph/internal/dist"
 	"mpgraph/internal/obsv"
 	"mpgraph/internal/report"
@@ -20,16 +21,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-stat:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-stat", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("mpg-stat", flag.ContinueOnError)
 	traces := fs.String("traces", "", "trace directory from mpg-trace (required)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *traces == "" {

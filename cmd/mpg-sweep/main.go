@@ -18,7 +18,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,29 +35,7 @@ import (
 )
 
 func main() {
-	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
-}
-
-// usageError is a command-line parse error; the FlagSet has already
-// printed it with the usage.
-type usageError struct{ err error }
-
-func (e usageError) Error() string { return e.err.Error() }
-func (e usageError) Unwrap() error { return e.err }
-
-// exitCode maps run's outcome to the process exit status: 0 for a
-// finished run or -h, 2 for a flag error, and 1, with the error on
-// stderr, for a failed run.
-func exitCode(err error, stderr io.Writer) int {
-	var ue usageError
-	switch {
-	case err == nil, errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.As(err, &ue):
-		return 2
-	}
-	fmt.Fprintln(stderr, "mpg-sweep:", err)
-	return 1
+	os.Exit(cli.ExitCode("mpg-sweep", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
 }
 
 func run(args []string, w, stderr io.Writer) error {
@@ -80,8 +57,8 @@ func run(args []string, w, stderr io.Writer) error {
 	useBaseline := fs.Bool("baseline", false, "also run the Dimemas-style DES replayer per point")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	progress := fs.Bool("progress", false, "report live replay progress on stderr")
-	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *step <= 0 || *to < *from {
 		return fmt.Errorf("invalid sweep range [%g,%g] step %g", *from, *to, *step)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"mpgraph/internal/cli"
 )
 
 func TestSweepLatency(t *testing.T) {
@@ -99,7 +101,7 @@ func TestSweepFlagErrorExitsTwo(t *testing.T) {
 	if got := runErr.String(); !strings.Contains(got, "flag provided but not defined: -no-such-flag") || !strings.Contains(got, "-trials") {
 		t.Fatalf("stderr = %q, want the flag error and the usage", got)
 	}
-	if code := exitCode(err, &mainErr); code != 2 || mainErr.Len() != 0 {
+	if code := cli.ExitCode("mpg-sweep", err, &mainErr); code != 2 || mainErr.Len() != 0 {
 		t.Fatalf("exit %d with %q on stderr, want 2 and nothing", code, mainErr.String())
 	}
 }
@@ -112,7 +114,7 @@ func TestSweepHelpExitsZero(t *testing.T) {
 	if !strings.Contains(stderr.String(), "-trials") || stdout.Len() != 0 {
 		t.Fatalf("stdout %q, stderr %q; want the usage on stderr alone", stdout.String(), stderr.String())
 	}
-	if code := exitCode(err, &stderr); code != 0 {
+	if code := cli.ExitCode("mpg-sweep", err, &stderr); code != 0 {
 		t.Fatalf("-h exits %d, want 0", code)
 	}
 }
@@ -122,10 +124,10 @@ func TestSweepHelpExitsZero(t *testing.T) {
 func TestSweepFailedRunExitsOne(t *testing.T) {
 	var stderr bytes.Buffer
 	err := run([]string{"-step", "0"}, io.Discard, io.Discard)
-	if code := exitCode(err, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpg-sweep: invalid sweep range") {
+	if code := cli.ExitCode("mpg-sweep", err, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpg-sweep: invalid sweep range") {
 		t.Fatalf("exit %d with %q on stderr, want 1 and the error", code, stderr.String())
 	}
-	if code := exitCode(nil, &stderr); code != 0 {
+	if code := cli.ExitCode("mpg-sweep", nil, &stderr); code != 0 {
 		t.Fatalf("a finished run exits %d, want 0", code)
 	}
 }

@@ -19,10 +19,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-trace:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-trace", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
@@ -34,7 +31,7 @@ func run(args []string) error {
 	out := fs.String("out", "", "output directory for per-rank trace files (required)")
 	bufCap := fs.Int("trace-buffer", 4096, "PMPI trace buffer capacity in records")
 	list := fs.Bool("list", false, "list the registered workloads and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *list {

@@ -34,10 +34,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "mpg-verify:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.ExitCode("mpg-verify", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -52,7 +49,7 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	var of cli.ObsvFlags
 	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	switch {

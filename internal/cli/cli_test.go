@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"testing"
@@ -164,5 +166,29 @@ func TestMachineFlagsTopology(t *testing.T) {
 	}
 	if _, err := parseMachine(t, "-topology", "donut"); err == nil {
 		t.Fatal("bad topology accepted")
+	}
+}
+
+// TestExitCode pins the exit status every tool but mpg-lint derives
+// from its run: 0 for a finished run or -h, 2 for a flag error (which
+// the FlagSet has printed), and 1 with one "<tool>:" line for a
+// failed run.
+func TestExitCode(t *testing.T) {
+	fs := flag.NewFlagSet("mpg-x", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	for _, c := range []struct {
+		err    error
+		want   int
+		stderr string
+	}{
+		{nil, 0, ""},
+		{Parse(fs, []string{"-h"}), 0, ""},
+		{Parse(fs, []string{"-no-such-flag"}), 2, ""},
+		{errors.New("no traces"), 1, "mpg-x: no traces\n"},
+	} {
+		var stderr bytes.Buffer
+		if got := ExitCode("mpg-x", c.err, &stderr); got != c.want || stderr.String() != c.stderr {
+			t.Errorf("%v: exit %d with %q on stderr, want %d and %q", c.err, got, stderr.String(), c.want, c.stderr)
+		}
 	}
 }

@@ -69,13 +69,26 @@ type msgState struct {
 }
 
 // msgQueue is one matching queue's unmatched posts in FIFO order,
-// linked through msgState.next.
+// linked through msgState.next. A queue stays in the analyzer's map
+// while its key is in use, so a transfer costs lookups only; an empty
+// queue is listed (analyzer.emptied) and dropped by reclaimQueues.
 type msgQueue struct {
 	head, tail *msgState
+	key        msgKey
+	listed     bool // on analyzer.emptied
 }
 
-// msgSlabLen is the number of msgStates allocated together.
+// msgSlabLen is the number of msgStates, and of msgQueues, allocated
+// together.
 const msgSlabLen = 64
+
+// queueReclaimSlack is how many emptied queues the analyzer lists
+// before it drops the ones still empty, once they are also more than
+// half the map. The queue map then holds at most this many plus the
+// window (or twice the window, if that is more), even when every
+// message has a fresh tag, and a trace whose keys recur, such as a
+// 256-rank stencil2d with about 1,000, keeps every queue.
+const queueReclaimSlack = 4096
 
 // collKey identifies one collective instance.
 type collKey struct {
@@ -249,11 +262,21 @@ type analyzer struct {
 	smp   *sampler
 	res   *Result
 
-	ranks   []*rankState
-	queues  map[msgKey]msgQueue // unmatched posts, FIFO per key
+	ranks   []rankState
+	queues  map[msgKey]*msgQueue // unmatched posts, FIFO per key
 	colls   map[collKey]*collState
 	msgSlab []msgState // unused msgStates, handed out by newMsg
 	msgFree *msgState  // recycled msgStates, linked through next
+
+	// emptied lists the queues that emptied since the last reclaim, in
+	// the order they did; queueSlab and queueFree feed newQueue as
+	// msgSlab and msgFree feed newMsg.
+	emptied   []*msgQueue
+	queueSlab []msgQueue
+	queueFree []*msgQueue
+
+	// regSlab hands out the region stats that Result.Regions points to.
+	regSlab []RegionStats
 
 	pendingOps int
 
@@ -295,17 +318,17 @@ func newAnalyzer(set *trace.Set, model *Model, opts Options) (*analyzer, error) 
 		model:  model,
 		opts:   opts,
 		smp:    newSampler(model, n),
-		res:    &Result{NRanks: n, Ranks: make([]RankResult, n), Regions: map[RegionKey]*RegionStats{}},
-		ranks:  make([]*rankState, n),
-		queues: map[msgKey]msgQueue{},
+		res:    &Result{NRanks: n, Ranks: make([]RankResult, n), Regions: make(map[RegionKey]*RegionStats, n)},
+		ranks:  make([]rankState, n),
+		queues: make(map[msgKey]*msgQueue, n),
 		colls:  map[collKey]*collState{},
 		queued: make([]bool, n),
 	}
 	if opts.RecordCritPath {
 		a.crit = newCritPool(n)
 	}
-	for r := 0; r < n; r++ {
-		a.ranks[r] = &rankState{
+	for r := range a.ranks {
+		a.ranks[r] = rankState{
 			rank:      r,
 			reader:    set.Rank(r),
 			region:    -1,
@@ -329,14 +352,14 @@ func (a *analyzer) run() (*Result, error) {
 		rank := a.runnable[0]
 		a.runnable = a.runnable[1:]
 		a.queued[rank] = false
-		if err := a.processBurst(a.ranks[rank]); err != nil {
+		if err := a.processBurst(&a.ranks[rank]); err != nil {
 			return nil, err
 		}
 	}
 	// Every rank must have drained cleanly.
 	var stuck []string
-	for _, rs := range a.ranks {
-		if rs.ph != phaseEOF {
+	for i := range a.ranks {
+		if rs := &a.ranks[i]; rs.ph != phaseEOF {
 			stuck = append(stuck, fmt.Sprintf("rank %d: %s", rs.rank, stallReason(rs)))
 		}
 	}
@@ -392,11 +415,7 @@ func (a *analyzer) processBurst(rs *rankState) error {
 			if len(rs.batch) == 0 {
 				batch, err := rs.reader.Batch()
 				if err != nil { // tested first: errors.Is costs a call per batch
-					if errors.Is(err, io.EOF) {
-						a.finishRank(rs)
-						return nil
-					}
-					return fmt.Errorf("core: rank %d: %w", rs.rank, err)
+					return a.fetchError(rs, err)
 				}
 				rs.batch = batch
 			}
@@ -423,12 +442,25 @@ func (a *analyzer) processBurst(rs *rankState) error {
 	return nil
 }
 
+// fetchError ends the rank at io.EOF and otherwise reports the
+// reader's error; an invalid in-memory record is reported by its
+// index, as the reader hands out validated records only.
+func (a *analyzer) fetchError(rs *rankState, err error) error {
+	if errors.Is(err, io.EOF) {
+		a.finishRank(rs)
+		return nil
+	}
+	var bad *trace.RecordError
+	if errors.As(err, &bad) {
+		return fmt.Errorf("core: rank %d record %d: %w", rs.rank, bad.Index, bad.Err)
+	}
+	return fmt.Errorf("core: rank %d: %w", rs.rank, err)
+}
+
 // beginRecord handles the record's start subevent: the compute-gap
 // local edge and the queue side effects that must happen exactly once.
+// The reader has validated the record.
 func (a *analyzer) beginRecord(rs *rankState, rec *trace.Record) error {
-	if err := rec.Validate(); err != nil {
-		return fmt.Errorf("core: rank %d record %d: %w", rs.rank, rs.eventIdx, err)
-	}
 	gap := int64(0)
 	if rs.started {
 		if rec.Begin < rs.prevEnd {
@@ -583,13 +615,18 @@ func (a *analyzer) finishRank(rs *rankState) {
 }
 
 // region returns (creating if needed) the stats bucket of the rank's
-// current marker region, through the rank's cache.
+// current marker region, through the rank's cache. New buckets come
+// from a slab of one per rank.
 func (a *analyzer) region(rs *rankState) *RegionStats {
 	if rs.reg == nil {
 		key := RegionKey{Rank: rs.rank, Region: rs.region}
 		rs.reg = a.res.Regions[key]
 		if rs.reg == nil {
-			rs.reg = &RegionStats{}
+			if len(a.regSlab) == 0 {
+				a.regSlab = make([]RegionStats, len(a.ranks))
+			}
+			rs.reg = &a.regSlab[0]
+			a.regSlab = a.regSlab[1:]
 			a.res.Regions[key] = rs.reg
 		}
 	}
@@ -608,6 +645,10 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 		key = msgKey{comm: rec.Comm, src: rec.Peer, dst: int32(rs.rank), tag: rec.Tag}
 	}
 	q := a.queues[key]
+	if q == nil {
+		q = a.newQueue(key)
+		a.queues[key] = q
+	}
 	var m *msgState
 	// Find the first entry still missing our side (FIFO, non-overtaking).
 	for cand := q.head; cand != nil; cand = cand.next {
@@ -624,7 +665,6 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 			q.tail.next = m
 		}
 		q.tail = m
-		a.queues[key] = q
 		a.windowGrow()
 	}
 	if isSend {
@@ -642,15 +682,14 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 		m.recvPred = a.holdFront(rs.rank)
 	}
 	if m.sendSeen && m.recvSeen && !m.matched {
-		a.resolveMatch(key, q, m, int(key.dst))
+		a.resolveMatch(q, m, int(key.dst))
 	}
 	return m
 }
 
 // resolveMatch samples the transfer's deltas (sampler.sampleMatch),
-// drops it from its queue q, as postP2P looked it up under key, and
-// reschedules the ranks stalled on it.
-func (a *analyzer) resolveMatch(key msgKey, q msgQueue, m *msgState, recvRank int) {
+// drops it from its queue q and reschedules the ranks stalled on it.
+func (a *analyzer) resolveMatch(q *msgQueue, m *msgState, recvRank int) {
 	a.smp.sampleMatch(&m.xfer, m.bytes, recvRank)
 	m.matched = true
 	a.cnt.matches++
@@ -674,10 +713,12 @@ func (a *analyzer) resolveMatch(key msgKey, q msgQueue, m *msgState, recvRank in
 			break
 		}
 	}
-	if q.head == nil {
-		delete(a.queues, key)
-	} else {
-		a.queues[key] = q
+	if q.head == nil && !q.listed {
+		q.listed = true
+		a.emptied = append(a.emptied, q)
+		if len(a.emptied) > queueReclaimSlack && 2*len(a.emptied) > len(a.queues) {
+			a.reclaimQueues()
+		}
 	}
 	a.windowShrink()
 	for _, w := range m.waiters {
@@ -702,6 +743,39 @@ func (a *analyzer) newMsg() *msgState {
 	}
 	m.waiters = m.waitBuf[:0]
 	return m
+}
+
+// newQueue hands out an empty queue for key: a reclaimed one if any,
+// else the next of the current slab.
+func (a *analyzer) newQueue(key msgKey) *msgQueue {
+	var q *msgQueue
+	if n := len(a.queueFree); n > 0 {
+		q = a.queueFree[n-1]
+		a.queueFree = a.queueFree[:n-1]
+	} else {
+		if len(a.queueSlab) == 0 {
+			a.queueSlab = make([]msgQueue, msgSlabLen)
+		}
+		q = &a.queueSlab[0]
+		a.queueSlab = a.queueSlab[1:]
+	}
+	q.key = key
+	return q
+}
+
+// reclaimQueues drops the listed queues that are still empty from the
+// map, in the order they emptied, and keeps them for newQueue. A listed
+// queue that has refilled stays; it is listed again when it empties.
+func (a *analyzer) reclaimQueues() {
+	for _, q := range a.emptied {
+		q.listed = false
+		if q.head == nil {
+			delete(a.queues, q.key)
+			a.queueFree = append(a.queueFree, q)
+		}
+	}
+	clear(a.emptied)
+	a.emptied = a.emptied[:0]
 }
 
 // sideDone completes one side of a matched transfer. After the second,

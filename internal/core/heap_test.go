@@ -110,3 +110,38 @@ func TestFinishedTransfersRecycled(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchQueuesBounded: a queue stays in the analyzer's map while its
+// key is in use, and the emptied ones are dropped in batches, so a
+// trace that gives every message a fresh tag leaves at most
+// queueReclaimSlack emptied queues plus the window in the map, not one
+// queue per message.
+func TestMatchQueuesBounded(t *testing.T) {
+	const transfers = 20_000
+	perRank := [][]trace.Record{{rec(trace.KindInit, 0, 10)}, {rec(trace.KindInit, 0, 10)}}
+	for i := int64(0); i < transfers; i++ {
+		at := 100 + 100*i
+		send := rec(trace.KindSend, at, at+50)
+		send.Peer, send.Tag, send.Bytes = 1, int32(i), 8
+		recv := rec(trace.KindRecv, at, at+50)
+		recv.Peer, recv.Tag, recv.Bytes = 0, int32(i), 8
+		perRank[0] = append(perRank[0], send)
+		perRank[1] = append(perRank[1], recv)
+	}
+	end := 100 + 100*int64(transfers)
+	perRank[0] = append(perRank[0], rec(trace.KindFinalize, end, end))
+	perRank[1] = append(perRank[1], rec(trace.KindFinalize, end, end))
+	a, err := newAnalyzer(mkset(t, perRank...), &Model{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := queueReclaimSlack + res.WindowHighWater
+	t.Logf("%d transfers on fresh tags: %d queues in the map, window high water %d", transfers, len(a.queues), res.WindowHighWater)
+	if len(a.queues) > bound {
+		t.Fatalf("%d queues left in the map after %d transfers on fresh tags; want <= %d", len(a.queues), transfers, bound)
+	}
+}

@@ -22,6 +22,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mpgraph/internal/dist"
 	"mpgraph/internal/obsv"
@@ -300,16 +302,61 @@ type sampler struct {
 }
 
 func newSampler(m *Model, nranks int) *sampler {
-	root := dist.NewRNG(m.Seed)
-	s := &sampler{
-		rankRNG: make([]*dist.RNG, nranks),
-		msgRNG:  root.ForkNamed("messages"),
-	}
-	for r := 0; r < nranks; r++ {
-		s.rankRNG[r] = root.ForkNamed(fmt.Sprintf("rank-%d", r))
-	}
+	s := &sampler{}
+	rngs := make([]dist.RNG, nranks+1)
+	dist.ForkHierarchyInto(m.Seed, forkLabels(nranks), rngs)
+	s.useRNGs(rngs)
 	s.bind(m)
 	return s
+}
+
+// useRNGs points the sampler's streams into rngs, which holds the
+// generator hierarchy in fork order: the message stream, then one
+// stream per rank ascending.
+func (s *sampler) useRNGs(rngs []dist.RNG) {
+	s.msgRNG = &rngs[0]
+	s.rankRNG = make([]*dist.RNG, len(rngs)-1)
+	for r := range s.rankRNG {
+		s.rankRNG[r] = &rngs[r+1]
+	}
+}
+
+// forkLabels returns the sampler hierarchy's fork labels in fork
+// order: "messages", then "rank-0" to "rank-<n-1>". Running
+// dist.ForkHierarchyInto over them is what gives the streaming and the
+// compiled engine the same streams. The labels are slices of one
+// string, so a hierarchy costs two allocations whatever its size.
+func forkLabels(n int) []string {
+	const msgs, prefix = "messages", "rank-"
+	size := len(msgs)
+	for r := 0; r < n; r++ {
+		size += len(prefix) + decimalLen(r)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(msgs)
+	var digits [20]byte
+	for r := 0; r < n; r++ {
+		b.WriteString(prefix)
+		b.Write(strconv.AppendInt(digits[:0], int64(r), 10))
+	}
+	all := b.String()
+	labels := make([]string, n+1)
+	labels[0], all = all[:len(msgs)], all[len(msgs):]
+	for r := 0; r < n; r++ {
+		k := len(prefix) + decimalLen(r)
+		labels[r+1], all = all[:k], all[k:]
+	}
+	return labels
+}
+
+// decimalLen is the number of decimal digits of a non-negative r.
+func decimalLen(r int) int {
+	n := 1
+	for ; r >= 10; r /= 10 {
+		n++
+	}
+	return n
 }
 
 // bind points the sampler at a model, resolves its draw laws and

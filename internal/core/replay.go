@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"mpgraph/internal/dist"
-)
+import "mpgraph/internal/dist"
 
 // ReplayCompiled propagates a perturbation model over a compiled graph
 // program. It is byte-identical to Analyze over the same trace with
@@ -176,7 +172,7 @@ type replayState struct {
 	// the order newSampler forks them, so ForkHierarchyInto over
 	// forkLabels reproduces its streams exactly.
 	rngBacking []dist.RNG
-	forkLabels []string // "messages", then precomputed "rank-%d" labels
+	forkLabels []string // forkLabels(nranks)
 
 	// Flat per-subevent delay state, indexed by evBase[rank]+event.
 	startD    []float64
@@ -208,7 +204,7 @@ func newReplayState(c *Compiled) *replayState {
 	total := c.evBase[n]
 	st := &replayState{
 		rngBacking:  make([]dist.RNG, n+1),
-		forkLabels:  replayForkLabels(n),
+		forkLabels:  forkLabels(n),
 		startD:      make([]float64, total),
 		startAttr:   make([]Attribution, total),
 		prevD:       make([]float64, n),
@@ -220,26 +216,8 @@ func newReplayState(c *Compiled) *replayState {
 		collOutPred: make([]int32, len(c.parts)),
 		regions:     make([]RegionStats, len(c.regionKeys)),
 	}
-	st.smp.msgRNG = &st.rngBacking[0]
-	st.smp.rankRNG = make([]*dist.RNG, n)
-	for r := 0; r < n; r++ {
-		st.smp.rankRNG[r] = &st.rngBacking[r+1]
-	}
+	st.smp.useRNGs(st.rngBacking)
 	return st
-}
-
-// replayForkLabels precomputes the sampler hierarchy's fork labels in
-// fork order: the shared message stream, then the per-rank streams
-// ascending. The replay state seeds its generators by running
-// dist.ForkHierarchyInto over this slice, which is what pins their
-// streams to newSampler's.
-func replayForkLabels(n int) []string {
-	labels := make([]string, n+1)
-	labels[0] = "messages"
-	for r := 0; r < n; r++ {
-		labels[r+1] = fmt.Sprintf("rank-%d", r)
-	}
-	return labels
 }
 
 // reset re-seeds the sampler hierarchy exactly as newSampler would

@@ -24,13 +24,7 @@ type memSink struct {
 	mem *trace.MemTrace
 }
 
-func (s *memSink) add(rec trace.Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	s.mem.Records = append(s.mem.Records, rec)
-	return nil
-}
+func (s *memSink) add(rec trace.Record) error { return s.mem.Append(rec) }
 
 // writerSink forwards records to a buffered trace.Writer.
 type writerSink struct {

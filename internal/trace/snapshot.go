@@ -21,7 +21,11 @@ func SnapshotFromMem(traces []*MemTrace) (*Snapshot, error) {
 	}
 	snap := &Snapshot{traces: make([]*MemTrace, set.NRanks())}
 	for r := range snap.traces {
-		snap.traces[r] = set.Rank(r).(*MemTrace)
+		m := set.Rank(r).(*MemTrace)
+		// Validate once here rather than in every Set; an invalid
+		// record is reported by each Set's reader as it reaches it.
+		_ = m.validate()
+		snap.traces[r] = m
 	}
 	return snap, nil
 }
@@ -44,7 +48,7 @@ func (s *Snapshot) Events() int64 {
 func (s *Snapshot) Set() *Set {
 	readers := make([]Reader, len(s.traces))
 	for i, m := range s.traces {
-		readers[i] = &MemTrace{Hdr: m.Hdr, Records: m.Records}
+		readers[i] = &MemTrace{Hdr: m.Hdr, Records: m.Records, valid: m.valid}
 	}
 	// The wrappers are by construction a valid rank-complete set;
 	// bypass NewSet's validation (it cannot fail here).

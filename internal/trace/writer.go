@@ -92,7 +92,8 @@ func (w *Writer) Records() int64 { return w.records }
 //
 // Batch returns a view of the next records: at least one record and a
 // nil error, or no records and an error, io.EOF at the clean end of the
-// stream. The view is valid until the next call to Batch, which may
+// stream. Every record it hands out has passed Record.Validate, so a
+// consumer need not check a record again. The view is valid until the next call to Batch, which may
 // overwrite it: a consumer that keeps records longer copies them, and
 // no consumer modifies them (a MemTrace's view is its own record
 // slice). An error is deferred until the records before it have been
@@ -108,27 +109,75 @@ type Reader interface {
 // MemTrace is an in-memory trace for one rank; it implements Reader
 // (restartable via Reset) and is the form small tests and the DOT
 // exporter use.
+//
+// A MemTrace counts its leading records that are known to be valid:
+// Append validates each record it adds, ReadAll and a Snapshot's sets
+// carry the count over, and Batch validates the rest once. Records
+// must therefore not be modified or replaced once a Set has read them.
 type MemTrace struct {
 	Hdr     Header
 	Records []Record
-	drained bool
+	valid   int // leading Records known to pass Record.Validate
+	read    int // Records handed out since the last Reset
+}
+
+// RecordError is the error a MemTrace's Batch returns for a record that
+// fails Record.Validate, after handing out the valid records before it.
+type RecordError struct {
+	Index int64 // the record's index in the rank's trace
+	Err   error // what Record.Validate reported
+}
+
+func (e *RecordError) Error() string { return fmt.Sprintf("record %d: %v", e.Index, e.Err) }
+
+func (e *RecordError) Unwrap() error { return e.Err }
+
+// Append validates rec and adds it to the trace.
+func (m *MemTrace) Append(rec Record) error {
+	if err := rec.Validate(); err != nil {
+		return err
+	}
+	if m.valid == len(m.Records) {
+		m.valid++
+	}
+	m.Records = append(m.Records, rec)
+	return nil
+}
+
+// validate extends the valid prefix up to the first invalid record and
+// returns its *RecordError, or nil when every record is valid.
+func (m *MemTrace) validate() error {
+	m.valid = min(m.valid, len(m.Records))
+	for ; m.valid < len(m.Records); m.valid++ {
+		if err := m.Records[m.valid].Validate(); err != nil {
+			return &RecordError{Index: int64(m.valid), Err: err}
+		}
+	}
+	return nil
 }
 
 // Header implements Reader.
 func (m *MemTrace) Header() Header { return m.Hdr }
 
 // Batch implements Reader: the first call returns all of Records,
-// without copying, and later calls io.EOF until Reset.
+// without copying, and later calls io.EOF until Reset. If a record is
+// invalid, the first call returns the records before it and later calls
+// its *RecordError.
 func (m *MemTrace) Batch() ([]Record, error) {
-	if m.drained || len(m.Records) == 0 {
-		return nil, io.EOF
+	err := m.validate()
+	if m.read < m.valid {
+		recs := m.Records[m.read:m.valid:m.valid]
+		m.read = m.valid
+		return recs, nil
 	}
-	m.drained = true
-	return m.Records[:len(m.Records):len(m.Records)], nil
+	if err != nil {
+		return nil, err
+	}
+	return nil, io.EOF
 }
 
 // Reset rewinds the trace so it can be read again.
-func (m *MemTrace) Reset() { m.drained = false }
+func (m *MemTrace) Reset() { m.read = 0 }
 
 // ReadAll drains a Reader into a MemTrace.
 func ReadAll(r Reader) (*MemTrace, error) {
@@ -137,6 +186,7 @@ func ReadAll(r Reader) (*MemTrace, error) {
 		recs, err := r.Batch()
 		if err != nil { // tested first: errors.Is costs a call per batch
 			if errors.Is(err, io.EOF) {
+				m.valid = len(m.Records) // a Reader hands out valid records only
 				return m, nil
 			}
 			return nil, err

@@ -150,6 +150,56 @@ func TestMemTraceReaderAndReset(t *testing.T) {
 	}
 }
 
+// TestMemTraceValidatesOnce: Append rejects an invalid record and
+// counts the valid ones, a hand-built trace is validated at its first
+// Batch and hands out the records before an invalid one, then a
+// *RecordError naming its index, and ReadAll and a Snapshot's sets
+// carry the valid count, so no record is validated twice.
+func TestMemTraceValidatesOnce(t *testing.T) {
+	first := Record{Kind: KindInit, Begin: 0, End: 1, Peer: NoRank, Root: NoRank}
+	fin := Record{Kind: KindFinalize, Begin: 2, End: 3, Peer: NoRank, Root: NoRank}
+	bad := Record{Kind: KindFinalize, Begin: 5, End: 4, Peer: NoRank, Root: NoRank}
+
+	var m MemTrace
+	if err := m.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Append(bad); err == nil || len(m.Records) != 1 {
+		t.Fatalf("Append of an invalid record: %v, %d records", err, len(m.Records))
+	}
+	if err := m.Append(fin); err != nil || m.valid != 2 {
+		t.Fatalf("Append: %v, %d of %d records counted valid", err, m.valid, len(m.Records))
+	}
+
+	h := &MemTrace{Hdr: Header{Rank: 0, NRanks: 1}, Records: []Record{first, fin, bad, fin}}
+	got, err := h.Batch()
+	if err != nil || len(got) != 2 || &got[0] != &h.Records[0] {
+		t.Fatalf("first batch: %d records, %v; want the 2 before the invalid one", len(got), err)
+	}
+	var re *RecordError
+	for i := 0; i < 2; i++ {
+		if got, err := h.Batch(); got != nil || !errors.As(err, &re) || re.Index != 2 ||
+			re.Err.Error() != "trace: finalize record with End 4 < Begin 5" {
+			t.Fatalf("call %d after the valid prefix: %v, %v; want record 2's error", i, got, err)
+		}
+	}
+	if h.valid != 2 {
+		t.Fatalf("valid prefix %d, want 2", h.valid)
+	}
+
+	all, err := ReadAll(&MemTrace{Hdr: Header{Rank: 0, NRanks: 1}, Records: []Record{first, fin}})
+	if err != nil || all.valid != 2 {
+		t.Fatalf("ReadAll: %v, valid prefix %d of 2", err, all.valid)
+	}
+	snap, err := SnapshotFromMem([]*MemTrace{{Hdr: Header{Rank: 0, NRanks: 1}, Records: []Record{first, bad}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := snap.Set().Rank(0).(*MemTrace); r.valid != 1 {
+		t.Fatalf("a Snapshot's set starts with %d records known valid, want 1", r.valid)
+	}
+}
+
 func TestNewSetValidation(t *testing.T) {
 	mk := func(rank, n int) *MemTrace {
 		return &MemTrace{Hdr: Header{Rank: rank, NRanks: n}}
