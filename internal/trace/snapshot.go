@@ -47,8 +47,10 @@ func (s *Snapshot) Events() int64 {
 // record slices. Any number of Sets may be consumed concurrently.
 func (s *Snapshot) Set() *Set {
 	readers := make([]Reader, len(s.traces))
+	wrappers := make([]MemTrace, len(s.traces))
 	for i, m := range s.traces {
-		readers[i] = &MemTrace{Hdr: m.Hdr, Records: m.Records, valid: m.valid}
+		wrappers[i] = MemTrace{Hdr: m.Hdr, Records: m.Records, valid: m.valid}
+		readers[i] = &wrappers[i]
 	}
 	// The wrappers are by construction a valid rank-complete set;
 	// bypass NewSet's validation (it cannot fail here).
