@@ -76,6 +76,7 @@ type msgQueue struct {
 	head, tail *msgState
 	key        msgKey
 	listed     bool // on analyzer.emptied
+	inMap      bool // false once reclaimQueues has dropped it
 }
 
 // msgSlabLen is the number of msgStates, and of msgQueues, allocated
@@ -163,6 +164,11 @@ type rankState struct {
 	// A marker that changes the region drops both.
 	reg       *RegionStats
 	recRegion int32
+
+	// sendQ and recvQ are the queues of the rank's last send and receive
+	// posts: a rank that keeps posting to the same peer and tag finds its
+	// queue without hashing the key.
+	sendQ, recvQ *msgQueue
 
 	// Pending interval detail for the current record: the wait charged
 	// by the completion merge and its state (also what the critical-path
@@ -639,15 +645,13 @@ func (a *analyzer) region(rs *rankState) *RegionStats {
 // resolves the transfer if the counterpart has already posted.
 func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD float64) *msgState {
 	var key msgKey
+	var q *msgQueue
 	if isSend {
 		key = msgKey{comm: rec.Comm, src: int32(rs.rank), dst: rec.Peer, tag: rec.Tag}
+		q = a.queue(&rs.sendQ, key)
 	} else {
 		key = msgKey{comm: rec.Comm, src: rec.Peer, dst: int32(rs.rank), tag: rec.Tag}
-	}
-	q := a.queues[key]
-	if q == nil {
-		q = a.newQueue(key)
-		a.queues[key] = q
+		q = a.queue(&rs.recvQ, key)
 	}
 	var m *msgState
 	// Find the first entry still missing our side (FIFO, non-overtaking).
@@ -745,6 +749,22 @@ func (a *analyzer) newMsg() *msgState {
 	return m
 }
 
+// queue returns the matching queue of key, adding an empty one to the
+// map if it has none, and leaves it in *last. A queue that *last still
+// holds for the same key is returned without a map lookup.
+func (a *analyzer) queue(last **msgQueue, key msgKey) *msgQueue {
+	if q := *last; q != nil && q.inMap && q.key == key {
+		return q
+	}
+	q := a.queues[key]
+	if q == nil {
+		q = a.newQueue(key)
+		a.queues[key] = q
+	}
+	*last = q
+	return q
+}
+
 // newQueue hands out an empty queue for key: a reclaimed one if any,
 // else the next of the current slab.
 func (a *analyzer) newQueue(key msgKey) *msgQueue {
@@ -760,6 +780,7 @@ func (a *analyzer) newQueue(key msgKey) *msgQueue {
 		a.queueSlab = a.queueSlab[1:]
 	}
 	q.key = key
+	q.inMap = true
 	return q
 }
 
@@ -771,6 +792,7 @@ func (a *analyzer) reclaimQueues() {
 		q.listed = false
 		if q.head == nil {
 			delete(a.queues, q.key)
+			q.inMap = false
 			a.queueFree = append(a.queueFree, q)
 		}
 	}

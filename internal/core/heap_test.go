@@ -115,33 +115,57 @@ func TestFinishedTransfersRecycled(t *testing.T) {
 // key is in use, and the emptied ones are dropped in batches, so a
 // trace that gives every message a fresh tag leaves at most
 // queueReclaimSlack emptied queues plus the window in the map, not one
-// queue per message.
+// queue per message. Rank 0 sends on one key before and after that
+// traffic from rank 2 to rank 1, and the second send must still match
+// although the queue rank 0 last posted to has been dropped (6,000
+// transfers) or dropped and reused for another key (20,000).
 func TestMatchQueuesBounded(t *testing.T) {
-	const transfers = 20_000
-	perRank := [][]trace.Record{{rec(trace.KindInit, 0, 10)}, {rec(trace.KindInit, 0, 10)}}
-	for i := int64(0); i < transfers; i++ {
-		at := 100 + 100*i
-		send := rec(trace.KindSend, at, at+50)
-		send.Peer, send.Tag, send.Bytes = 1, int32(i), 8
-		recv := rec(trace.KindRecv, at, at+50)
-		recv.Peer, recv.Tag, recv.Bytes = 0, int32(i), 8
-		perRank[0] = append(perRank[0], send)
-		perRank[1] = append(perRank[1], recv)
+	for _, transfers := range []int64{6_000, 20_000} {
+		res, queues := analyzeFreshTags(t, transfers)
+		bound := queueReclaimSlack + res.WindowHighWater
+		t.Logf("%d transfers on fresh tags: %d queues in the map, window high water %d", transfers, queues, res.WindowHighWater)
+		if queues > bound {
+			t.Errorf("%d queues left in the map after %d transfers on fresh tags; want <= %d", queues, transfers, bound)
+		}
 	}
-	end := 100 + 100*int64(transfers)
-	perRank[0] = append(perRank[0], rec(trace.KindFinalize, end, end))
-	perRank[1] = append(perRank[1], rec(trace.KindFinalize, end, end))
+}
+
+// analyzeFreshTags analyzes the trace TestMatchQueuesBounded describes
+// and returns the result and the queue map's final size.
+func analyzeFreshTags(t *testing.T, transfers int64) (*Result, int) {
+	t.Helper()
+	p2p := func(k trace.Kind, at int64, peer, tag int32) trace.Record {
+		r := rec(k, at, at+50)
+		r.Peer, r.Tag, r.Bytes = peer, tag, 8
+		return r
+	}
+	again := int32(transfers) // the tag rank 0 sends on twice
+	perRank := [][]trace.Record{
+		{rec(trace.KindInit, 0, 10), p2p(trace.KindSend, 100, 1, again)},
+		{rec(trace.KindInit, 0, 10), p2p(trace.KindRecv, 100, 0, again)},
+		{rec(trace.KindInit, 0, 10)},
+	}
+	for i := int64(0); i < transfers; i++ {
+		at := 200 + 100*i
+		perRank[1] = append(perRank[1], p2p(trace.KindRecv, at, 2, int32(i)))
+		perRank[2] = append(perRank[2], p2p(trace.KindSend, at, 1, int32(i)))
+	}
+	end := 200 + 100*transfers
+	perRank[0] = append(perRank[0], p2p(trace.KindRecv, end, 1, 0), p2p(trace.KindSend, end+100, 1, again))
+	perRank[1] = append(perRank[1], p2p(trace.KindSend, end, 0, 0), p2p(trace.KindRecv, end+100, 0, again))
+	for r := range perRank {
+		perRank[r] = append(perRank[r], rec(trace.KindFinalize, end+200, end+200))
+	}
 	a, err := newAnalyzer(mkset(t, perRank...), &Model{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := a.run()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%d transfers: %v", transfers, err)
 	}
-	bound := queueReclaimSlack + res.WindowHighWater
-	t.Logf("%d transfers on fresh tags: %d queues in the map, window high water %d", transfers, len(a.queues), res.WindowHighWater)
-	if len(a.queues) > bound {
-		t.Fatalf("%d queues left in the map after %d transfers on fresh tags; want <= %d", len(a.queues), transfers, bound)
+	if res.Warnings != nil {
+		t.Fatalf("%d transfers: warnings %v", transfers, res.Warnings)
 	}
+	return res, len(a.queues)
 }
