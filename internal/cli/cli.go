@@ -1,7 +1,8 @@
 // Package cli provides the shared flag groups of the command-line
 // tools: machine-model flags, perturbation-model flags, and workload
 // flags, each registering on a flag.FlagSet and building the
-// corresponding configuration.
+// corresponding configuration. Parse and ExitCode give the tools one
+// exit status for help, flag errors and failed runs.
 package cli
 
 import (

@@ -169,10 +169,10 @@ func TestMachineFlagsTopology(t *testing.T) {
 	}
 }
 
-// TestExitCode pins the exit status every tool but mpg-lint derives
-// from its run: 0 for a finished run or -h, 2 for a flag error (which
-// the FlagSet has printed), and 1 with one "<tool>:" line for a
-// failed run.
+// TestExitCode pins the exit status the tools other than mpg-lint and
+// mpg-perf derive from a run: 0 for a finished run or -h, 2 for a flag
+// error (which the FlagSet has printed), and 1 with one "<tool>:" line
+// for a failed run.
 func TestExitCode(t *testing.T) {
 	fs := flag.NewFlagSet("mpg-x", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)

@@ -93,14 +93,14 @@ func (w *Writer) Records() int64 { return w.records }
 // Batch returns a view of the next records: at least one record and a
 // nil error, or no records and an error, io.EOF at the clean end of the
 // stream. Every record it hands out has passed Record.Validate, so a
-// consumer need not check a record again. The view is valid until the next call to Batch, which may
-// overwrite it: a consumer that keeps records longer copies them, and
-// no consumer modifies them (a MemTrace's view is its own record
-// slice). An error is deferred until the records before it have been
-// handed out: the batch that reaches a failing record ends just before
-// it, and the next call returns the error, so a consumer stops at the
-// same record whatever the batch size. Once Batch has returned an
-// error, it keeps returning it.
+// consumer need not check one again. The view is valid until the next
+// call to Batch, which may overwrite it: a consumer that keeps records
+// longer copies them, and no consumer modifies them (a MemTrace's view
+// is its own record slice). An error is deferred until the records
+// before it have been handed out: the batch that reaches a failing
+// record ends just before it, and the next call returns the error, so
+// a consumer stops at the same record whatever the batch size. Once
+// Batch has returned an error, it keeps returning it.
 type Reader interface {
 	Header() Header
 	Batch() ([]Record, error)
@@ -159,10 +159,10 @@ func (m *MemTrace) validate() error {
 // Header implements Reader.
 func (m *MemTrace) Header() Header { return m.Hdr }
 
-// Batch implements Reader: the first call returns all of Records,
-// without copying, and later calls io.EOF until Reset. If a record is
-// invalid, the first call returns the records before it and later calls
-// its *RecordError.
+// Batch implements Reader: it returns the records not yet handed out,
+// without copying (all of Records at the first call), and io.EOF once
+// none are left, until Reset. If a record is invalid, Batch stops
+// before it, and later calls return its *RecordError.
 func (m *MemTrace) Batch() ([]Record, error) {
 	err := m.validate()
 	if m.read < m.valid {
